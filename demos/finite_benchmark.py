@@ -31,7 +31,7 @@ def main():
         vi = finite.relative_value_iteration(params, n_users)
         rel = abs(g_mf - vi.g) * 100.0 / g_mf
         print(f"{rho:6.2f} {bench.regime:<9} {g_mf:12.6f} {vi.g:12.6f} {rel:12.3g}")
-    print(f"\nfour points solved exactly in {time.time() - t0:.1f}s")
+    print(f"\nfour points solved exactly in {time.time() - t0:.3f}s")
 
     params = params_at(0.1)
     bench = policy.make_bench_policy(params)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -215,9 +214,7 @@ def _bench_row(cfg, rho):
 
 
 def cmd_compare(cfg, out_dir, seed):
-    rhos = sorted(cfg["rho_list"])
-    with ThreadPoolExecutor(max_workers=min(4, len(rhos))) as pool:
-        rows = list(pool.map(lambda r: _bench_row(cfg, r), rhos))
+    rows = [_bench_row(cfg, rho) for rho in sorted(cfg["rho_list"])]
     path = f"{out_dir}/compare.csv"
     with open(path, "w") as fh:
         fh.write("rho,g_mf,g_vi,rel_err_pct,abs_err_pct\n")

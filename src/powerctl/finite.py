@@ -11,17 +11,18 @@ power that makes each of their SINRs equal to it.
 
 Provides exact machinery (relative value iteration for the optimal
 average cost, stationary-distribution policy evaluation) and a seeded
-slot-by-slot Monte Carlo simulator.
+slot-by-slot Monte Carlo simulator. Both exact solvers use the factorisation
+P = A·D: a (state, action) pair fixes a post-decision key (A), and the next
+state is drawn from that key's law (D).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import Infeasible, MultichainDetected, NoConvergence
 from .kernel import IID, MARKOV, build_tables
@@ -72,6 +73,13 @@ def transmit_power(k: int, n_users: int, params: ModelParams) -> float:
     return p
 
 
+def _check_action(counts, k: int) -> int:
+    """Return k, or raise Infeasible unless 0 <= k <= n4 (only class 4 transmits)."""
+    if not 0 <= k <= int(counts[3]):
+        raise Infeasible(f"k={k} outside [0, n4={int(counts[3])}]", k=k)
+    return k
+
+
 def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
     """Per-slot cost charged on the pre-transition state: power plus holding."""
     return k * transmit_power(k, n_users, params) + params.lam * (
@@ -115,7 +123,8 @@ def _convolve(a, b):
 
 
 class _TransitionBuilder:
-    """Shared per-group multinomial tables for one parameter set."""
+    """Per-group multinomial tables for one parameter set: the Markov-channel
+    rows of ``evaluate_policy_exact`` and the oracle behind ``transition_distribution``."""
 
     def __init__(self, params: ModelParams, n_users: int, channel_model: str = IID):
         tables = build_tables(params, channel_model)
@@ -148,8 +157,7 @@ def transition_distribution(counts, k: int, params: ModelParams, n_users=None):
     counts = tuple(int(c) for c in counts)
     if n_users is None:
         n_users = sum(counts)
-    if not 0 <= k <= counts[3]:
-        raise Infeasible(f"k={k} exceeds class-4 occupancy {counts[3]}", k=k)
+    _check_action(counts, k)
     transmit_power(k, n_users, params)  # raises when k is excluded
     return _TransitionBuilder(params, n_users).distribution(counts, k)
 
@@ -178,63 +186,52 @@ class VIResult:
         return text
 
 
-class _AggregateMdp:
-    """Flattened transition/cost arrays of the aggregated decision problem."""
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    return np.array([math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)])
 
-    def __init__(self, params: ModelParams, n_users: int):
-        validate_params(params)
-        space = AggregateSpace(n_users, params)
-        builder = _TransitionBuilder(params, n_users)
-        n_states = len(space)
 
-        pair_state, pair_action, pair_cost = [], [], []
-        idx_chunks, prob_chunks = [], []
-        state_offsets = [0]
-        for si in range(n_states):
-            counts = space.states[si]
-            for k in range(int(counts[3]) + 1):
-                try:
-                    cost = stage_cost(counts, k, n_users, params)
-                except Infeasible:
-                    continue
-                dist = builder.distribution(counts, k)
-                idx = np.fromiter(
-                    (space.index_of(c) for c in dist), dtype=np.int64, count=len(dist)
-                )
-                prob = np.fromiter(dist.values(), dtype=float, count=len(dist))
-                pair_state.append(si)
-                pair_action.append(k)
-                pair_cost.append(cost)
-                idx_chunks.append(idx)
-                prob_chunks.append(prob)
-            state_offsets.append(len(pair_state))
+def _iid_next_law(space: AggregateSpace, params: ModelParams) -> np.ndarray:
+    """Next-state law of the memoryless chain for every post-service backlog a.
 
-        self.space = space
-        self.n_states = n_states
-        self.pair_state = np.array(pair_state)
-        self.pair_action = np.array(pair_action)
-        self.pair_cost = np.array(pair_cost)
-        self.pair_sizes = np.array([len(c) for c in idx_chunks])
-        self.idx_flat = np.concatenate(idx_chunks)
-        self.prob_flat = np.concatenate(prob_chunks)
-        self.seg_starts = np.concatenate([[0], np.cumsum(self.pair_sizes)[:-1]])
-        self.state_offsets = np.array(state_offsets)
+    The a users left holding a packet keep it, the N - a others receive one
+    with probability rho, and every user redraws its channel level, so
+    Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1) and n3' ~ Bin(N - Q', beta1).
+    Row a of the returned (N + 1) x S matrix is that law over ``space``.
+    """
+    n = space.n_users
+    arrivals = np.zeros((n + 1, n + 1))  # [a, Q']
+    good = np.zeros((n + 1, n + 1))  # [m, good-channel users among m]
+    for m in range(n + 1):
+        arrivals[m, m:] = _binomial_pmf(n - m, params.rho)
+        good[m, : m + 1] = _binomial_pmf(m, params.beta[1])
+    _, n2, n3, n4 = space.states.T
+    full = n2 + n4
+    return arrivals[:, full] * (good[full, n4] * good[n - full, n3])
 
-    def q_values(self, h):
-        """Expected cost-to-go of every (state, action) pair at value h."""
-        vals = self.prob_flat * h[self.idx_flat]
-        return self.pair_cost + np.add.reduceat(vals, self.seg_starts)
 
-    def greedy(self, h):
-        """Per-state minimal q-value and the smallest minimizing action."""
-        q = self.q_values(h)
-        best = np.minimum.reduceat(q, self.state_offsets[:-1])
-        policy = np.empty(self.n_states, dtype=np.int64)
-        for si in range(self.n_states):
-            lo, hi = self.state_offsets[si], self.state_offsets[si + 1]
-            block = q[lo:hi]
-            policy[si] = self.pair_action[lo + int(np.argmax(block <= best[si] + 1e-12))]
-        return best, policy
+def _stationary_law(law, post) -> np.ndarray:
+    """Stationary law of P = A·D, where state s moves to key ``post[s]`` (A)
+    and key r draws the next state from ``law[r]`` (D).
+
+    Solves directly for the law nu of the key chain M = D·A; nu·D is that
+    of P. AD and DA share their nonzero eigenvalues with multiplicities, so
+    P has a single recurrent class exactly when M has, and M is checked.
+    """
+    n_keys = len(law)
+    order = np.argsort(post, kind="stable")
+    m = np.add.reduceat(law[:, order], np.searchsorted(post[order], np.arange(n_keys)), axis=1)
+    reach = (m > 0.0) | np.eye(n_keys, dtype=bool)
+    for _ in range(n_keys.bit_length()):  # squaring doubles the path length covered
+        reach = (reach.astype(float) @ reach) > 0.0
+    # a key is recurrent when every key it reaches reaches it back; its
+    # reachable set is then its class, named by its first member
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    n_classes = np.unique(reach[recurrent].argmax(axis=1)).size
+    if n_classes != 1:
+        raise MultichainDetected(f"policy induces {n_classes} recurrent classes; expected 1")
+    system = m.T - np.eye(n_keys)
+    system[-1] = 1.0  # replaces one redundant balance equation by sum(nu) = 1
+    return np.linalg.solve(system, np.eye(n_keys)[-1]) @ law
 
 
 def relative_value_iteration(
@@ -242,24 +239,45 @@ def relative_value_iteration(
 ) -> VIResult:
     """Optimal average cost of the aggregated problem by relative VI.
 
-    Span-seminorm stopping: iterate the Bellman update, stop once
-    span(Th - h) < tol, report g as the midpoint of the span bounds and
-    the greedy policy at the final values.
+    The next state depends on (state, k) only through the backlog
+    a = n2 + n4 - k, so a Bellman sweep is q = cost + (D @ h)[a] followed
+    by a minimum over each state's actions. Span-seminorm stopping: stop
+    once span(Th - h) < tol, report g as the midpoint of the span bounds
+    and the greedy policy (smallest k within 1e-12 of the minimum).
     """
-    mdp = _AggregateMdp(params, n_users)
-    h = np.zeros(mdp.n_states)
+    validate_params(params)
+    space = AggregateSpace(n_users, params)
+    law = _iid_next_law(space, params)
+    power = []  # k * p(k); p grows with k, so the allowed k are a prefix of 0..N
+    for k in range(n_users + 1):
+        try:
+            power.append(k * transmit_power(k, n_users, params))
+        except Infeasible:
+            break
+    _, n2, _, n4 = space.states.T
+    n_actions = np.minimum(n4, len(power) - 1) + 1
+    offsets = np.concatenate([[0], np.cumsum(n_actions)[:-1]])
+    state = np.repeat(np.arange(len(space)), n_actions)
+    action = np.arange(len(state)) - offsets[state]
+    backlog = (n2 + n4)[state] - action
+    cost = np.array(power)[action] + params.lam * (n2 + n4)[state]
+
+    def sweep(h):
+        q = cost + (law @ h)[backlog]
+        return q, np.minimum.reduceat(q, offsets)
+
+    h = np.zeros(len(space))
     for it in range(1, max_iter + 1):
-        q = mdp.q_values(h)
-        th = np.minimum.reduceat(q, mdp.state_offsets[:-1])
+        _, th = sweep(h)
         delta = th - h
         span = float(delta.max() - delta.min())
         if span < tol:
             g = 0.5 * float(delta.max() + delta.min())
             h = th - th[0]
-            _, policy = mdp.greedy(h)
-            return VIResult(
-                g=g, h=h, policy=policy, iterations=it, span_residual=span
-            )
+            q, best = sweep(h)
+            ties = np.where(q <= best[state] + 1e-12, action, n_users + 1)
+            policy = np.minimum.reduceat(ties, offsets)
+            return VIResult(g=g, h=h, policy=policy, iterations=it, span_residual=span)
         h = th - th[0]
     raise NoConvergence(
         f"span {span:.3e} above tolerance {tol} after {max_iter} iterations",
@@ -268,63 +286,39 @@ def relative_value_iteration(
     )
 
 
-def _policy_matrix_and_cost(policy_fn, params, n_users, channel_model=IID):
-    mdp_space = AggregateSpace(n_users, params)
-    builder = _TransitionBuilder(params, n_users, channel_model)
-    n = len(mdp_space)
-    rows, cols, probs = [], [], []
-    costs = np.empty(n)
-    for si in range(n):
-        counts = mdp_space.states[si]
-        k = int(policy_fn(counts))
-        costs[si] = stage_cost(counts, k, n_users, params)
-        for dest, prob in builder.distribution(counts, k).items():
-            rows.append(si)
-            cols.append(mdp_space.index_of(dest))
-            probs.append(prob)
-    mat = csr_matrix((probs, (rows, cols)), shape=(n, n))
-    return mat, costs
-
-
 def evaluate_policy_exact(
-    policy_fn,
-    params: ModelParams,
-    n_users: int,
-    tol: float = 1e-12,
-    channel_model: str = IID,
+    policy_fn, params: ModelParams, n_users: int, channel_model: str = IID
 ) -> float:
     """Exact long-run average cost of a stationary policy.
 
-    Builds the induced chain, verifies it has a single recurrent class,
-    and averages the stage cost under the stationary distribution obtained
-    by power iteration. Memoryless channels always yield a single
-    recurrent class; the check guards degenerate Markov channel laws.
+    Averages the stage cost under the stationary distribution, obtained by
+    a direct solve after verifying the induced chain has a single recurrent
+    class (memoryless channels always do; the check guards degenerate
+    Markov channel laws). The post-decision key is the backlog n2 + n4 - k
+    under the memoryless channel and the post-service counts
+    (n1, n2, n3 + k, n4 - k) under the Markov one, where a served class-4
+    user moves exactly like a class-3 one. Raises Infeasible when the
+    policy picks k outside [0, n4].
     """
-    mat, costs = _policy_matrix_and_cost(policy_fn, params, n_users, channel_model)
-    n = mat.shape[0]
-    n_comp, labels = connected_components(mat, directed=True, connection="strong")
-    # a recurrent class is a strongly connected component with no exit edge
-    closed = set(range(n_comp))
-    coo = mat.tocoo()
-    for i, j_, v in zip(coo.row, coo.col, coo.data):
-        if v > 0.0 and labels[i] != labels[j_]:
-            closed.discard(labels[i])
-    if len(closed) != 1:
-        raise MultichainDetected(
-            f"policy induces {len(closed)} recurrent classes; expected 1"
-        )
-    mu = np.full(n, 1.0 / n)
-    mat_t = mat.T.tocsr()
-    for _ in range(10**6):
-        nxt = mat_t @ mu
-        nxt /= nxt.sum()
-        if np.abs(nxt - mu).sum() < tol:
-            mu = nxt
-            break
-        mu = nxt
+    space = AggregateSpace(n_users, params)
+    actions = np.empty(len(space), dtype=np.int64)
+    costs = np.empty(len(space))
+    for i, counts in enumerate(space.states):
+        k = _check_action(counts, int(policy_fn(counts)))
+        actions[i], costs[i] = k, stage_cost(counts, k, n_users, params)
+    if channel_model == IID:
+        backlog = space.states[:, 1] + space.states[:, 3] - actions
+        keys, post = np.unique(backlog, return_inverse=True)
+        law = _iid_next_law(space, params)[keys]
     else:
-        raise NoConvergence("stationary distribution power iteration stalled")
-    return float(mu @ costs)
+        builder = _TransitionBuilder(params, n_users, channel_model)
+        served = space.states + np.outer(actions, [0, 0, 1, -1])
+        keys, post = np.unique([space.index_of(c) for c in served], return_inverse=True)
+        law = np.zeros((len(keys), len(space)))
+        for row, key in zip(law, keys):
+            for dest, prob in builder.distribution(space.states[key], 0).items():
+                row[space.index_of(dest)] = prob
+    return float(_stationary_law(law, post) @ costs)
 
 
 @dataclass
@@ -385,7 +379,7 @@ def simulate(
     for t in range(horizon):
         cls = 2 * lvl + q
         counts_now = np.bincount(cls, minlength=4)
-        k = int(policy_fn(counts_now))
+        k = _check_action(counts_now, int(policy_fn(counts_now)))
         measures[t] = counts_now
         actions[t] = k
         costs[t] = stage_cost(counts_now, k, n_users, params)

@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import powerctl
+from conftest import sec4_at
 from powerctl import finite, kernel, policy
 from powerctl.errors import Infeasible, MultichainDetected
 from powerctl.model import ModelParams
@@ -140,6 +146,52 @@ def stationary_of(matrix):
     return sol
 
 
+MARKOV = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2, n0=1.0,
+                     lam=1.5, p_max=10.0, q_max=1, channel_matrix=((0.7, 0.3), (0.2, 0.8)))
+
+
+# a policy picking k = -1 or k = n4 + 1 in every state
+OUT_OF_RANGE = {"k=-1": lambda c: -1, "k=n4+1": lambda c: int(c[3]) + 1}
+
+
+def full_row(space, counts, k, params, channel_model="iid"):
+    """Dense next-state row of the unreduced chain: k successes and n4 - k
+    failures convolved as separate groups, as transition_distribution does."""
+    row = np.zeros(len(space))
+    if channel_model == "iid":
+        dist = finite.transition_distribution(counts, k, params)
+    else:
+        dist = finite._TransitionBuilder(params, space.n_users, channel_model).distribution(
+            counts, k)
+    for dest, prob in dist.items():
+        row[space.index_of(dest)] = prob
+    return row
+
+
+def full_chain_rvi(params, n_users, tol=1e-9):
+    """Relative VI on the full S x S chain, every (state, k) row built separately."""
+    space = finite.AggregateSpace(n_users, params)
+    pairs = [
+        [(k, finite.stage_cost(c, k, n_users, params), full_row(space, c, k, params))
+         for k in range(int(c[3]) + 1)]
+        for c in space.states
+    ]
+    h = np.zeros(len(space))
+    for it in range(1, 10**4):
+        q = [[cost + row @ h for _, cost, row in acts] for acts in pairs]
+        th = np.array([min(qs) for qs in q])
+        delta = th - h
+        if delta.max() - delta.min() < tol:
+            g = 0.5 * (delta.max() + delta.min())
+            h = th - th[0]
+            q = [[cost + row @ h for _, cost, row in acts] for acts in pairs]
+            pol = [acts[int(np.argmax(np.array(qs) <= min(qs) + 1e-12))][0]
+                   for acts, qs in zip(pairs, q)]
+            return g, h, np.array(pol), it
+        h = th - th[0]
+    raise AssertionError("full-chain RVI did not converge")
+
+
 class TestValueIteration:
     def test_zero_queue_weight_never_transmits(self):
         p = ModelParams.good_bad(theta=0.2, beta1=0.4, rho=0.1, lam=0.0, n0=1.0)
@@ -175,6 +227,21 @@ class TestValueIteration:
             lambda c: policy.apply_finite(tp, c, 10), sec4, 10
         )
         assert res.g <= g_threshold + 1e-9
+
+    @pytest.mark.parametrize("n_users,rho", [(1, 0.1), (4, 0.3), (6, 0.1), (6, 0.05)])
+    def test_matches_full_chain_rvi(self, n_users, rho):
+        params = sec4_at(rho)
+        g, h, pol, iterations = full_chain_rvi(params, n_users)
+        res = finite.relative_value_iteration(params, n_users)
+        assert res.g == pytest.approx(g, abs=1e-12)
+        assert np.allclose(res.h, h, atol=1e-10)
+        assert np.array_equal(res.policy, pol)
+        assert res.iterations == iterations
+
+    def test_recorded_optimum_at_twelve_users(self, sec4):
+        res = finite.relative_value_iteration(sec4, 12)
+        assert len(res.policy) == 455
+        assert abs(res.g - 4.125173984377067) <= 1e-9
 
     def test_dominates_random_policies(self, sec4):
         res = finite.relative_value_iteration(sec4, 5)
@@ -217,6 +284,30 @@ class TestPolicyEvaluation:
         )
         assert g == pytest.approx(res.g, abs=2e-10)
 
+    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
+    @pytest.mark.parametrize("n_users", [2, 4, 6])
+    def test_matches_full_chain_stationary_solve(self, channel_model, n_users):
+        params = sec4_at(0.2) if channel_model == "iid" else MARKOV
+        space = finite.AggregateSpace(n_users, params)
+        rng = np.random.default_rng(50 + n_users)
+        for _ in range(3):
+            # the table reads all four counts, not only (n2 + n4, n4)
+            table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
+            chain = np.array([full_row(space, s, table[tuple(s)], params, channel_model)
+                              for s in space.states])
+            costs = np.array([finite.stage_cost(s, table[tuple(s)], n_users, params)
+                              for s in space.states])
+            g = finite.evaluate_policy_exact(lambda c: table[tuple(c)], params, n_users,
+                                             channel_model=channel_model)
+            assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
+
+    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
+    @pytest.mark.parametrize("pick", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_action_raises(self, channel_model, pick):
+        params = sec4_at(0.1) if channel_model == "iid" else MARKOV
+        with pytest.raises(Infeasible):
+            finite.evaluate_policy_exact(pick, params, 3, channel_model=channel_model)
+
     def test_multichain_detected(self):
         # a frozen Markov channel never mixes levels, so each level split
         # is its own recurrent class
@@ -252,6 +343,11 @@ class TestSimulate:
         )
         assert abs(sim.mean_cost - g) <= 3 * sim.ci95 + 1e-6
 
+    @pytest.mark.parametrize("pick", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_action_raises(self, pick):
+        with pytest.raises(Infeasible):
+            finite.simulate(pick, sec4_at(0.1), 3, 500, seed=4)
+
     def test_csv_export(self, sec4, tmp_path):
         sim = finite.simulate(lambda c: 0, sec4, 10, 50, seed=1)
         path = tmp_path / "sim.csv"
@@ -259,3 +355,12 @@ class TestSimulate:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,n1,n2,n3,n4,action,cost"
         assert len(lines) == 51
+
+
+def test_import_leaves_scipy_out():
+    src_dir = str(Path(powerctl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, powerctl; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
