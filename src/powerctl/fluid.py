@@ -1,24 +1,19 @@
-"""Mean-field dynamics: discrete map, RK4 flow, closed forms, bias cost.
+"""Mean-field dynamics: discrete map, RK4 flow, closed forms, exact bias integrals.
 
-The population measure m follows dm/dt = U(s) m between control switches.
-Threshold controllers switch on the full-queue good-channel mass m4; the
-integrator locates each switching time by bisection. On the switching
-surface itself the motion follows the clipped equivalent control: the duty
-cycle that freezes m4 when the passive field pushes up and the active
-field pushes down (a sliding arc), saturating to the pure control whose
-field carries the state off the surface otherwise. The clipped control is
-continuous in the state, so surface arcs need no special chatter handling.
-
-Instantaneous cost is the time-sharing form
-
-    c(m, s) = s * theta * n0 / (1 - theta * m4) + lam * (m2 + m4),
-
-which agrees with the bang-bang cost at s in {0, 1} and prices a sliding
-arc at the duty-cycle average of the two pure controls.
+dm/dt = U(s) m, where the activation s of the full-queue good-channel class
+enters U only through its m4 column. A threshold controller on m4 runs U(0)
+below its threshold, U(1) above it, and on the surface the clipped
+equivalent control (Filippov/Utkin) s = phi0(m) / (beta1 (1 - rho) m4),
+phi0 being the passive field's m4-component, until s leaves [0, 1].
+``integrate`` steps these arcs with RK4 (callable policies too);
+``threshold_bias_batch`` propagates them exactly and backs ``bias_cost``.
+The cost c(m, s) = s * theta * n0 / (1 - theta * m4) + lam * (m2 + m4) is
+the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +25,7 @@ from .model import ModelParams, require_good_bad, validate_measure
 _SIMPLEX_TOL = 1e-9
 _EVENT_TIME_TOL = 1e-10
 _SURFACE_TOL = 1e-9
+_OFF_TARGET = "settled at a non-target equilibrium (cost {:.6g}, target {:.6g})"
 
 
 @dataclass
@@ -104,13 +100,9 @@ class _FluidSystem:
         self.du = self.u1 - self.u0
         self.cost_offset = cost_offset
 
-    def control_fields(self, m):
-        """m4-components of the passive and active drift at m."""
-        return float(self.u0[3] @ m), float(self.u1[3] @ m)
-
     def clipped_equivalent_control(self, m) -> float:
         """Duty cycle freezing m4, saturated to the escaping pure control."""
-        phi0, phi1 = self.control_fields(m)
+        phi0, phi1 = float(self.u0[3] @ m), float(self.u1[3] @ m)
         denom = phi0 - phi1
         if denom <= 0.0:
             # both fields push the same way; follow the active one upward
@@ -288,162 +280,170 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
 
 
 def bias_cost(
-    m0,
-    policy,
-    e_star: float,
-    params: ModelParams,
-    dt: float = 0.01,
-    t_max: float = 1e5,
-    m_star=None,
+    m0, policy, e_star: float, params: ModelParams, dt=0.01, t_max=1e5, m_star=None
 ) -> float:
     """Integral of (cost - e_star) along the closed-loop path from m0.
 
-    Stops once the state is within 1e-9 (L1) of the target equilibrium and
-    the cost rate within 1e-10 of e_star. If instead the path settles at an
-    equilibrium with a different cost, the constant tail up to t_max is
-    added analytically and NonConvergent (carrying the value) is raised;
-    likewise when t_max is hit outright.
+    Threshold policies (attribute ``pi``) run on ``threshold_bias_batch``;
+    callable ones on RK4 with step dt, stopping within 1e-9 (L1) of the
+    target with the cost rate within 1e-10 of e_star. A path that settles
+    elsewhere raises NonConvergent carrying its value (tail priced to t_max).
     """
     from .equilibrium import optimal_equilibrium
 
-    if m_star is None:
-        m_star = optimal_equilibrium(params).m_star
-    m_star = np.asarray(m_star, dtype=float)
-    system = _FluidSystem(params, cost_offset=e_star)
-    driver = _make_driver(system, policy)
+    m_star = np.asarray(optimal_equilibrium(params).m_star if m_star is None else m_star)
     m = validate_measure(m0).copy()
+    if hasattr(policy, "pi"):
+        batch = threshold_bias_batch(m, [policy.pi], e_star, m_star, params, t_max)
+        if batch.converged[0]:
+            return float(batch.values[0])
+        cost = e_star + batch.tails[0] / t_max
+        raise NonConvergent(_OFF_TARGET.format(cost, e_star), value=float(batch.values[0]))
+    system = _FluidSystem(params, cost_offset=e_star)
+    driver = _CallableDriver(system, policy)
     driver.resolve_mode(m)
     t, j = 0.0, 0.0
-    stalled = 0
     while t < t_max:
-        s_now = driver.current_s(m)
-        cost_now = instantaneous_cost(m, s_now, params)
+        cost_now = instantaneous_cost(m, driver.control, params)
         if np.abs(m - m_star).sum() < 1e-9 and abs(cost_now - e_star) < 1e-10:
             return j
-        dm, _ = system.rhs(m, s_now)
-        if np.abs(dm).sum() < 1e-13:
-            stalled += 1
-            if stalled >= 3:
-                j += (cost_now - e_star) * (t_max - t)
-                raise NonConvergent(
-                    f"settled at a non-target equilibrium (cost {cost_now:.6g}, "
-                    f"target {e_star:.6g})",
-                    value=j,
-                    t_end=t,
-                )
-        else:
-            stalled = 0
+        if np.abs(system.rhs(m, driver.control)[0]).sum() < 1e-13:
+            j += (cost_now - e_star) * (t_max - t)
+            raise NonConvergent(_OFF_TARGET.format(cost_now, e_star), value=j, t_end=t)
         m, j, done = driver.advance(m, j, dt)
-        m = system.check_simplex(m)
-        t += done
+        m, t = system.check_simplex(m), t + done
     raise NonConvergent("time cap hit before convergence", value=j, t_end=t)
 
 
+_STEP_MIN, _STEP_MAX = 0.25, 4.0  # exact steps grow as clock / 8 between these
+_SETTLE_TOL = 1e-12  # L1 distance at which a path sits at its arc's equilibrium
+_LINEAR_TAIL_TOL = 1e-7  # active arcs settle closer: the linearised power tail is then exact
+_MAX_ARCS = 64
+# 8-point Gauss-Legendre rule moved to [0, 1] (symmetric about 1/2), then the step end
+_GL_X = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.3626837833783617, 0.3137066458778869, 0.2223810344533744, 0.10122853629037706])
+_GAUSS_T = np.concatenate([0.5 - 0.5 * _GL_X[::-1], 0.5 + 0.5 * _GL_X, [1.0]])
+_GAUSS_W = 0.5 * np.concatenate([_GL_W[::-1], _GL_W])
+
+
+@dataclass
+class BiasBatch:
+    """Per threshold: value, converged flag, its (E_settled - e_star) * t_max part (0
+    if converged), events (time, arc entered: 0 passive, 1 active, 2 sliding)."""
+
+    values: np.ndarray
+    converged: np.ndarray
+    tails: np.ndarray
+    switches: list
+
+
+def _expm(a):
+    """exp of each matrix in a stack: per-matrix scaling and squaring, Taylor degree 12."""
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 2, 0)
+    a, e = a / np.ldexp(1.0, s)[..., None, None], np.eye(4)  # 1-norms now at most 1/4
+    for k in range(12, 0, -1):
+        e = np.eye(4) + (a @ e) / k
+    for i in range(int(s.max(initial=0))):
+        e = np.where((s > i)[..., None, None], e @ e, e)
+    return e
+
+
+@functools.lru_cache(maxsize=1024)
+def _propagators(gens: bytes, times: tuple) -> np.ndarray:
+    """exp(A t) for each 4x4 generator A in the buffer ``gens`` and each t in ``times``."""
+    return _expm(np.frombuffer(gens).reshape(-1, 4, 4)[:, None] * np.array(times)[:, None, None])
+
+
 def threshold_bias_batch(
-    m0,
-    thresholds,
-    e_star: float,
-    m_star,
-    params: ModelParams,
-    dt: float = 0.01,
-    t_max: float = 1e5,
-    t_hard: float = 5000.0,
-):
-    """Bias integrals of many threshold controllers run side by side.
+    m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=1e5, t_hard=5000.0
+) -> BiasBatch:
+    """Bias integrals of many threshold controllers from one start m0.
 
-    Grid-search engine: one shared start m0, one trajectory per threshold,
-    all advanced in lockstep. Near its own surface each trajectory follows
-    the clipped equivalent control (with the state projected onto the
-    surface while both fields point inward); elsewhere plain bang-bang
-    resolved per RK4 stage. Once a trajectory settles at an equilibrium its
-    constant tail up to t_max is added analytically; trajectories whose
-    settled cost differs from e_star are marked not converged.
-
-    Returns (values, converged) arrays aligned with ``thresholds``.
+    Paths advance in lockstep by exact propagators exp(A h) of their arcs: U(0),
+    U(1), or on m4 = tau the slide U(0) + du[:,3] u0[3] / (beta1 (1 - rho)), whose
+    m4 row is zero. Events (m4 crossing tau on a bang arc, the duty cycle leaving
+    [0, 1] on a slide) are bracketed by step ends and bisected on exp(A tau) to
+    _EVENT_TIME_TOL; step costs use Gauss-Legendre. Deviations from an arc's
+    equilibrium shrink in L1, so once one cannot reach the arc's event the rest
+    is -grad . A^# x (linearised on active arcs). A path settling away from
+    m_star is worth the integral of (cost - E_settled) plus (E_settled - e_star)
+    * t_max; one still moving at clock t_hard is valued as if it stayed on its
+    arc, and is not converged.
     """
-    require_good_bad(params)
-    taus_all = np.asarray(thresholds, dtype=float)
-    nb = len(taus_all)
-    u0 = drift_matrix_4state(0.0, params)
-    u1 = drift_matrix_4state(1.0, params)
-    du = u1 - u0
-    u0t, dut = u0.T.copy(), du.T.copy()
-    row0, row1 = u0[3], u1[3]
-    theta, n0, lam = params.theta, params.n0, params.lam
-    m_star = np.asarray(m_star, dtype=float)
+    tau = np.asarray(thresholds, dtype=float)
+    n, (b0, b1), rho, theta, n0 = len(tau), params.beta, params.rho, params.theta, params.n0
+    u0, u1, c = drift_matrix_4state(0.0, params), drift_matrix_4state(1.0, params), b1 * (1 - rho)
+    gens = np.array([u0, u1, u0 + np.outer(u1[:, 3] - u0[:, 3], u0[3]) / c])
+    key, m4_act = gens.tobytes(), b1 * rho / (rho + c)
+    hold = params.lam * np.array([0.0, 1.0, 0.0, 1.0])
+    grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])
+    # per path: slide power per unit phi0; per arc: equilibrium m4, margin to the arc's event
+    kap = np.divide(theta * n0, c * tau * (1.0 - theta * tau), out=np.zeros(n), where=tau > 0)
+    m4_eq = np.stack([np.full(n, b1), np.full(n, m4_act), tau], axis=1)
+    slack = rho * (b1 - tau) / c  # tau times the duty cycle at the slide's equilibrium
+    act = np.minimum(m4_act - tau, 0.5 * _LINEAR_TAIL_TOL)
+    margin = np.stack([tau - b1, act, np.minimum(slack, tau - slack)], axis=1)
 
-    values = np.zeros(nb)
-    converged = np.zeros(nb, dtype=bool)
-    # working set of still-running trajectories
-    live = np.arange(nb)
-    taus = taus_all.copy()
-    m = np.tile(np.asarray(m0, dtype=float), (nb, 1))
-    j = np.zeros(nb)
-    follow = np.zeros(nb, dtype=bool)
+    def rate(m, arc, kap):
+        power = np.where(arc == 1, theta * n0 / (1.0 - theta * m[..., 3]), 0.0)
+        return m @ hold + power + kap * (arc == 2) * (m @ u0[3])
 
-    def stage_rhs(state, following, taus):
-        phi0 = state @ row0
-        phi1 = state @ row1
-        denom = phi0 - phi1
-        s_eq = np.where(
-            denom > 0.0,
-            np.clip(
-                np.divide(phi0, denom, out=np.ones_like(phi0), where=denom > 0.0),
-                0.0,
-                1.0,
-            ),
-            (phi1 > 0.0).astype(float),
-        )
-        s = np.where(following, s_eq, (state[:, 3] > taus).astype(float))
-        dm = state @ u0t + s[:, None] * (state @ dut)
-        cost = s * theta * n0 / (1.0 - theta * state[:, 3]) + lam * (
-            state[:, 1] + state[:, 3]
-        )
-        return dm, cost - e_star
+    def crossed(m, arc, tau):  # bang arc: m4 passed tau; slide: duty cycle left [0, 1]
+        return np.where(arc == 2, (m @ u0[3] < 0) | (m @ u1[3] > 0), (m[:, 3] > tau) != (arc == 1))
 
-    t = 0.0
-    while len(live) and t < t_hard:
-        k1m, k1j = stage_rhs(m, follow, taus)
-        k2m, k2j = stage_rhs(m + 0.5 * dt * k1m, follow, taus)
-        k3m, k3j = stage_rhs(m + 0.5 * dt * k2m, follow, taus)
-        k4m, k4j = stage_rhs(m + dt * k3m, follow, taus)
-        m = m + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        j = j + (dt / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-        m /= m.sum(axis=1, keepdims=True)
-        t += dt
+    def land(m, tau):  # snap onto the surface, take the arc whose field keeps or carries m
+        m = m + np.outer(m[:, 3] - tau, [0.0, 1.0, 0.0, -1.0])
+        return m, np.where(m @ u1[3] > 0.0, 1, np.where(m @ u0[3] < 0.0, 0, 2))
 
-        # surface-following set for the next step: within one step's reach
-        # of the own surface
-        phi0 = m @ row0
-        phi1 = m @ row1
-        e = m[:, 3] - taus
-        reach = 1.5 * dt * np.maximum(np.abs(phi0), np.abs(phi1)) + 1e-12
-        follow = np.abs(e) <= reach
-        # pin followers whose surface is attracting from both sides
-        pin = follow & (phi0 > 0.0) & (phi1 < 0.0)
-        off = np.where(pin, e, 0.0)
-        m[:, 1] += off
-        m[:, 3] -= off
-
-        dm_now, dj_now = stage_rhs(m, follow, taus)
-        cost_now = dj_now + e_star
-        settled = np.abs(dm_now).sum(axis=1) < 1e-12
-        if settled.any():
-            clean = (
-                settled
-                & (np.abs(cost_now - e_star) < 1e-10)
-                & (np.abs(m - m_star).sum(axis=1) < 1e-9)
-            )
-            tail = (cost_now - e_star) * (t_max - t)
-            slots = live[settled]
-            values[slots] = j[settled] + np.where(clean, 0.0, tail)[settled]
-            converged[slots] = clean[settled]
-            keep = ~settled
-            live, taus, m, j, follow = (
-                live[keep], taus[keep], m[keep], j[keep], follow[keep],
-            )
-
-    if len(live):
-        _, dj_now = stage_rhs(m, follow, taus)
-        values[live] = j + dj_now * (t_max - t)
-    return values, converged
+    m = np.tile(validate_measure(m0), (n, 1))
+    arc = (m[:, 3] > tau).astype(int)
+    on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
+    m[on], arc[on] = land(m[on], tau[on])
+    values, tails, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    live, j, t, clock, switches = np.arange(n), np.zeros(n), np.zeros(n), 0.0, [[] for _ in tau]
+    while live.size:
+        m4 = np.choose(arc, m4_eq.T)
+        x = m - np.stack([b0 * (b1 - m4) / b1, b0 * m4 / b1, b1 - m4, m4], axis=1)
+        near = (dist := np.abs(x).sum(axis=1)) <= _SETTLE_TOL
+        done = near | (0.5 * dist < np.choose(arc, margin.T)) | (clock >= t_hard)
+        if done.any():
+            d, a = np.flatnonzero(done), arc[done]
+            m_eq, x = m[d] - x[d], np.where(near[d, None], 0.0, x[d])  # drop tails below 1e-12
+            z = gens[a] - m_eq[:, :, None]  # A - m_eq 1^T; on slides also - e4 e4^T
+            z[a == 2, 3, 3] -= 1.0
+            y = np.linalg.solve(z, x[:, :, None])[:, :, 0]  # integral of x(t) is -y
+            rest = ((grad[a] + np.outer(kap[d] * (a == 2), u0[3])) * y).sum(axis=1)
+            e_eq = rate(m_eq, a, kap[d])
+            target = (np.abs(m_eq - m_star).sum(axis=1) < 1e-9) & (np.abs(e_eq - e_star) < 1e-10)
+            off = np.where(target, 0.0, e_eq - e_star)
+            values[live[d]] = j[d] - rest + off * (t_max - t[d])
+            tails[live[d]], converged[live[d]] = off * t_max, target & (clock < t_hard)
+            live, tau, kap, m4_eq, margin, m, arc, j, t = (
+                v[~done] for v in (live, tau, kap, m4_eq, margin, m, arc, j, t))
+            continue
+        h = min(_STEP_MAX, max(_STEP_MIN, clock / 8.0))
+        clock += h
+        path = np.einsum("pkij,pj->pki", _propagators(key, tuple(h * _GAUSS_T))[arc], m)
+        dj = h * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) @ _GAUSS_W)
+        m_new, step = path[:, -1], np.full(live.size, h)
+        hit = np.flatnonzero(crossed(m_new, arc, tau))
+        if hit.size:
+            a, th = arc[hit], tau[hit]
+            levels = h / 2.0 ** np.arange(1, np.ceil(np.log2(h / _EVENT_TIME_TOL)) + 1)
+            ladder = _propagators(key, tuple(levels))
+            lo, m_lo = np.zeros(hit.size), m[hit]
+            for k, dk in enumerate(levels):
+                cand = np.einsum("pij,pj->pi", ladder[a, k], m_lo)
+                ok = ~crossed(cand, a, th)
+                lo, m_lo = lo + dk * ok, np.where(ok[:, None], cand, m_lo)
+            step[hit] = lo + levels[-1]
+            sub = _expm(gens[a, None] * (step[hit, None] * _GAUSS_T[:-1])[..., None, None])
+            sub = np.einsum("pkij,pj->pki", sub, m[hit])
+            dj[hit] = step[hit] * ((rate(sub, a[:, None], kap[hit, None]) - e_star) @ _GAUSS_W)
+            m_new[hit], arc[hit] = land(np.einsum("pij,pj->pi", ladder[a, -1], m_lo), th)
+            for p, when, new in zip(live[hit], t[hit] + step[hit], arc[hit]):
+                switches[p].append((float(when), int(new)))
+                if len(switches[p]) >= _MAX_ARCS:
+                    raise NonConvergent(f"a threshold path exceeded {_MAX_ARCS} arcs")
+        m, j, t = m_new, j + dj, t + step
+    return BiasBatch(values, converged, tails, switches)

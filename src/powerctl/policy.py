@@ -117,6 +117,7 @@ class BiasCheckReport:
     starts: list
     costs: list
     converged: list
+    tails: list
     argmins: list
     passed: bool
     pairing_verdict: str | None = None
@@ -142,7 +143,6 @@ def bias_optimality_check(
     m0_set=None,
     grid_step: float = 0.005,
     pairing: str = PROP3_CONSISTENT,
-    dt: float = 0.01,
     t_max: float = 1e5,
     seed: int = 0,
 ) -> BiasCheckReport:
@@ -167,14 +167,14 @@ def bias_optimality_check(
     pi_lit = make_policy(params, PAPER_LITERAL).pi
     taus = np.concatenate([grid, [pi_p3c, pi_lit]])
 
-    costs, flags, argmins = [], [], []
+    costs, flags, tails, argmins = [], [], [], []
     p3c_costs, lit_costs = [], []
     for m0 in m0_set:
-        values, ok = threshold_bias_batch(
-            m0, taus, report.E_star, report.m_star, params, dt=dt, t_max=t_max
-        )
+        batch = threshold_bias_batch(m0, taus, report.E_star, report.m_star, params, t_max=t_max)
+        values = batch.values
         costs.append(values[:n_grid].tolist())
-        flags.append(ok[:n_grid].tolist())
+        flags.append(batch.converged[:n_grid].tolist())
+        tails.append(batch.tails[:n_grid].tolist())
         argmins.append(float(grid[_argmin_toward(values[:n_grid], grid, policy.pi)]))
         p3c_costs.append(float(values[n_grid]))
         lit_costs.append(float(values[n_grid + 1]))
@@ -194,6 +194,7 @@ def bias_optimality_check(
         starts=[np.asarray(m0).tolist() for m0 in m0_set],
         costs=costs,
         converged=flags,
+        tails=tails,
         argmins=argmins,
         passed=passed,
         pairing_verdict=verdict,

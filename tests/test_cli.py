@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from powerctl import cli
+from powerctl import cli, policy
 
 
 @pytest.fixture
@@ -95,6 +96,19 @@ class TestCommands:
         data = json.loads((tmp_path / "threshold.json").read_text())
         assert data["regime"] == "Interior"
         assert data["passed"] is True
+
+
+    def test_threshold_default_config(self, cfg_file, tmp_path):
+        # the shipped default (Active regime, five starts, grid step 0.005)
+        code = cli.main(["threshold", "--config", cfg_file(""), "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads((tmp_path / "threshold.json").read_text())
+        assert data["regime"] == "Active"
+        assert data["pairing_verdict"] == "Prop3Consistent"
+        params = cli._params(cli.load_config(cfg_file("")))
+        assert abs(data["policy_pi"] - policy.m4_active(params)) <= 1e-12
+        assert np.all(np.isfinite(data["costs"]))
+        assert np.shape(data["tails"]) == np.shape(data["costs"])
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_simplex
+from conftest import random_simplex, sec4_at
 from powerctl import equilibrium, fluid, kernel, policy
 from powerctl.errors import NonConvergent
 
@@ -182,3 +182,97 @@ class TestInstantaneousCost:
         m = [0.2, 0.2, 0.2, 0.4]
         expected = 0.2 / (1 - 0.2 * 0.4) + 1.5 * 0.6
         assert fluid.instantaneous_cost(m, 1.0, sec4) == pytest.approx(expected)
+
+
+# The exact engine against RK4 ``integrate`` on controlled paths. Horizon T:
+# every path below ends on an active arc (rate >= 0.43) or a slide (rate 1)
+# well before T, so the bias left after T is below 1e-9.
+ORACLE_T = 60.0
+ORACLE_DT = 0.005
+# Fixed from a dt / dt-halving pair: the RK4 trapezoids at dt = 0.01 and 0.005
+# differed by at most 1.9e-6 over these six paths, and the trapezoid error is
+# second order, so at dt = 0.005 it is about a third of that (<= 6.1e-7).
+ORACLE_VALUE_TOL = 1e-6
+ORACLE_CASES = [
+    # (rho, start, tau - pi, settles at the optimum): Active regime, then Interior
+    (0.1, [0.5868, 0.0235, 0.2749, 0.1148], -0.007, True),  # slide, then off it to active
+    (0.1, [0.1, 0.4, 0.45, 0.05], 0.0, True),  # passive, then straight through to active
+    (0.1, [0.25, 0.25, 0.25, 0.25], 0.01, False),  # active, then slides off the optimum
+    (0.05, [0.5927, 0.0257, 0.3503, 0.0313], -0.008, False),  # slide, then off it to active
+    (0.05, [0.7, 0.1, 0.15, 0.05], 0.0, True),  # passive, active, then slides to the optimum
+    (0.05, [0.25, 0.25, 0.25, 0.25], 0.01, False),  # active, then slides off the optimum
+]
+
+
+def _rk4_oracle(traj, pi, params, dt):
+    """Switch times and bias integral of an RK4 threshold path.
+
+    ``integrate`` shortens only the steps that end on a bisected landing, so
+    those give the landing times; a slide exit is where the duty cycle on
+    the surface reaches 0 or 1, found from a cubic through the last four
+    sliding samples. The trapezoid prices each step at the control in
+    effect during it, so a bang control switching at a landing is not
+    averaged across that step.
+    """
+    raw = traj.m @ kernel.drift_matrix_4state(0.0, params)[3]
+    raw = raw / (params.beta1 * (1.0 - params.rho) * pi)
+    times = []
+    for i in range(1, len(traj.t) - 1):
+        if traj.t[i] - traj.t[i - 1] < dt * (1.0 - 1e-9):
+            times.append(traj.t[i])
+        elif 0.0 < traj.s4[i - 1] < 1.0 and traj.s4[i] in (0.0, 1.0):
+            k = slice(i - 4, i)
+            coef = np.polyfit(traj.t[k] - traj.t[i - 1], raw[k] - traj.s4[i], 3)
+            roots = [r.real for r in np.roots(coef) if abs(r.imag) < 1e-12]
+            times.append(traj.t[i - 1] + min(r for r in roots if -1e-12 <= r <= dt))
+    bang = np.isin(traj.s4[:-1], (0.0, 1.0))
+    s_right = np.where(bang, traj.s4[:-1], traj.s4[1:])
+    m = traj.m[1:]
+    right = s_right * params.theta * params.n0 / (1.0 - params.theta * m[:, 3])
+    right = right + params.lam * (m[:, 1] + m[:, 3])
+    return times, float(np.sum(0.5 * np.diff(traj.t) * (traj.inst_cost[:-1] + right)))
+
+
+class TestExactEngine:
+    @pytest.mark.parametrize("rho, start, shift, optimal", ORACLE_CASES)
+    def test_matches_rk4_on_controlled_paths(self, rho, start, shift, optimal):
+        params = sec4_at(rho)
+        rep = equilibrium.optimal_equilibrium(params)
+        pi = policy.make_policy(params).pi + shift
+        m0 = np.array(start) / np.sum(start)
+        batch = fluid.threshold_bias_batch(
+            m0, [pi], rep.E_star, rep.m_star, params, t_max=ORACLE_T
+        )
+        controller = policy.ThresholdPolicy(pi=pi, regime=rep.regime, pairing="test")
+        traj = fluid.integrate(m0, controller, ORACLE_T, params, dt=ORACLE_DT)
+        times, trapezoid = _rk4_oracle(traj, pi, params, ORACLE_DT)
+        switches = [when for when, _ in batch.switches[0]]
+        assert 1 <= len(switches) == len(times)
+        assert np.max(np.abs(np.array(switches) - times)) < 1e-6
+        assert abs(batch.values[0] - (trapezoid - rep.E_star * ORACLE_T)) < ORACLE_VALUE_TOL
+        assert batch.converged[0] == optimal
+
+    def test_tails_price_the_settled_cost(self, sec4):
+        rep = equilibrium.optimal_equilibrium(sec4)
+        tp = policy.make_policy(sec4)
+        m0 = np.array([0.55, 0.15, 0.2, 0.1])
+        s_settled = (sec4.beta1 * sec4.rho / 0.3 - sec4.rho) / (sec4.beta1 * (1 - sec4.rho))
+        gap = equilibrium.equilibrium_cost(s_settled, sec4) - rep.E_star
+        runs = [
+            fluid.threshold_bias_batch(m0, [tp.pi, 0.3], rep.E_star, rep.m_star, sec4, t_max)
+            for t_max in (1e3, 1e5)
+        ]
+        for t_max, run in zip((1e3, 1e5), runs):
+            assert list(run.converged) == [True, False]
+            assert run.tails[0] == 0.0
+            assert run.tails[1] == pytest.approx(gap * t_max, rel=1e-9)
+        # the rest of a value, the bias relative to the settled cost, is free of t_max
+        rest = [run.values - run.tails for run in runs]
+        assert np.abs(rest[0] - rest[1]).max() < 1e-9
+
+    def test_arc_cap(self, sec4, monkeypatch):
+        rep = equilibrium.optimal_equilibrium(sec4)
+        m0 = np.array([0.5868, 0.0235, 0.2749, 0.1148])  # slides, then leaves the surface
+        monkeypatch.setattr(fluid, "_MAX_ARCS", 2)
+        with pytest.raises(NonConvergent):
+            fluid.threshold_bias_batch(m0, [0.08], rep.E_star, rep.m_star, sec4)

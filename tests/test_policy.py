@@ -137,3 +137,27 @@ class TestBiasOptimalityCheck:
         data = json.loads(path.read_text())
         assert data["regime"] == "Active"
         assert len(data["thresholds"]) == len(data["costs"][0])
+
+
+class TestGridEngineConsistency:
+    """The audit grid and ``bias_cost`` run on one exact engine (no dt left)."""
+
+    @pytest.mark.parametrize("rho", [0.1, 0.05])  # Active (sec4), Interior
+    def test_pairing_cost_equals_bias_cost(self, rho):
+        params = sec4_at(rho)
+        rep = equilibrium.optimal_equilibrium(params)
+        start = np.random.default_rng(0).dirichlet(np.ones(4))
+        report = policy.bias_optimality_check(params, m0_set=[start], grid_step=0.01)
+        grid_at_pi = report.pairing_costs[policy.PROP3_CONSISTENT][0]
+        single = fluid.bias_cost(start, policy.make_policy(params), rep.E_star, params)
+        assert abs(grid_at_pi - single) < 1e-9
+
+    def test_tails_align_with_costs(self):
+        report = policy.bias_optimality_check(
+            sec4_at(0.05), grid_step=0.01, m0_set=[np.array([0.25] * 4)]
+        )
+        tails, flags = np.array(report.tails[0]), np.array(report.converged[0])
+        assert tails.shape == np.array(report.costs[0]).shape
+        assert np.all(tails[flags] == 0.0)
+        # the optimum is unique in the Interior regime: any other settled cost is higher
+        assert flags.sum() == 0 and np.all(tails > 0.0)
