@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import Infeasible, MultichainDetected, NoConvergence
 from .kernel import IID, MARKOV, build_tables
-from .model import ModelParams, require_good_bad, validate_params
+from .model import ModelParams, require_good_bad, validate_params, write_csv
 
 
 class AggregateSpace:
@@ -332,13 +332,8 @@ class SimResult:
     costs: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,n1,n2,n3,n4,action,cost\n")
-            n = self.measures.shape[0]
-            for t in range(n):
-                row = [t, *self.measures[t], self.actions[t], self.costs[t]]
-                fh.write(",".join(f"{x:.12g}" if isinstance(x, float) else str(int(x))
-                                  for x in row) + "\n")
+        columns = (np.arange(len(self.costs)), *self.measures.T, self.actions, self.costs)
+        write_csv(path, "t,n1,n2,n3,n4,action,cost", "%d," * 6 + "%.12g\n", columns)
 
 
 def simulate(

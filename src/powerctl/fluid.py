@@ -5,8 +5,11 @@ enters U only through its m4 column. A threshold controller on m4 runs U(0)
 below its threshold, U(1) above it, and on the surface the clipped
 equivalent control (Filippov/Utkin) s = phi0(m) / (beta1 (1 - rho) m4),
 phi0 being the passive field's m4-component, until s leaves [0, 1].
-``integrate`` steps these arcs with RK4 (callable policies too);
-``threshold_bias_batch`` propagates them exactly and backs ``bias_cost``.
+On each arc (and for a callable policy between its switches) the flow is
+linear, dm/dt = A m, so an RK4 step is one matrix R = I + hA + ... + (hA)^4/24:
+``integrate`` advances up to _CHUNK steps at once as R^k m and takes only the
+step that meets an event, or a last shortened one, stage-wise (events bisected).
+``threshold_bias_batch`` propagates the arcs exactly and backs ``bias_cost``.
 The cost c(m, s) = s * theta * n0 / (1 - theta * m4) + lam * (m2 + m4) is
 the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
@@ -14,17 +17,20 @@ the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergent, StepTooLarge
 from .kernel import KernelTables, drift_matrix, drift_matrix_4state
-from .model import ModelParams, require_good_bad, validate_measure
+from .model import ModelParams, require_good_bad, validate_measure, write_csv
 
 _SIMPLEX_TOL = 1e-9
 _EVENT_TIME_TOL = 1e-10
 _SURFACE_TOL = 1e-9
+_EPS = np.finfo(float).eps
+_CHUNK = 256  # RK4 steps that ``integrate`` advances by one batched product
 _OFF_TARGET = "settled at a non-target equilibrium (cost {:.6g}, target {:.6g})"
 
 
@@ -38,11 +44,8 @@ class Trajectory:
     inst_cost: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,m1,m2,m3,m4,s4,inst_cost\n")
-            for i in range(len(self.t)):
-                row = [self.t[i], *self.m[i], self.s4[i], self.inst_cost[i]]
-                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+        columns = (self.t, *self.m.T, self.s4, self.inst_cost)
+        write_csv(path, "t,m1,m2,m3,m4,s4,inst_cost", "%.12g," * 6 + "%.12g\n", columns)
 
 
 def instantaneous_cost(m, s4: float, params: ModelParams) -> float:
@@ -98,16 +101,19 @@ class _FluidSystem:
         self.u0 = drift_matrix_4state(0.0, params)
         self.u1 = drift_matrix_4state(1.0, params)
         self.du = self.u1 - self.u0
+        # the flow on m4 = tau under the unclipped equivalent control; its m4 row is zero
+        c = params.beta[1] * (1 - params.rho)
+        self.slide = self.u0 + np.outer(self.du[:, 3], self.u0[3]) / c
+        self.slide[3] = 0.0
         self.cost_offset = cost_offset
 
-    def clipped_equivalent_control(self, m) -> float:
-        """Duty cycle freezing m4, saturated to the escaping pure control."""
-        phi0, phi1 = float(self.u0[3] @ m), float(self.u1[3] @ m)
+    def clipped_equivalent_control(self, m):
+        """Duty cycle freezing m4 (per row of m), saturated to the escaping pure control."""
+        phi0, phi1 = m @ self.u0[3], m @ self.u1[3]
         denom = phi0 - phi1
-        if denom <= 0.0:
-            # both fields push the same way; follow the active one upward
-            return 1.0 if phi1 > 0.0 else 0.0
-        return min(1.0, max(0.0, phi0 / denom))
+        s = np.divide(phi0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        # where both fields push the same way, follow the active one upward
+        return np.where(denom > 0.0, np.clip(s, 0.0, 1.0), phi1 > 0.0)
 
     def rhs(self, m, s):
         dm = self.u0 @ m + s * (self.du @ m)
@@ -126,6 +132,21 @@ class _FluidSystem:
         m_new = m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
         j_new = j + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
         return m_new, j_new
+
+    def step_matrices(self, s, h):
+        """An RK4 step of size h on dm/dt = A m, A = U(s) or the slide (s None), is
+        m -> R m. Returns the stage maps Q2, Q3, Q4 (stage state Q m) and R^k - I
+        for k = 1 .. _CHUNK, built from the small R - I so no digit is lost."""
+        a, eye = self.slide if s is None else self.u0 + s * self.du, np.eye(4)
+        q2 = eye + 0.5 * h * a
+        q3 = eye + 0.5 * h * a @ q2
+        q4 = eye + h * a @ q3
+        d = ((h / 6.0) * a @ (eye + 2.0 * q2 + 2.0 * q3 + q4))[None]
+        while len(d) < _CHUNK:  # R^(j+k) - I = (R^j - I) + (R^k - I) + (R^j - I)(R^k - I)
+            d = np.concatenate([d, d + d[-1] + d @ d[-1]])
+        # R^k conserves mass: m2 takes the columns' rounding, as in _ThresholdDriver.snap
+        d[:, 1] = -(d[:, 0] + d[:, 2] + d[:, 3])
+        return np.array([q2, q3, q4]), d
 
     def check_simplex(self, m):
         err = abs(float(m.sum()) - 1.0)
@@ -180,10 +201,21 @@ class _ThresholdDriver:
         m[3] = self.pi
         return m
 
-    def current_s(self, m) -> float:
-        if self.mode == self.SLIDE:
-            return self.sys.clipped_equivalent_control(m)
-        return self.control
+    def arc(self):
+        """The control of the current arc; None on the surface."""
+        return None if self.mode == self.SLIDE else self.control
+
+    def keeps(self, starts, ends, stage_maps):
+        """Per step of a chunk (start and end states): does it stay on the arc?"""
+        if self.mode == self.BANG:
+            return (ends[:, 3] > self.pi) == (self.control > 0.5)
+        # the duty cycle phi0 / (phi0 - phi1) in [0, 1] at every stage state, up to the
+        # rounding of phi0 and phi1: at an optimum on the surface with duty cycle 0 or 1,
+        # phi0 or phi1 is rounding noise of either sign
+        stages = np.concatenate([starts[None], starts @ stage_maps.transpose(0, 2, 1)])
+        u0, u1, slack = self.sys.u0[3], self.sys.u1[3], 4.0 * _EPS * np.abs(stages)
+        duty = (stages @ u0 >= -slack @ np.abs(u0)) & (stages @ u1 <= slack @ np.abs(u1))
+        return duty.all(axis=0) & (np.abs(ends[:, 3] - self.pi) <= _SURFACE_TOL)
 
     def advance(self, m, j, h):
         """Move one step of size at most h; returns (m, j, dt_done)."""
@@ -223,8 +255,14 @@ class _CallableDriver:
     def resolve_mode(self, m):
         self.control = float(self.policy(m))
 
-    def current_s(self, m) -> float:
+    def arc(self):
         return self.control
+
+    def keeps(self, starts, ends, stage_maps):
+        # stop at the first change: later states are off the path, and a policy may keep state
+        a = self.control
+        kept = sum(1 for _ in itertools.takewhile(lambda x: float(self.policy(x)) == a, ends))
+        return np.arange(len(ends)) < kept
 
     def advance(self, m, j, h):
         a = self.control
@@ -253,6 +291,14 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
     callable m -> s4. Classic RK4 with step dt; control switches are
     located by bisection and treated as arc boundaries, so the control is
     piecewise constant (or the sliding duty cycle) between events.
+
+    Steps come in chunks of up to _CHUNK: the states R^k m of the current
+    arc's step matrix, each divided by its sum. A chunk is kept up to its
+    first step that fails a test of the stage-wise loop: the simplex
+    tolerances (StepTooLarge), m4 against pi on a bang arc, the duty cycle
+    in [0, 1] up to rounding at every RK4 stage state and m4 on the surface
+    on a slide, an unchanged policy value for a callable. That step, and a
+    last one shortened to the horizon, is taken stage-wise, events bisected.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -260,23 +306,35 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
     driver = _make_driver(system, policy)
     m = validate_measure(m0).copy()
     driver.resolve_mode(m)
-    t = 0.0
-    s_now = driver.current_s(m)
-    ts, ms = [t], [m.copy()]
-    ss, cs = [s_now], [instantaneous_cost(m, s_now, params)]
+    t, last, matrices = 0.0, driver.arc(), {}
+    blocks = [([t], m[None], np.full(1, last, dtype=float))]  # t, m, control (nan: slide)
     while t < horizon - 1e-15:
-        h = min(dt, horizon - t)
-        m, _, done = driver.advance(m, 0.0, h)
+        clock = np.cumsum(np.concatenate(([t], np.full(_CHUNK, dt))))  # the sequential t += dt
+        n = np.count_nonzero((clock[:-1] < horizon - 1e-15) & (dt <= horizon - clock[:-1]))
+        arc = driver.arc()
+        if n and arc == last:  # chunks run on an arc that has held over a step
+            if arc not in matrices:
+                matrices = {arc: system.step_matrices(arc, dt)}
+            stage_maps, powers = matrices[arc]
+            ends = m + powers[:n] @ m  # R^k m
+            sums = ends.sum(axis=1)
+            states = ends / sums[:, None]
+            ok = (np.abs(sums - 1.0) <= _SIMPLEX_TOL) & (ends.min(axis=1) >= -_SIMPLEX_TOL)
+            ok &= driver.keeps(np.concatenate([m[None], states[:-1]]), ends, stage_maps)
+            k = n if ok.all() else int(np.argmin(ok))
+            if k:
+                m, t = states[k - 1], clock[k]
+                blocks.append((clock[1 : k + 1], states[:k], np.full(k, arc, dtype=float)))
+            if k == n:
+                continue
+        last = arc
+        m, _, done = driver.advance(m, 0.0, min(dt, horizon - t))
         m = system.check_simplex(m)
         t += done
-        s_now = driver.current_s(m)
-        ts.append(t)
-        ms.append(m.copy())
-        ss.append(s_now)
-        cs.append(instantaneous_cost(m, s_now, params))
-    return Trajectory(
-        t=np.array(ts), m=np.array(ms), s4=np.array(ss), inst_cost=np.array(cs)
-    )
+        blocks.append(([t], m[None], np.full(1, driver.arc(), dtype=float)))
+    t, m, s = (np.concatenate(column) for column in zip(*blocks))
+    s4 = np.where(np.isnan(s), system.clipped_equivalent_control(m), s)
+    return Trajectory(t=t, m=m, s4=s4, inst_cost=instantaneous_cost(m.T, s4, params))
 
 
 def bias_cost(
@@ -372,8 +430,9 @@ def threshold_bias_batch(
     """
     tau = np.asarray(thresholds, dtype=float)
     n, (b0, b1), rho, theta, n0 = len(tau), params.beta, params.rho, params.theta, params.n0
-    u0, u1, c = drift_matrix_4state(0.0, params), drift_matrix_4state(1.0, params), b1 * (1 - rho)
-    gens = np.array([u0, u1, u0 + np.outer(u1[:, 3] - u0[:, 3], u0[3]) / c])
+    system, c = _FluidSystem(params), b1 * (1 - rho)
+    u0, u1 = system.u0, system.u1
+    gens = np.array([u0, u1, system.slide])
     key, m4_act = gens.tobytes(), b1 * rho / (rho + c)
     hold = params.lam * np.array([0.0, 1.0, 0.0, 1.0])
     grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])

@@ -277,3 +277,16 @@ def finite_sinr(n: int, h, p, big_n: int, params: ModelParams) -> float:
 def rate(n: int, h, p, big_n: int, params: ModelParams) -> int:
     """1 if user n's packet gets through this slot, else 0."""
     return int(finite_sinr(n, h, p, big_n, params) >= params.theta)
+
+
+_CSV_BLOCK = 4096  # rows formatted per write
+
+
+def write_csv(path, header: str, row_format: str, columns) -> None:
+    """Write equal-length columns as CSV, each row through the %-template
+    ``row_format`` (ending in a newline), a block of rows at a time."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*(col[i : i + _CSV_BLOCK].tolist() for col in columns))
+            fh.write("".join(row_format % row for row in rows))

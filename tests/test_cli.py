@@ -157,3 +157,9 @@ class TestExitCodes:
             ["equilibrium", "--config", cfg_file(text), "--out", str(tmp_path)]
         )
         assert code == 3
+
+    def test_step_too_large(self, cfg_file, tmp_path, capsys):
+        # at dt = 3 the first RK4 step of the default fluid run leaves the simplex
+        code = cli.main(["fluid", "--config", cfg_file(BASE + "dt = 3\n"), "--out", str(tmp_path)])
+        assert code == 3
+        assert "simplex violated" in capsys.readouterr().err

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_simplex, sec4_at
-from powerctl import equilibrium, fluid, kernel, policy
-from powerctl.errors import NonConvergent
+from powerctl import equilibrium, finite, fluid, kernel, policy
+from powerctl.errors import NonConvergent, StepTooLarge
 
 
 class TestDiscreteStep:
@@ -276,3 +276,152 @@ class TestExactEngine:
         monkeypatch.setattr(fluid, "_MAX_ARCS", 2)
         with pytest.raises(NonConvergent):
             fluid.threshold_bias_batch(m0, [0.08], rep.E_star, rep.m_star, sec4)
+
+
+def _stagewise(m0, control_of, horizon, params, dt):
+    """The plain loop ``integrate`` batches: one stage-wise RK4 step at a time."""
+    system = fluid._FluidSystem(params)
+    m, t, ts, ms = np.asarray(m0, dtype=float), 0.0, [0.0], [m0]
+    while t < horizon - 1e-15:
+        h = min(dt, horizon - t)
+        m = system.check_simplex(system.rk4_step(m, 0.0, h, control_of)[0])
+        t += h
+        ts.append(t)
+        ms.append(m)
+    return np.array(ts), np.array(ms)
+
+
+class TestStepMatrices:
+    # longer than two chunks, so the steps run as two full chunks, a partial
+    # one and a last step shortened to the horizon
+    HORIZON = 6.0
+
+    @pytest.mark.parametrize("s4", [0.0, 1.0, 0.3])
+    def test_constant_arcs_match_stagewise_loop(self, sec4, s4):
+        assert self.HORIZON > 2 * fluid._CHUNK * 0.01
+        m0 = np.array([0.4, 0.3, 0.2, 0.1])
+        traj = fluid.integrate(m0, lambda m: s4, self.HORIZON, sec4, dt=0.01)
+        t, m = _stagewise(m0, lambda m: s4, self.HORIZON, sec4, 0.01)
+        assert np.array_equal(traj.t, t)
+        assert np.abs(traj.m - m).max() < 1e-13
+        assert np.all(traj.s4 == s4)
+
+    def test_sliding_arc_matches_stagewise_loop(self):
+        params = sec4_at(0.05)  # Interior regime: the optimum slides on m4 = pi
+        rep = equilibrium.optimal_equilibrium(params)
+        tp = policy.make_policy(params)
+        m0 = np.array(rep.m_star) + np.array([0.01, -0.01, 0.0, 0.0])  # on the surface
+        system = fluid._FluidSystem(params)
+        duty = system.clipped_equivalent_control
+        traj = fluid.integrate(m0, tp, self.HORIZON, params, dt=0.01)
+        t, m = _stagewise(m0, duty, self.HORIZON, params, 0.01)
+        assert np.abs(m[:, 3] - tp.pi).max() < 1e-15  # the reference stays on the slide
+        assert np.all((duty(m) > 0.0) & (duty(m) < 1.0))
+        assert np.array_equal(traj.t, t)
+        assert np.abs(traj.m - m).max() < 1e-13
+        assert np.abs(traj.s4 - duty(m)).max() < 1e-13
+
+    def test_slide_holds_the_surface(self):
+        # the slide's m4 row is zero and every R^k conserves mass, so dividing the
+        # states of a chunk by their sums leaves m4 where the stage-wise loop holds it
+        params = sec4_at(0.1, n0=5.0)  # Interior; without the mass fix m4 drifts here
+        tp = policy.make_policy(params)
+        traj = fluid.integrate([0.25] * 4, tp, 5000.0, params)
+        on = np.abs(traj.m[:, 3] - tp.pi) <= 1e-9
+        assert on.sum() > 490_000 and np.abs(traj.m[on, 3] - tp.pi).max() < 1e-14
+
+    @pytest.mark.parametrize("rho, start, shift, optimal", ORACLE_CASES)
+    def test_threshold_events_match_stagewise_driver(self, rho, start, shift, optimal):
+        # landings (bisected) and slide exits: the chunks stop where the stage-wise
+        # loop of driver steps has its events, to the same clock
+        params = sec4_at(rho)
+        rep = equilibrium.optimal_equilibrium(params)
+        pi = policy.make_policy(params).pi + shift
+        controller = policy.ThresholdPolicy(pi=pi, regime=rep.regime, pairing="test")
+        m0 = np.array(start) / np.sum(start)
+        traj = fluid.integrate(m0, controller, 20.0, params)
+        system = fluid._FluidSystem(params)
+        driver = fluid._make_driver(system, controller)
+        driver.resolve_mode(m0)
+        m, t, ts, ms = m0, 0.0, [0.0], [m0]
+        while t < 20.0 - 1e-15:
+            m, _, done = driver.advance(m, 0.0, min(0.01, 20.0 - t))
+            m, t = system.check_simplex(m), t + done
+            ts.append(t)
+            ms.append(m)
+        assert np.array_equal(traj.t, ts)
+        assert np.abs(traj.m - np.array(ms)).max() < 1e-13
+        # each path has a landing (a shortened step) or starts on a slide that it leaves
+        assert np.diff(traj.t).min() < 0.01 * (1 - 1e-9) or 0.0 < traj.s4[0] < 1.0
+
+    def test_chunks_run_at_an_optimum_on_the_surface(self, sec4, monkeypatch):
+        # Active regime: the optimum sits on m4 = pi with duty cycle 1, so phi1 there
+        # is rounding noise of either sign; the slide's chunks must still hold
+        steps = []
+        advance = fluid._ThresholdDriver.advance
+        monkeypatch.setattr(
+            fluid._ThresholdDriver, "advance", lambda *a: steps.append(1) or advance(*a)
+        )
+        m0 = np.array([0.349771, 0.02916308, 0.53508528, 0.08598064])
+        traj = fluid.integrate(m0 / m0.sum(), policy.make_policy(sec4), 100.0, sec4)
+        on = np.abs(traj.m[:, 3] - policy.make_policy(sec4).pi) <= 1e-9
+        assert on[-5000:].all() and len(steps) <= 5
+
+    @pytest.mark.parametrize(
+        "name, entry",
+        [("passive", "-8.000e-03"), ("active", "-2.215e-02"), ("threshold", "-2.215e-02")],
+    )
+    def test_large_steps_fail_loudly(self, sec4, name, entry):
+        # at dt = 3 the first RK4 step, inside the first chunk, leaves the simplex
+        controller = {
+            "passive": lambda m: 0.0,
+            "active": lambda m: 1.0,
+            "threshold": policy.make_policy(sec4),
+        }[name]
+        with pytest.raises(StepTooLarge, match=f"min entry {entry}"):
+            fluid.integrate([0.25] * 4, controller, 50.0, sec4, dt=3.0)
+
+    def test_callable_switch_inside_chunk(self, sec4):
+        # passive below the level, active above it; the active flow then settles at
+        # m4 = 0.087 > level, so the path switches once
+        level = 0.06
+        m0 = np.array([0.5, 0.3, 0.18, 0.02])
+        traj = fluid.integrate(m0, lambda m: 1.0 if m[3] > level else 0.0, 10.0, sec4)
+        first = int(np.argmax(traj.s4 == 1.0))
+        assert 10 < first < fluid._CHUNK and np.all(traj.s4[:first] == 0.0)
+        lo, hi = 0.0, traj.t[first] + 1.0  # passive closed form: m4 crosses the level once
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            if fluid.passive_trajectory_closed_form(m0, mid, sec4)[3] > level:
+                hi = mid
+            else:
+                lo = mid
+        assert abs(traj.t[first] - lo) < 1e-8
+
+
+def _joined_rows(rows):
+    """The per-value writer the CSV writers replaced (ints as ints, floats %.12g)."""
+    return "".join(
+        ",".join(f"{x:.12g}" if isinstance(x, float) else str(int(x)) for x in row) + "\n"
+        for row in rows
+    )
+
+
+class TestCsvWriters:
+    def test_trajectory_bytes(self, sec4, tmp_path):
+        traj = fluid.integrate([0.25] * 4, policy.make_policy(sec4), 50.0, sec4)
+        assert len(traj.t) > 4096  # crosses a block of the writer
+        path = tmp_path / "fluid.csv"
+        traj.to_csv(path)
+        rows = [[t, *m, s, c] for t, m, s, c in zip(traj.t, traj.m, traj.s4, traj.inst_cost)]
+        assert path.read_text() == "t,m1,m2,m3,m4,s4,inst_cost\n" + _joined_rows(rows)
+
+    def test_simulation_bytes(self, sec4, tmp_path):
+        tp = policy.make_policy(sec4)
+        sim = finite.simulate(lambda c: policy.apply_finite(tp, c, 5), sec4, 5, 5000, seed=3)
+        path = tmp_path / "sim.csv"
+        sim.to_csv(path)
+        rows = [
+            [t, *n, a, c] for t, (n, a, c) in enumerate(zip(sim.measures, sim.actions, sim.costs))
+        ]
+        assert path.read_text() == "t,n1,n2,n3,n4,action,cost\n" + _joined_rows(rows)
