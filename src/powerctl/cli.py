@@ -9,6 +9,7 @@ are JSON reports and CSV tables written to --out. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -252,6 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if not os.path.isdir(args.out):
+            raise ConfigError(f"output directory {args.out} does not exist")
         return _COMMANDS[args.command](cfg, args.out, args.seed)
     except (ConfigError, AssumptionViolation, NotADistribution) as exc:
         print(f"error: {exc}", file=sys.stderr)

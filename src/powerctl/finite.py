@@ -13,7 +13,8 @@ Provides exact machinery (relative value iteration for the optimal
 average cost, stationary-distribution policy evaluation) and a seeded
 slot-by-slot Monte Carlo simulator. Both exact solvers use the factorisation
 P = A·D: a (state, action) pair fixes a post-decision key (A), and the next
-state is drawn from that key's law (D).
+state is drawn from that key's law (D), built from binomial pmfs: keyed by the
+backlog under the memoryless channel, by the post-service counts under the Markov one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, MultichainDetected, NoConvergence
-from .kernel import IID, MARKOV, build_tables
+from .kernel import IID, MARKOV, require_channel_model
 from .model import ModelParams, require_good_bad, validate_params, write_csv
 
 
@@ -87,79 +88,21 @@ def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
     )
 
 
-def _multinomial_dists(rows, n_max: int):
-    """Count-vector distributions of n iid draws from each distinct row.
-
-    Returns {row_key: [dist_0, ..., dist_n_max]} where dist_n maps a
-    4-tuple of destination counts to its probability.
-    """
-    out = {}
-    for key, row in rows.items():
-        dists = [{(0, 0, 0, 0): 1.0}]
-        for _ in range(n_max):
-            nxt = {}
-            for counts, prob in dists[-1].items():
-                for dest in range(4):
-                    if row[dest] == 0.0:
-                        continue
-                    bumped = list(counts)
-                    bumped[dest] += 1
-                    bumped = tuple(bumped)
-                    nxt[bumped] = nxt.get(bumped, 0.0) + prob * row[dest]
-            dists.append(nxt)
-        out[key] = dists
-    return out
-
-
-def _convolve(a, b):
-    if len(a) == 1 and next(iter(a.keys())) == (0, 0, 0, 0):
-        return dict(b)
-    out = {}
-    for ca, pa in a.items():
-        for cb, pb in b.items():
-            key = (ca[0] + cb[0], ca[1] + cb[1], ca[2] + cb[2], ca[3] + cb[3])
-            out[key] = out.get(key, 0.0) + pa * pb
-    return out
-
-
-class _TransitionBuilder:
-    """Per-group multinomial tables for one parameter set: the Markov-channel
-    rows of ``evaluate_policy_exact`` and the oracle behind ``transition_distribution``."""
-
-    def __init__(self, params: ModelParams, n_users: int, channel_model: str = IID):
-        tables = build_tables(params, channel_model)
-        # groups: class 1..3 always fail; class 4 splits into k successes
-        # and n4 - k failures
-        self.group_rows = [tables.gamma0[i] for i in range(4)] + [tables.gamma1[3]]
-        rows = {}
-        for row in self.group_rows:
-            rows.setdefault(row.tobytes(), row)
-        self._dists = _multinomial_dists(rows, n_users)
-
-    def distribution(self, counts, k: int):
-        """Joint destination-count distribution for state ``counts``, action k."""
-        group_sizes = [int(counts[0]), int(counts[1]), int(counts[2]),
-                       int(counts[3]) - k, k]
-        dist = {(0, 0, 0, 0): 1.0}
-        for row, size in zip(self.group_rows, group_sizes):
-            if size == 0:
-                continue
-            dist = _convolve(dist, self._dists[row.tobytes()][size])
-        return dist
-
-
 def transition_distribution(counts, k: int, params: ModelParams, n_users=None):
-    """Sparse next-state distribution of the aggregate chain.
+    """Sparse next-state distribution of the aggregate chain (memoryless channel).
 
-    k class-4 users transit with guaranteed success, everyone else without;
-    the per-group multinomials over destination classes are convolved.
+    k class-4 users are served with guaranteed success, so the law is row
+    a = n2 + n4 - k of ``_iid_next_law``: a dict from each reachable count
+    vector to its probability.
     """
     counts = tuple(int(c) for c in counts)
     if n_users is None:
         n_users = sum(counts)
     _check_action(counts, k)
     transmit_power(k, n_users, params)  # raises when k is excluded
-    return _TransitionBuilder(params, n_users).distribution(counts, k)
+    space = AggregateSpace(sum(counts), params)
+    row = _iid_next_law(space, params)[counts[1] + counts[3] - k]
+    return {tuple(int(c) for c in space.states[i]): float(row[i]) for i in np.flatnonzero(row)}
 
 
 @dataclass
@@ -186,8 +129,12 @@ class VIResult:
         return text
 
 
-def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    return np.array([math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)])
+def _binomial_table(n: int, p: float) -> np.ndarray:
+    """(n + 1) x (n + 1) table whose row m is the pmf of Bin(m, p), zero past m."""
+    table = np.zeros((n + 1, n + 1))
+    for m in range(n + 1):
+        table[m, : m + 1] = [math.comb(m, j) * p**j * (1.0 - p) ** (m - j) for j in range(m + 1)]
+    return table
 
 
 def _iid_next_law(space: AggregateSpace, params: ModelParams) -> np.ndarray:
@@ -199,14 +146,44 @@ def _iid_next_law(space: AggregateSpace, params: ModelParams) -> np.ndarray:
     Row a of the returned (N + 1) x S matrix is that law over ``space``.
     """
     n = space.n_users
-    arrivals = np.zeros((n + 1, n + 1))  # [a, Q']
-    good = np.zeros((n + 1, n + 1))  # [m, good-channel users among m]
-    for m in range(n + 1):
-        arrivals[m, m:] = _binomial_pmf(n - m, params.rho)
-        good[m, : m + 1] = _binomial_pmf(m, params.beta[1])
+    arrive, good = _binomial_table(n, params.rho), _binomial_table(n, params.beta[1])
+    a, q = np.ogrid[: n + 1, : n + 1]
+    arrivals = np.where(q >= a, arrive[n - a, q - a], 0.0)  # [a, Q']
     _, n2, n3, n4 = space.states.T
     full = n2 + n4
+    # column-major, as indexed here: a row-major copy changes the rounding of law @ h
     return arrivals[:, full] * (good[full, n4] * good[n - full, n3])
+
+
+def _markov_next_law(keys: np.ndarray, space: AggregateSpace, params: ModelParams) -> np.ndarray:
+    """Next-state law of the Markov-channel chain for post-service counts ``keys``.
+
+    From key (n1, n2, n3, n4), A1 ~ Bin(n1, rho) of the bad-channel and
+    A3 ~ Bin(n3, rho) of the good-channel empty users receive a packet. With
+    c_l the probability of a good level next from level l (bad 0, good 1),
+    Q' = n2 + n4 + A1 + A3, n4' = Bin(n2 + A1, c0) + Bin(n4 + A3, c1) and
+    n3' = Bin(n1 - A1, c0) + Bin(n3 - A3, c1). Row r of the returned
+    len(keys) x S matrix is that law for keys[r], summed over A1.
+    """
+    n = space.n_users
+    arrivals = _binomial_table(n, params.rho)  # [m, arrivals among m empty users]
+    from_bad, from_good = (_binomial_table(n, row[1]) for row in params.channel_matrix)
+    # good[f0, f1, x]: x good levels next among f0 users now bad and f1 now good
+    # (read only where f0 + f1 <= n, where the cut at n drops nothing)
+    good = np.array([[np.convolve(b, g)[: n + 1] for g in from_good] for b in from_bad])
+    _, n2, n3, n4 = space.states.T
+    arrived = (n2 + n4) - (keys[:, 1] + keys[:, 3])[:, None]  # A1 + A3, [key, state]
+    law = np.zeros(arrived.shape)
+    for a1 in range(n + 1):
+        a3 = arrived - a1
+        r, s = np.nonzero((a1 <= keys[:, :1]) & (a3 >= 0) & (a3 <= keys[:, 2:3]))
+        k1, k2, k3, k4 = keys[r].T
+        a3 = a3[r, s]
+        law[r, s] += (
+            arrivals[k1, a1] * arrivals[k3, a3]
+            * good[k2 + a1, k4 + a3, n4[s]] * good[k1 - a1, k3 - a3, n3[s]]
+        )
+    return law
 
 
 def _stationary_law(law, post) -> np.ndarray:
@@ -300,6 +277,7 @@ def evaluate_policy_exact(
     user moves exactly like a class-3 one. Raises Infeasible when the
     policy picks k outside [0, n4].
     """
+    require_channel_model(params, channel_model)
     space = AggregateSpace(n_users, params)
     actions = np.empty(len(space), dtype=np.int64)
     costs = np.empty(len(space))
@@ -311,13 +289,9 @@ def evaluate_policy_exact(
         keys, post = np.unique(backlog, return_inverse=True)
         law = _iid_next_law(space, params)[keys]
     else:
-        builder = _TransitionBuilder(params, n_users, channel_model)
         served = space.states + np.outer(actions, [0, 0, 1, -1])
-        keys, post = np.unique([space.index_of(c) for c in served], return_inverse=True)
-        law = np.zeros((len(keys), len(space)))
-        for row, key in zip(law, keys):
-            for dest, prob in builder.distribution(space.states[key], 0).items():
-                row[space.index_of(dest)] = prob
+        keys, post = np.unique(served, axis=0, return_inverse=True)
+        law = _markov_next_law(keys, space, params)
     return float(_stationary_law(law, post) @ costs)
 
 
@@ -355,6 +329,7 @@ def simulate(
     state; the mean is taken after the burn-in fraction.
     """
     require_good_bad(params)
+    require_channel_model(params, channel_model)
     rng = np.random.default_rng(seed)
     beta = np.asarray(params.beta, dtype=float)
     if initial_counts is not None:

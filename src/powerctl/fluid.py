@@ -245,12 +245,19 @@ class _ThresholdDriver:
 
 
 class _CallableDriver:
-    """Piecewise-constant control from an arbitrary policy function."""
+    """Piecewise-constant control from an arbitrary policy function.
+
+    A switch is bisected and landed on its far side, so a clean switch is one
+    event. A callable has no sliding mode: a second switch within
+    _EVENT_TIME_TOL of the first (chattering, or a policy that changes
+    continuously) raises NonConvergent.
+    """
 
     def __init__(self, system: _FluidSystem, policy):
         self.sys = system
         self.policy = policy
         self.control = 0.0
+        self.switched = False  # the last step ended on a switch
 
     def resolve_mode(self, m):
         self.control = float(self.policy(m))
@@ -270,11 +277,17 @@ class _CallableDriver:
         if float(self.policy(m_new)) != a:
             stepper = lambda tau: self.sys.rk4_step(m, j, tau, lambda x: a)[0]
             changed = lambda x: float(self.policy(x)) != a
-            tau = _bisect_time(stepper, changed, h)
-            tau = max(tau, _EVENT_TIME_TOL)
+            lo = _bisect_time(stepper, changed, h)
+            if self.switched and lo < _EVENT_TIME_TOL:
+                raise NonConvergent(
+                    f"policy switched again within {_EVENT_TIME_TOL:g} of its last switch"
+                )
+            tau = lo + _EVENT_TIME_TOL
             m_new, j_new = self.sys.rk4_step(m, j, tau, lambda x: a)
             self.control = float(self.policy(m_new))
+            self.switched = True
             return m_new, j_new, tau
+        self.switched = False
         return m_new, j_new, h
 
 

@@ -37,6 +37,14 @@ def queue_kernel(q: int, success: int, rho: float, q_max: int) -> np.ndarray:
     return dist
 
 
+def require_channel_model(params: ModelParams, channel_model: str) -> None:
+    """Raise ValueError unless channel_model is IID, or MARKOV with a channel matrix."""
+    if channel_model not in (IID, MARKOV):
+        raise ValueError(f"unknown channel model {channel_model!r}")
+    if channel_model == MARKOV and params.channel_matrix is None:
+        raise ValueError("Markov tables need params.channel_matrix")
+
+
 @dataclass(frozen=True)
 class KernelTables:
     """Class-to-class transition matrices under failure (gamma0) and success (gamma1)."""
@@ -52,10 +60,7 @@ def build_tables(params: ModelParams, channel_model: str = IID) -> KernelTables:
     The channel factor is the level law beta for the memoryless model, or
     the row of the level transition matrix for the Markov model.
     """
-    if channel_model not in (IID, MARKOV):
-        raise ValueError(f"unknown channel model {channel_model!r}")
-    if channel_model == MARKOV and params.channel_matrix is None:
-        raise ValueError("Markov tables need params.channel_matrix")
+    require_channel_model(params, channel_model)
     s_dim = params.n_states
     q_dim = params.q_max + 1
     beta = np.asarray(params.beta, dtype=float)

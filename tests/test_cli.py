@@ -163,3 +163,10 @@ class TestExitCodes:
         code = cli.main(["fluid", "--config", cfg_file(BASE + "dt = 3\n"), "--out", str(tmp_path)])
         assert code == 3
         assert "simplex violated" in capsys.readouterr().err
+
+    def test_missing_out_dir(self, cfg_file, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        code = cli.main(["fluid", "--config", cfg_file(BASE), "--out", str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: output directory {missing}")
+        assert not missing.exists()

@@ -155,17 +155,23 @@ OUT_OF_RANGE = {"k=-1": lambda c: -1, "k=n4+1": lambda c: int(c[3]) + 1}
 
 
 def full_row(space, counts, k, params, channel_model="iid"):
-    """Dense next-state row of the unreduced chain: k successes and n4 - k
-    failures convolved as separate groups, as transition_distribution does."""
-    row = np.zeros(len(space))
-    if channel_model == "iid":
-        dist = finite.transition_distribution(counts, k, params)
-    else:
-        dist = finite._TransitionBuilder(params, space.n_users, channel_model).distribution(
-            counts, k)
-    for dest, prob in dist.items():
-        row[space.index_of(dest)] = prob
-    return row
+    """Dense next-state row of the unreduced chain, built user by user from the
+    kernel rows: gamma0 for classes 1-3 and unserved class-4 users, gamma1[3]
+    for the k served ones, each user's move added to a dense (N+1)^4 count array."""
+    tabs = kernel.build_tables(params, channel_model)
+    rows = [tabs.gamma0[c] for c in range(4) for _ in range(int(counts[c]) - k * (c == 3))]
+    rows += [tabs.gamma1[3]] * k
+    n = space.n_users
+    dist = np.zeros((n + 1,) * 4)
+    dist[0, 0, 0, 0] = 1.0
+    for row in rows:
+        moved = np.zeros_like(dist)
+        for dest in range(4):
+            src, dst = [slice(None)] * 4, [slice(None)] * 4
+            src[dest], dst[dest] = slice(0, n), slice(1, n + 1)
+            moved[tuple(dst)] += row[dest] * dist[tuple(src)]
+        dist = moved
+    return dist[tuple(space.states.T)]
 
 
 def full_chain_rvi(params, n_users, tol=1e-9):
@@ -301,6 +307,14 @@ class TestPolicyEvaluation:
                                              channel_model=channel_model)
             assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
 
+    @pytest.mark.parametrize("n_users", [3, 6])
+    def test_markov_rows_match_full_chain(self, n_users):
+        # every count vector as a post-service key: a served user moves like a class-3 one
+        space = finite.AggregateSpace(n_users, MARKOV)
+        law = finite._markov_next_law(space.states, space, MARKOV)
+        full = np.array([full_row(space, s, 0, MARKOV, "markov") for s in space.states])
+        assert np.abs(law - full).max() <= 1e-15
+
     @pytest.mark.parametrize("channel_model", ["iid", "markov"])
     @pytest.mark.parametrize("pick", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
     def test_out_of_range_action_raises(self, channel_model, pick):
@@ -316,6 +330,26 @@ class TestPolicyEvaluation:
                         channel_matrix=((1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(MultichainDetected):
             finite.evaluate_policy_exact(lambda c: 0, p, 2, channel_model="markov")
+
+
+# channel models each solver must refuse, with build_tables' message
+BAD_CHANNELS = {
+    "unknown": (MARKOV, "gilbert", "unknown channel model"),
+    "no-matrix": (ModelParams.good_bad(theta=0.2, beta1=0.4, rho=0.1, lam=1.5, n0=1.0),
+                  "markov", "channel_matrix"),
+}
+
+
+@pytest.mark.parametrize("params,channel_model,message", BAD_CHANNELS.values(),
+                         ids=BAD_CHANNELS.keys())
+class TestChannelModelChecks:
+    def test_simulate(self, params, channel_model, message):
+        with pytest.raises(ValueError, match=message):
+            finite.simulate(lambda c: 0, params, 3, 10, seed=1, channel_model=channel_model)
+
+    def test_evaluate_policy_exact(self, params, channel_model, message):
+        with pytest.raises(ValueError, match=message):
+            finite.evaluate_policy_exact(lambda c: 0, params, 3, channel_model=channel_model)
 
 
 class TestSimulate:

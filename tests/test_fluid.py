@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,26 @@ class TestIntegrate:
         crossings = np.flatnonzero(np.abs(traj.m[:, 3] - tp.pi) < 1e-9)
         assert len(crossings) > 0
         assert traj.s4[-1] > 0.0
+
+    @pytest.mark.parametrize(
+        "pick",
+        [lambda m: 1.0 if m[3] > 0.2 else 0.0, lambda m: min(1.0, 5.0 * m[3])],
+        ids=["attracting-switch", "continuous"],
+    )
+    def test_callable_without_sliding_mode_raises(self, sec4, pick):
+        # the flow pushes m4 back across the switch at once, or the value changes
+        # on every step: a callable has no sliding mode, so each must fail fast
+        calls = []
+
+        def budgeted(m):
+            calls.append(1)
+            assert len(calls) < 10_000, "still stepping after 10,000 policy calls"
+            return pick(m)
+
+        start = time.perf_counter()
+        with pytest.raises(NonConvergent):
+            fluid.integrate([0.5, 0.3, 0.15, 0.05], budgeted, 10.0, sec4)
+        assert time.perf_counter() - start < 1.0
 
     def test_csv_round_trip(self, sec4, tmp_path):
         traj = fluid.integrate([0.25] * 4, lambda m: 1.0, 1.0, sec4)
