@@ -8,15 +8,15 @@ Library layout:
 - ``equilibrium``: controlled equilibria, regimes, optimal operating point
 - ``policy``: threshold controllers and their optimality audit
 - ``finite``: the finite-population chain, value iteration, simulation
-- ``cli``: the ``powerctl`` command-line front end
+- ``cli``: the ``powerctl`` command-line front end (``python -m powerctl.cli``),
+  imported on demand so that running it as ``__main__`` loads it only once
 """
 
-from . import cli, equilibrium, finite, fluid, kernel, model, policy
+from . import equilibrium, finite, fluid, kernel, model, policy
 from .model import ModelParams
 
 __all__ = [
     "ModelParams",
-    "cli",
     "equilibrium",
     "finite",
     "fluid",

@@ -88,18 +88,16 @@ def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
     )
 
 
-def transition_distribution(counts, k: int, params: ModelParams, n_users=None):
+def transition_distribution(counts, k: int, params: ModelParams):
     """Sparse next-state distribution of the aggregate chain (memoryless channel).
 
     k class-4 users are served with guaranteed success, so the law is row
-    a = n2 + n4 - k of ``_iid_next_law``: a dict from each reachable count
-    vector to its probability.
+    a = n2 + n4 - k of ``_iid_next_law`` for N = sum(counts) users: a dict
+    from each reachable count vector to its probability.
     """
     counts = tuple(int(c) for c in counts)
-    if n_users is None:
-        n_users = sum(counts)
     _check_action(counts, k)
-    transmit_power(k, n_users, params)  # raises when k is excluded
+    transmit_power(k, sum(counts), params)  # raises when k is excluded
     space = AggregateSpace(sum(counts), params)
     row = _iid_next_law(space, params)[counts[1] + counts[3] - k]
     return {tuple(int(c) for c in space.states[i]): float(row[i]) for i in np.flatnonzero(row)}

@@ -1,15 +1,20 @@
 """Mean-field dynamics: discrete map, RK4 flow, closed forms, exact bias integrals.
 
 dm/dt = U(s) m, where the activation s of the full-queue good-channel class
-enters U only through its m4 column. A threshold controller on m4 runs U(0)
-below its threshold, U(1) above it, and on the surface the clipped
-equivalent control (Filippov/Utkin) s = phi0(m) / (beta1 (1 - rho) m4),
-phi0 being the passive field's m4-component, until s leaves [0, 1].
-On each arc (and for a callable policy between its switches) the flow is
-linear, dm/dt = A m, so an RK4 step is one matrix R = I + hA + ... + (hA)^4/24:
-``integrate`` advances up to _CHUNK steps at once as R^k m and takes only the
-step that meets an event, or a last shortened one, stage-wise (events bisected).
-``threshold_bias_batch`` propagates the arcs exactly and backs ``bias_cost``.
+enters U only through its m4 column. A threshold controller on m4 runs on
+three linear arcs: U(0) below its threshold, U(1) above it, and on the
+surface the slide of the equivalent control (Filippov/Utkin)
+s = phi0(m) / (beta1 (1 - rho) m4), phi0 being the passive field's
+m4-component, until s leaves [0, 1]. ``_FluidSystem`` is that arc model:
+the generators, when a state has left its arc (``crossed``) and where it
+goes next (``land``). A callable policy's arcs are its values s, on U(s).
+On every arc dm/dt = A m, so an RK4 step of size h is one matrix,
+m -> m + D(h) m: ``integrate`` advances up to _CHUNK steps at once as R^k m
+and takes a step alone only where it meets an event or is a last, shortened
+one. Every event is bisected on D to 1e-10 and landed on its far side.
+``threshold_bias_batch`` propagates the same arcs exactly, by exp(A h), with
+the same event rule and backs ``bias_cost`` for thresholds; for a callable,
+``bias_cost`` prices each RK4 step of ``integrate`` from its stage states.
 The cost c(m, s) = s * theta * n0 / (1 - theta * m4) + lam * (m2 + m4) is
 the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
@@ -31,6 +36,7 @@ _EVENT_TIME_TOL = 1e-10
 _SURFACE_TOL = 1e-9
 _EPS = np.finfo(float).eps
 _CHUNK = 256  # RK4 steps that ``integrate`` advances by one batched product
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])  # of the stage states, times h / 6
 _OFF_TARGET = "settled at a non-target equilibrium (cost {:.6g}, target {:.6g})"
 
 
@@ -89,13 +95,14 @@ def passive_trajectory_closed_form(m0, t: float, params: ModelParams) -> np.ndar
 
 
 class _FluidSystem:
-    """RK4 stepping on dm/dt = U(s) m with cost accumulation.
+    """The arc model of the threshold-controlled fluid.
 
-    The cost coordinate J satisfies dJ/dt = c(m, s) - cost_offset and is
-    advanced through the same RK4 stages as m.
+    On each arc the flow is linear, dm/dt = A m, with A one of ``gens``:
+    U(0) (arc 0), U(1) (arc 1), or on m4 = tau the slide (arc 2). ``crossed``
+    says when a path leaves its arc and ``land`` where it goes next.
     """
 
-    def __init__(self, params: ModelParams, cost_offset: float = 0.0):
+    def __init__(self, params: ModelParams):
         require_good_bad(params)
         self.params = params
         self.u0 = drift_matrix_4state(0.0, params)
@@ -103,9 +110,15 @@ class _FluidSystem:
         self.du = self.u1 - self.u0
         # the flow on m4 = tau under the unclipped equivalent control; its m4 row is zero
         c = params.beta[1] * (1 - params.rho)
-        self.slide = self.u0 + np.outer(self.du[:, 3], self.u0[3]) / c
-        self.slide[3] = 0.0
-        self.cost_offset = cost_offset
+        slide = self.u0 + np.outer(self.du[:, 3], self.u0[3]) / c
+        slide[3] = 0.0
+        self.gens = np.array([self.u0, self.u1, slide])
+        # -phi0 and phi1 (the duty cycle's exits), and the rounding bound of each per |m|
+        self.exits = np.stack([-self.u0[3], self.u1[3]], axis=1)
+        self.exit_slack = 4.0 * _EPS * np.abs(self.exits)
+
+    def generator(self, arc):
+        return self.gens[arc]
 
     def clipped_equivalent_control(self, m):
         """Duty cycle freezing m4 (per row of m), saturated to the escaping pure control."""
@@ -115,36 +128,34 @@ class _FluidSystem:
         # where both fields push the same way, follow the active one upward
         return np.where(denom > 0.0, np.clip(s, 0.0, 1.0), phi1 > 0.0)
 
-    def rhs(self, m, s):
-        dm = self.u0 @ m + s * (self.du @ m)
-        dj = instantaneous_cost(m, s, self.params) - self.cost_offset
-        return dm, dj
+    def crossed(self, m, arc, tau):
+        """Has m (per row) left ``arc``? On a bang arc m4 passed tau; on the slide the
+        duty cycle phi0 / (phi0 - phi1) left [0, 1] by more than the rounding of phi0
+        and phi1: at an optimum on the surface with duty cycle 0 or 1, phi0 or phi1
+        is rounding noise of either sign."""
+        off = (m @ self.exits > np.abs(m) @ self.exit_slack).any(axis=-1)
+        return np.where(arc == 2, off, (m[..., 3] > tau) != (arc == 1))
 
-    def rk4_step(self, m, j, h, control_of):
-        """One classic RK4 step; ``control_of`` maps a stage state to s."""
-        k1m, k1j = self.rhs(m, control_of(m))
-        m2 = m + 0.5 * h * k1m
-        k2m, k2j = self.rhs(m2, control_of(m2))
-        m3 = m + 0.5 * h * k2m
-        k3m, k3j = self.rhs(m3, control_of(m3))
-        m4 = m + h * k3m
-        k4m, k4j = self.rhs(m4, control_of(m4))
-        m_new = m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        j_new = j + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-        return m_new, j_new
+    def land(self, m, tau):
+        """Snap m onto m4 = tau (m2 absorbs the change) and take the arc whose
+        field keeps or carries it: U(1) if it lifts m4, U(0) if it lowers m4, else the slide."""
+        m = m + np.multiply.outer(m[..., 3] - tau, [0.0, 1.0, 0.0, -1.0])
+        arc = np.where(m @ self.u1[3] > 0.0, 1, np.where(m @ self.u0[3] < 0.0, 0, 2))
+        return m, arc[()]  # a scalar for one state
 
-    def step_matrices(self, s, h):
-        """An RK4 step of size h on dm/dt = A m, A = U(s) or the slide (s None), is
-        m -> R m. Returns the stage maps Q2, Q3, Q4 (stage state Q m) and R^k - I
-        for k = 1 .. _CHUNK, built from the small R - I so no digit is lost."""
-        a, eye = self.slide if s is None else self.u0 + s * self.du, np.eye(4)
+    @staticmethod
+    def step_matrices(a, h, k=1):
+        """An RK4 step of size h on dm/dt = A m is m -> R m, R = I + D. Returns the
+        stage maps Q2, Q3, Q4 (stage state Q m) and R^j - I for j = 1 .. k, built
+        from the small D so no digit is lost."""
+        eye = np.eye(4)
         q2 = eye + 0.5 * h * a
         q3 = eye + 0.5 * h * a @ q2
         q4 = eye + h * a @ q3
         d = ((h / 6.0) * a @ (eye + 2.0 * q2 + 2.0 * q3 + q4))[None]
-        while len(d) < _CHUNK:  # R^(j+k) - I = (R^j - I) + (R^k - I) + (R^j - I)(R^k - I)
+        while len(d) < k:  # R^(i+j) - I = (R^i - I) + (R^j - I) + (R^i - I)(R^j - I)
             d = np.concatenate([d, d + d[-1] + d @ d[-1]])
-        # R^k conserves mass: m2 takes the columns' rounding, as in _ThresholdDriver.snap
+        # R^j conserves mass: m2 takes the columns' rounding, as ``land`` does
         d[:, 1] = -(d[:, 0] + d[:, 2] + d[:, 3])
         return np.array([q2, q3, q4]), d
 
@@ -155,6 +166,26 @@ class _FluidSystem:
                 f"simplex violated: sum error {err:.3e}, min entry {m.min():.3e}"
             )
         return m / m.sum()
+
+
+class _CallableDriver:
+    """The arc model of an arbitrary policy function: its arcs are the values s
+    of the policy, each on U(s), and it has no sliding mode."""
+
+    def __init__(self, system: _FluidSystem, policy):
+        self.sys = system
+        self.policy = policy
+
+    def generator(self, s):
+        return self.sys.u0 + s * self.sys.du
+
+    def crossed(self, ms, s, tau=None):
+        # stop at the first change: later states are off the path, and a policy may keep state
+        kept = sum(1 for _ in itertools.takewhile(lambda x: float(self.policy(x)) == s, ms))
+        return np.arange(len(ms)) >= kept
+
+    def land(self, m, tau=None):
+        return m, float(self.policy(m))
 
 
 def _bisect_time(step_fn, predicate, h):
@@ -169,132 +200,28 @@ def _bisect_time(step_fn, predicate, h):
     return lo
 
 
-class _ThresholdDriver:
-    """Arc-by-arc control resolution for a threshold-on-m4 policy.
+def _event_step(model, m, arc, tau, h, switched):
+    """One RK4 step of size h from m on ``arc`` that may meet an event.
 
-    Off the surface the control is frozen per arc and crossings are located
-    by bisection. On the surface (reached exactly via a crossing event) the
-    clipped equivalent control takes over until the state escapes.
+    An event is bisected on the step matrix to _EVENT_TIME_TOL and landed on
+    its far side, within the step, so it takes one step. For a callable, a second switch within
+    _EVENT_TIME_TOL of a first (``switched``: the last step ended on one) is
+    chattering, or a policy that changes continuously, and raises NonConvergent.
+    Returns (state, arc, step taken, its stage maps, whether it switched).
     """
-
-    BANG = "bang"
-    SLIDE = "slide"
-
-    def __init__(self, system: _FluidSystem, pi: float):
-        self.sys = system
-        self.pi = pi
-        self.mode = self.BANG
-        self.control = 0.0
-
-    def resolve_mode(self, m):
-        e = m[3] - self.pi
-        if abs(e) <= _SURFACE_TOL:
-            self.mode = self.SLIDE
-        else:
-            self.mode = self.BANG
-            self.control = 1.0 if e > 0.0 else 0.0
-
-    def snap(self, m):
-        """Project onto the surface, absorbing the correction in m2."""
-        m = m.copy()
-        m[1] += m[3] - self.pi
-        m[3] = self.pi
-        return m
-
-    def arc(self):
-        """The control of the current arc; None on the surface."""
-        return None if self.mode == self.SLIDE else self.control
-
-    def keeps(self, starts, ends, stage_maps):
-        """Per step of a chunk (start and end states): does it stay on the arc?"""
-        if self.mode == self.BANG:
-            return (ends[:, 3] > self.pi) == (self.control > 0.5)
-        # the duty cycle phi0 / (phi0 - phi1) in [0, 1] at every stage state, up to the
-        # rounding of phi0 and phi1: at an optimum on the surface with duty cycle 0 or 1,
-        # phi0 or phi1 is rounding noise of either sign
-        stages = np.concatenate([starts[None], starts @ stage_maps.transpose(0, 2, 1)])
-        u0, u1, slack = self.sys.u0[3], self.sys.u1[3], 4.0 * _EPS * np.abs(stages)
-        duty = (stages @ u0 >= -slack @ np.abs(u0)) & (stages @ u1 <= slack @ np.abs(u1))
-        return duty.all(axis=0) & (np.abs(ends[:, 3] - self.pi) <= _SURFACE_TOL)
-
-    def advance(self, m, j, h):
-        """Move one step of size at most h; returns (m, j, dt_done)."""
-        if self.mode == self.BANG:
-            a = self.control
-            m_new, j_new = self.sys.rk4_step(m, j, h, lambda x: a)
-            crossed = lambda x: (x[3] > self.pi) != (a > 0.5)
-            if crossed(m_new):
-                stepper = lambda tau: self.sys.rk4_step(m, j, tau, lambda x: a)[0]
-                tau = _bisect_time(stepper, crossed, h)
-                self.mode = self.SLIDE
-                if tau <= _EVENT_TIME_TOL:
-                    # crossing at the arc start: slide immediately
-                    m = self.snap(m)
-                else:
-                    m_new, j_new = self.sys.rk4_step(m, j, tau, lambda x: a)
-                    return self.snap(m_new), j_new, tau
-            else:
-                return m_new, j_new, h
-        # sliding arc: the clipped equivalent control is continuous in the
-        # state, so the step needs no event handling of its own
-        m_new, j_new = self.sys.rk4_step(m, j, h, self.sys.clipped_equivalent_control)
-        if abs(m_new[3] - self.pi) > _SURFACE_TOL:
-            self.mode = self.BANG
-            self.control = 1.0 if m_new[3] > self.pi else 0.0
-        return m_new, j_new, h
-
-
-class _CallableDriver:
-    """Piecewise-constant control from an arbitrary policy function.
-
-    A switch is bisected and landed on its far side, so a clean switch is one
-    event. A callable has no sliding mode: a second switch within
-    _EVENT_TIME_TOL of the first (chattering, or a policy that changes
-    continuously) raises NonConvergent.
-    """
-
-    def __init__(self, system: _FluidSystem, policy):
-        self.sys = system
-        self.policy = policy
-        self.control = 0.0
-        self.switched = False  # the last step ended on a switch
-
-    def resolve_mode(self, m):
-        self.control = float(self.policy(m))
-
-    def arc(self):
-        return self.control
-
-    def keeps(self, starts, ends, stage_maps):
-        # stop at the first change: later states are off the path, and a policy may keep state
-        a = self.control
-        kept = sum(1 for _ in itertools.takewhile(lambda x: float(self.policy(x)) == a, ends))
-        return np.arange(len(ends)) < kept
-
-    def advance(self, m, j, h):
-        a = self.control
-        m_new, j_new = self.sys.rk4_step(m, j, h, lambda x: a)
-        if float(self.policy(m_new)) != a:
-            stepper = lambda tau: self.sys.rk4_step(m, j, tau, lambda x: a)[0]
-            changed = lambda x: float(self.policy(x)) != a
-            lo = _bisect_time(stepper, changed, h)
-            if self.switched and lo < _EVENT_TIME_TOL:
-                raise NonConvergent(
-                    f"policy switched again within {_EVENT_TIME_TOL:g} of its last switch"
-                )
-            tau = lo + _EVENT_TIME_TOL
-            m_new, j_new = self.sys.rk4_step(m, j, tau, lambda x: a)
-            self.control = float(self.policy(m_new))
-            self.switched = True
-            return m_new, j_new, tau
-        self.switched = False
-        return m_new, j_new, h
-
-
-def _make_driver(system: _FluidSystem, policy):
-    if hasattr(policy, "pi"):
-        return _ThresholdDriver(system, float(policy.pi))
-    return _CallableDriver(system, policy)
+    a = model.generator(arc)
+    stage_maps, d = _FluidSystem.step_matrices(a, h)
+    end = m + d[0] @ m
+    if not model.crossed(end[None], arc, tau)[0]:
+        return end, arc, h, stage_maps, False
+    step = lambda x: m + _FluidSystem.step_matrices(a, x)[1][0] @ m
+    lo = _bisect_time(step, lambda x: model.crossed(x[None], arc, tau)[0], h)
+    if switched and lo < _EVENT_TIME_TOL and isinstance(model, _CallableDriver):
+        raise NonConvergent(f"policy switched again within {_EVENT_TIME_TOL:g} of its last switch")
+    h = min(lo + _EVENT_TIME_TOL, h)
+    stage_maps, d = _FluidSystem.step_matrices(a, h)
+    end, arc = model.land(m + d[0] @ m, tau)
+    return end, arc, h, stage_maps, True
 
 
 def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01) -> Trajectory:
@@ -307,46 +234,48 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
 
     Steps come in chunks of up to _CHUNK: the states R^k m of the current
     arc's step matrix, each divided by its sum. A chunk is kept up to its
-    first step that fails a test of the stage-wise loop: the simplex
-    tolerances (StepTooLarge), m4 against pi on a bang arc, the duty cycle
-    in [0, 1] up to rounding at every RK4 stage state and m4 on the surface
-    on a slide, an unchanged policy value for a callable. That step, and a
-    last one shortened to the horizon, is taken stage-wise, events bisected.
+    first step that fails the simplex tolerances or leaves the arc. That
+    step, or a last one shortened to the horizon, is taken alone: a full
+    step that stays on the arc is kept (or raises StepTooLarge), one that
+    leaves it is cut at the bisected event and landed on its far side.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     system = _FluidSystem(params)
-    driver = _make_driver(system, policy)
     m = validate_measure(m0).copy()
-    driver.resolve_mode(m)
-    t, last, matrices = 0.0, driver.arc(), {}
-    blocks = [([t], m[None], np.full(1, last, dtype=float))]  # t, m, control (nan: slide)
+    if hasattr(policy, "pi"):
+        model, tau = system, float(policy.pi)
+        m, arc = system.land(m, tau) if abs(m[3] - tau) <= _SURFACE_TOL else (m, int(m[3] > tau))
+    else:
+        model, tau = _CallableDriver(system, policy), None
+        m, arc = model.land(m)
+    t, switched, matrices = 0.0, False, {}
+    blocks = [([t], m[None], [arc])]  # t, m, arc
     while t < horizon - 1e-15:
         clock = np.cumsum(np.concatenate(([t], np.full(_CHUNK, dt))))  # the sequential t += dt
         n = np.count_nonzero((clock[:-1] < horizon - 1e-15) & (dt <= horizon - clock[:-1]))
-        arc = driver.arc()
-        if n and arc == last:  # chunks run on an arc that has held over a step
+        if n:
             if arc not in matrices:
-                matrices = {arc: system.step_matrices(arc, dt)}
-            stage_maps, powers = matrices[arc]
-            ends = m + powers[:n] @ m  # R^k m
+                matrices = {arc: system.step_matrices(model.generator(arc), dt, _CHUNK)[1]}
+            ends = m + matrices[arc][:n] @ m  # R^k m
             sums = ends.sum(axis=1)
             states = ends / sums[:, None]
             ok = (np.abs(sums - 1.0) <= _SIMPLEX_TOL) & (ends.min(axis=1) >= -_SIMPLEX_TOL)
-            ok &= driver.keeps(np.concatenate([m[None], states[:-1]]), ends, stage_maps)
+            ok &= ~model.crossed(ends, arc, tau)
             k = n if ok.all() else int(np.argmin(ok))
             if k:
-                m, t = states[k - 1], clock[k]
-                blocks.append((clock[1 : k + 1], states[:k], np.full(k, arc, dtype=float)))
+                m, t, switched = states[k - 1], clock[k], False
+                blocks.append((clock[1 : k + 1], states[:k], np.full(k, arc)))
             if k == n:
                 continue
-        last = arc
-        m, _, done = driver.advance(m, 0.0, min(dt, horizon - t))
+        m, arc, done, _, switched = _event_step(model, m, arc, tau, min(dt, horizon - t), switched)
         m = system.check_simplex(m)
         t += done
-        blocks.append(([t], m[None], np.full(1, driver.arc(), dtype=float)))
+        blocks.append(([t], m[None], [arc]))
     t, m, s = (np.concatenate(column) for column in zip(*blocks))
-    s4 = np.where(np.isnan(s), system.clipped_equivalent_control(m), s)
+    if model is system:  # arc 0 or 1 is its control; on the slide, the duty cycle
+        s = np.where(s == 2, system.clipped_equivalent_control(m), s)
+    s4 = s.astype(float)
     return Trajectory(t=t, m=m, s4=s4, inst_cost=instantaneous_cost(m.T, s4, params))
 
 
@@ -356,8 +285,9 @@ def bias_cost(
     """Integral of (cost - e_star) along the closed-loop path from m0.
 
     Threshold policies (attribute ``pi``) run on ``threshold_bias_batch``;
-    callable ones on RK4 with step dt, stopping within 1e-9 (L1) of the
-    target with the cost rate within 1e-10 of e_star. A path that settles
+    callable ones on the RK4 steps of ``integrate`` with step dt, each
+    priced from its stage states, stopping within 1e-9 (L1) of the target
+    with the cost rate within 1e-10 of e_star. A path that settles
     elsewhere raises NonConvergent carrying its value (tail priced to t_max).
     """
     from .equilibrium import optimal_equilibrium
@@ -370,19 +300,21 @@ def bias_cost(
             return float(batch.values[0])
         cost = e_star + batch.tails[0] / t_max
         raise NonConvergent(_OFF_TARGET.format(cost, e_star), value=float(batch.values[0]))
-    system = _FluidSystem(params, cost_offset=e_star)
-    driver = _CallableDriver(system, policy)
-    driver.resolve_mode(m)
-    t, j = 0.0, 0.0
+    system = _FluidSystem(params)
+    model = _CallableDriver(system, policy)
+    m, s = model.land(m)
+    t, j, switched = 0.0, 0.0, False
     while t < t_max:
-        cost_now = instantaneous_cost(m, driver.control, params)
+        cost_now = instantaneous_cost(m, s, params)
         if np.abs(m - m_star).sum() < 1e-9 and abs(cost_now - e_star) < 1e-10:
             return j
-        if np.abs(system.rhs(m, driver.control)[0]).sum() < 1e-13:
+        if np.abs(model.generator(s) @ m).sum() < 1e-13:
             j += (cost_now - e_star) * (t_max - t)
             raise NonConvergent(_OFF_TARGET.format(cost_now, e_star), value=j, t_end=t)
-        m, j, done = driver.advance(m, j, dt)
-        m, t = system.check_simplex(m), t + done
+        m_new, s_new, done, stage_maps, switched = _event_step(model, m, s, None, dt, switched)
+        stages = np.concatenate([m[None], stage_maps @ m])  # m, Q2 m, Q3 m, Q4 m
+        j += (done / 6.0) * ((instantaneous_cost(stages.T, s, params) - e_star) @ _RK4_WEIGHTS)
+        m, s, t = system.check_simplex(m_new), s_new, t + done
     raise NonConvergent("time cap hit before convergence", value=j, t_end=t)
 
 
@@ -444,8 +376,7 @@ def threshold_bias_batch(
     tau = np.asarray(thresholds, dtype=float)
     n, (b0, b1), rho, theta, n0 = len(tau), params.beta, params.rho, params.theta, params.n0
     system, c = _FluidSystem(params), b1 * (1 - rho)
-    u0, u1 = system.u0, system.u1
-    gens = np.array([u0, u1, system.slide])
+    u0, gens = system.u0, system.gens
     key, m4_act = gens.tobytes(), b1 * rho / (rho + c)
     hold = params.lam * np.array([0.0, 1.0, 0.0, 1.0])
     grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])
@@ -460,17 +391,10 @@ def threshold_bias_batch(
         power = np.where(arc == 1, theta * n0 / (1.0 - theta * m[..., 3]), 0.0)
         return m @ hold + power + kap * (arc == 2) * (m @ u0[3])
 
-    def crossed(m, arc, tau):  # bang arc: m4 passed tau; slide: duty cycle left [0, 1]
-        return np.where(arc == 2, (m @ u0[3] < 0) | (m @ u1[3] > 0), (m[:, 3] > tau) != (arc == 1))
-
-    def land(m, tau):  # snap onto the surface, take the arc whose field keeps or carries m
-        m = m + np.outer(m[:, 3] - tau, [0.0, 1.0, 0.0, -1.0])
-        return m, np.where(m @ u1[3] > 0.0, 1, np.where(m @ u0[3] < 0.0, 0, 2))
-
     m = np.tile(validate_measure(m0), (n, 1))
     arc = (m[:, 3] > tau).astype(int)
     on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
-    m[on], arc[on] = land(m[on], tau[on])
+    m[on], arc[on] = system.land(m[on], tau[on])
     values, tails, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     live, j, t, clock, switches = np.arange(n), np.zeros(n), np.zeros(n), 0.0, [[] for _ in tau]
     while live.size:
@@ -498,7 +422,7 @@ def threshold_bias_batch(
         path = np.einsum("pkij,pj->pki", _propagators(key, tuple(h * _GAUSS_T))[arc], m)
         dj = h * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) @ _GAUSS_W)
         m_new, step = path[:, -1], np.full(live.size, h)
-        hit = np.flatnonzero(crossed(m_new, arc, tau))
+        hit = np.flatnonzero(system.crossed(m_new, arc, tau))
         if hit.size:
             a, th = arc[hit], tau[hit]
             levels = h / 2.0 ** np.arange(1, np.ceil(np.log2(h / _EVENT_TIME_TOL)) + 1)
@@ -506,13 +430,13 @@ def threshold_bias_batch(
             lo, m_lo = np.zeros(hit.size), m[hit]
             for k, dk in enumerate(levels):
                 cand = np.einsum("pij,pj->pi", ladder[a, k], m_lo)
-                ok = ~crossed(cand, a, th)
+                ok = ~system.crossed(cand, a, th)
                 lo, m_lo = lo + dk * ok, np.where(ok[:, None], cand, m_lo)
             step[hit] = lo + levels[-1]
             sub = _expm(gens[a, None] * (step[hit, None] * _GAUSS_T[:-1])[..., None, None])
             sub = np.einsum("pkij,pj->pki", sub, m[hit])
             dj[hit] = step[hit] * ((rate(sub, a[:, None], kap[hit, None]) - e_star) @ _GAUSS_W)
-            m_new[hit], arc[hit] = land(np.einsum("pij,pj->pi", ladder[a, -1], m_lo), th)
+            m_new[hit], arc[hit] = system.land(np.einsum("pij,pj->pi", ladder[a, -1], m_lo), th)
             for p, when, new in zip(live[hit], t[hit] + step[hit], arc[hit]):
                 switches[p].append((float(when), int(new)))
                 if len(switches[p]) >= _MAX_ARCS:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import powerctl
 from powerctl import cli, policy
 
 
@@ -135,6 +140,20 @@ class TestDeterminism:
             ) == 0
             blobs.append((out / "fluid.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestModuleRun:
+    def test_runs_as_main_without_warnings(self, cfg_file, tmp_path):
+        # ``python -m powerctl.cli`` imports the package first; it must not have loaded cli
+        src = str(Path(powerctl.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        args = ["equilibrium", "--config", cfg_file(""), "--out", str(tmp_path)]
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "powerctl.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert (tmp_path / "equilibrium.json").exists()
 
 
 class TestExitCodes:

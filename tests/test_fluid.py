@@ -129,6 +129,15 @@ class TestIntegrate:
             fluid.integrate([0.5, 0.3, 0.15, 0.05], budgeted, 10.0, sec4)
         assert time.perf_counter() - start < 1.0
 
+    def test_switch_at_the_horizon_ends_on_it(self, sec4):
+        # a switch bisected within 1e-10 of the horizon lands inside the last step
+        pick = lambda m: 1.0 if m[3] > 0.06 else 0.0
+        m0 = [0.5, 0.3, 0.18, 0.02]
+        traj = fluid.integrate(m0, pick, 1.0, sec4)
+        landing = traj.t[np.argmax(traj.s4 == 1.0)]  # within 1e-10 past the crossing
+        for horizon in landing - np.linspace(0.0, 1.2e-10, 25):
+            assert fluid.integrate(m0, pick, horizon, sec4).t[-1] == horizon
+
     def test_csv_round_trip(self, sec4, tmp_path):
         traj = fluid.integrate([0.25] * 4, lambda m: 1.0, 1.0, sec4)
         path = tmp_path / "traj.csv"
@@ -161,6 +170,16 @@ class TestBiasCost:
 
         val = fluid.bias_cost(np.array(rep.m_star), detour, rep.E_star, sec4)
         assert val > 0.0
+
+    def test_callable_matches_exact_engine(self, sec4):
+        # the threshold as a callable: passive, then one switch to active, no slide. Its
+        # RK4 steps are priced from their stage states; the exact engine has no step
+        rep = equilibrium.optimal_equilibrium(sec4)
+        tp = policy.make_policy(sec4)
+        for m0 in ([0.1, 0.4, 0.45, 0.05], [0.7, 0.1, 0.15, 0.05]):
+            exact = fluid.bias_cost(np.array(m0), tp, rep.E_star, sec4)
+            pick = lambda m: policy.apply_fluid(tp, m)
+            assert abs(fluid.bias_cost(np.array(m0), pick, rep.E_star, sec4) - exact) < 1e-8
 
     def test_dt_invariance(self, sec4):
         rep = equilibrium.optimal_equilibrium(sec4)
@@ -226,27 +245,17 @@ ORACLE_CASES = [
 ]
 
 
-def _rk4_oracle(traj, pi, params, dt):
+def _rk4_oracle(traj, params, dt):
     """Switch times and bias integral of an RK4 threshold path.
 
-    ``integrate`` shortens only the steps that end on a bisected landing, so
-    those give the landing times; a slide exit is where the duty cycle on
-    the surface reaches 0 or 1, found from a cubic through the last four
-    sliding samples. The trapezoid prices each step at the control in
-    effect during it, so a bang control switching at a landing is not
-    averaged across that step.
+    ``integrate`` shortens only the steps that end on a bisected event (a
+    landing on the surface or a slide exit), so those give the switch
+    times. The trapezoid prices each step at the control in effect during
+    it, so a bang control switching at a landing is not averaged across
+    that step.
     """
-    raw = traj.m @ kernel.drift_matrix_4state(0.0, params)[3]
-    raw = raw / (params.beta1 * (1.0 - params.rho) * pi)
-    times = []
-    for i in range(1, len(traj.t) - 1):
-        if traj.t[i] - traj.t[i - 1] < dt * (1.0 - 1e-9):
-            times.append(traj.t[i])
-        elif 0.0 < traj.s4[i - 1] < 1.0 and traj.s4[i] in (0.0, 1.0):
-            k = slice(i - 4, i)
-            coef = np.polyfit(traj.t[k] - traj.t[i - 1], raw[k] - traj.s4[i], 3)
-            roots = [r.real for r in np.roots(coef) if abs(r.imag) < 1e-12]
-            times.append(traj.t[i - 1] + min(r for r in roots if -1e-12 <= r <= dt))
+    shortened = np.flatnonzero(np.diff(traj.t[:-1]) < dt * (1.0 - 1e-9)) + 1
+    times = list(traj.t[shortened])
     bang = np.isin(traj.s4[:-1], (0.0, 1.0))
     s_right = np.where(bang, traj.s4[:-1], traj.s4[1:])
     m = traj.m[1:]
@@ -267,7 +276,7 @@ class TestExactEngine:
         )
         controller = policy.ThresholdPolicy(pi=pi, regime=rep.regime, pairing="test")
         traj = fluid.integrate(m0, controller, ORACLE_T, params, dt=ORACLE_DT)
-        times, trapezoid = _rk4_oracle(traj, pi, params, ORACLE_DT)
+        times, trapezoid = _rk4_oracle(traj, params, ORACLE_DT)
         switches = [when for when, _ in batch.switches[0]]
         assert 1 <= len(switches) == len(times)
         assert np.max(np.abs(np.array(switches) - times)) < 1e-6
@@ -301,12 +310,20 @@ class TestExactEngine:
 
 
 def _stagewise(m0, control_of, horizon, params, dt):
-    """The plain loop ``integrate`` batches: one stage-wise RK4 step at a time."""
-    system = fluid._FluidSystem(params)
+    """The plain loop ``integrate`` batches: one stage-wise RK4 step at a time on
+    dm/dt = U(s) m, with s = control_of(stage state)."""
+    u0 = kernel.drift_matrix_4state(0.0, params)
+    du = kernel.drift_matrix_4state(1.0, params) - u0
+    rhs = lambda x: u0 @ x + control_of(x) * (du @ x)
     m, t, ts, ms = np.asarray(m0, dtype=float), 0.0, [0.0], [m0]
     while t < horizon - 1e-15:
         h = min(dt, horizon - t)
-        m = system.check_simplex(system.rk4_step(m, 0.0, h, control_of)[0])
+        k1 = rhs(m)
+        k2 = rhs(m + 0.5 * h * k1)
+        k3 = rhs(m + 0.5 * h * k2)
+        k4 = rhs(m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m = m / m.sum()
         t += h
         ts.append(t)
         ms.append(m)
@@ -353,26 +370,21 @@ class TestStepMatrices:
         assert on.sum() > 490_000 and np.abs(traj.m[on, 3] - tp.pi).max() < 1e-14
 
     @pytest.mark.parametrize("rho, start, shift, optimal", ORACLE_CASES)
-    def test_threshold_events_match_stagewise_driver(self, rho, start, shift, optimal):
-        # landings (bisected) and slide exits: the chunks stop where the stage-wise
-        # loop of driver steps has its events, to the same clock
+    def test_threshold_events_match_stagewise_driver(
+        self, rho, start, shift, optimal, monkeypatch
+    ):
+        # landings and slide exits: the chunks stop where ``integrate`` driven one step
+        # at a time (_CHUNK = 1) has its events, to the same clock
         params = sec4_at(rho)
         rep = equilibrium.optimal_equilibrium(params)
         pi = policy.make_policy(params).pi + shift
         controller = policy.ThresholdPolicy(pi=pi, regime=rep.regime, pairing="test")
         m0 = np.array(start) / np.sum(start)
         traj = fluid.integrate(m0, controller, 20.0, params)
-        system = fluid._FluidSystem(params)
-        driver = fluid._make_driver(system, controller)
-        driver.resolve_mode(m0)
-        m, t, ts, ms = m0, 0.0, [0.0], [m0]
-        while t < 20.0 - 1e-15:
-            m, _, done = driver.advance(m, 0.0, min(0.01, 20.0 - t))
-            m, t = system.check_simplex(m), t + done
-            ts.append(t)
-            ms.append(m)
-        assert np.array_equal(traj.t, ts)
-        assert np.abs(traj.m - np.array(ms)).max() < 1e-13
+        monkeypatch.setattr(fluid, "_CHUNK", 1)
+        single = fluid.integrate(m0, controller, 20.0, params)
+        assert np.array_equal(traj.t, single.t)
+        assert np.abs(traj.m - single.m).max() < 1e-13
         # each path has a landing (a shortened step) or starts on a slide that it leaves
         assert np.diff(traj.t).min() < 0.01 * (1 - 1e-9) or 0.0 < traj.s4[0] < 1.0
 
@@ -380,10 +392,8 @@ class TestStepMatrices:
         # Active regime: the optimum sits on m4 = pi with duty cycle 1, so phi1 there
         # is rounding noise of either sign; the slide's chunks must still hold
         steps = []
-        advance = fluid._ThresholdDriver.advance
-        monkeypatch.setattr(
-            fluid._ThresholdDriver, "advance", lambda *a: steps.append(1) or advance(*a)
-        )
+        event_step = fluid._event_step
+        monkeypatch.setattr(fluid, "_event_step", lambda *a: steps.append(1) or event_step(*a))
         m0 = np.array([0.349771, 0.02916308, 0.53508528, 0.08598064])
         traj = fluid.integrate(m0 / m0.sum(), policy.make_policy(sec4), 100.0, sec4)
         on = np.abs(traj.m[:, 3] - policy.make_policy(sec4).pi) <= 1e-9
