@@ -11,16 +11,19 @@ power that makes each of their SINRs equal to it.
 
 Provides exact machinery (relative value iteration for the optimal
 average cost, stationary-distribution policy evaluation) and a seeded
-slot-by-slot Monte Carlo simulator. Both exact solvers use the factorisation
+Monte Carlo simulator. Both exact solvers use the factorisation
 P = A·D: a (state, action) pair fixes a post-decision key (A), and the next
 state is drawn from that key's law (D), built from binomial pmfs: keyed by the
 backlog under the memoryless channel, by the post-service counts under the Markov one.
+The simulator carries the counts too: each slot it draws the next counts from
+the same laws, one scalar binomial per group, so a slot costs O(1) in N.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,6 +311,22 @@ class SimResult:
         write_csv(path, "t,n1,n2,n3,n4,action,cost", "%d," * 6 + "%.12g\n", columns)
 
 
+def _initial_counts(initial_counts, n_users: int) -> tuple:
+    """The start counts as four ints, or ValueError unless they are four
+    non-negative integers summing to n_users."""
+    counts = tuple(initial_counts)
+    if not (
+        len(counts) == 4
+        and all(isinstance(c, numbers.Integral) and c >= 0 for c in counts)
+        and sum(counts) == n_users
+    ):
+        raise ValueError(
+            f"initial counts {list(counts)} must be four non-negative integers "
+            f"summing to {n_users}"
+        )
+    return tuple(int(c) for c in counts)
+
+
 def simulate(
     policy_fn,
     params: ModelParams,
@@ -318,50 +337,61 @@ def simulate(
     channel_model: str = IID,
     initial_counts=None,
 ) -> SimResult:
-    """Slot-by-slot simulation of the finite stochastic system.
+    """Seeded simulation of the finite stochastic system on its class counts.
 
-    Per slot: the policy picks k from the class counts, the k transmitters
-    are driven to the exact SINR threshold (their packets depart), queues
-    then absorb Bernoulli arrivals with overflow drop, and channels redraw.
+    Per slot: the policy picks k from the counts (n1, n2, n3, n4), the k
+    transmitters are driven to the exact SINR threshold (their packets
+    depart), queues then absorb Bernoulli arrivals with overflow drop, and
+    channels redraw. Users are exchangeable, so the next counts are drawn
+    group by group from the binomial laws of the exact solvers, a handful of
+    scalar draws per slot whatever N is:
+
+    - memoryless channel (``_iid_next_law``): with a = n2 + n4 - k,
+      Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), n3' ~ Bin(N - Q', beta1);
+    - Markov channel (``_markov_next_law``): the served users join the empty
+      good group, each empty group draws its arrivals, and each group draws
+      its good-next count with the probability of its current level.
+
+    Without ``initial_counts`` all queues start empty with n3 ~ Bin(N, beta1).
     Deterministic given the seed. Cost is charged on the pre-transition
     state; the mean is taken after the burn-in fraction.
     """
     require_good_bad(params)
     require_channel_model(params, channel_model)
     rng = np.random.default_rng(seed)
-    beta = np.asarray(params.beta, dtype=float)
+    binomial, rho, good, lam = rng.binomial, params.rho, params.beta[1], params.lam
     if initial_counts is not None:
-        counts = [int(c) for c in initial_counts]
-        if sum(counts) != n_users:
-            raise ValueError(f"initial counts {counts} must sum to {n_users}")
-        lvl = np.repeat([0, 0, 1, 1], counts).astype(np.int8)
-        q = np.repeat([0, 1, 0, 1], counts).astype(np.int8)
+        n1, n2, n3, n4 = _initial_counts(initial_counts, n_users)
     else:
-        lvl = (rng.random(n_users) < beta[1]).astype(np.int8)
-        q = np.zeros(n_users, dtype=np.int8)
+        n3 = binomial(n_users, good)
+        n1, n2, n4 = n_users - n3, 0, 0
     if channel_model == MARKOV:
-        chan = np.asarray(params.channel_matrix, dtype=float)
+        from_bad, from_good = (row[1] for row in params.channel_matrix)
+    power = {}  # k -> k * p(k), each k priced once by transmit_power
     measures = np.empty((horizon, 4), dtype=np.int64)
     actions = np.empty(horizon, dtype=np.int64)
     costs = np.empty(horizon)
     for t in range(horizon):
-        cls = 2 * lvl + q
-        counts_now = np.bincount(cls, minlength=4)
-        k = _check_action(counts_now, int(policy_fn(counts_now)))
-        measures[t] = counts_now
+        counts = np.array((n1, n2, n3, n4), dtype=np.int64)
+        k = _check_action(counts, int(policy_fn(counts)))
+        if k not in power:
+            power[k] = k * transmit_power(k, n_users, params)
+        measures[t] = counts
         actions[t] = k
-        costs[t] = stage_cost(counts_now, k, n_users, params)
-        served = np.zeros(n_users, dtype=bool)
-        if k > 0:
-            # exact-threshold power: the k scheduled users all succeed
-            served[np.flatnonzero(cls == 3)[:k]] = True
-        arrivals = rng.random(n_users) < params.rho
-        q = np.minimum(q - (served & (q > 0)) + arrivals, params.q_max).astype(np.int8)
+        costs[t] = power[k] + lam * (n2 + n4)
         if channel_model == IID:
-            lvl = (rng.random(n_users) < beta[1]).astype(np.int8)
+            backlog = n2 + n4 - k
+            full = backlog + binomial(n_users - backlog, rho)
+            n4, n3 = binomial(full, good), binomial(n_users - full, good)
+            n1, n2 = n_users - full - n3, full - n4
         else:
-            stay_good = rng.random(n_users) < chan[lvl, 1]
-            lvl = stay_good.astype(np.int8)
+            # a served user moves exactly like an empty good-channel one
+            a1, a3 = binomial(n1, rho), binomial(n3 + k, rho)
+            bad_full, good_full = n2 + a1, n4 - k + a3
+            bad_empty, good_empty = n1 - a1, n3 + k - a3
+            n4 = binomial(bad_full, from_bad) + binomial(good_full, from_good)
+            n3 = binomial(bad_empty, from_bad) + binomial(good_empty, from_good)
+            n1, n2 = bad_empty + good_empty - n3, bad_full + good_full - n4
     start = int(burn_in * horizon)
     tail = costs[start:]
     n_batches = min(20, max(1, len(tail) // 50))
@@ -377,4 +407,3 @@ def simulate(
         actions=actions,
         costs=costs,
     )
-

@@ -9,7 +9,7 @@ import pytest
 
 import powerctl
 from conftest import sec4_at
-from powerctl import finite, kernel, policy
+from powerctl import finite, fluid, kernel, policy
 from powerctl.errors import Infeasible, MultichainDetected
 from powerctl.model import ModelParams
 
@@ -381,6 +381,76 @@ class TestSimulate:
     def test_out_of_range_action_raises(self, pick):
         with pytest.raises(Infeasible):
             finite.simulate(pick, sec4_at(0.1), 3, 500, seed=4)
+
+    @pytest.mark.parametrize("counts", [(4, -1, 0, 0), (1, 1, 0, 0), (3, 0, 0, 0, 0), (1.0, 1, 1, 0)],
+                             ids=["negative", "wrong-sum", "five", "float"])
+    def test_bad_initial_counts_raise(self, sec4, counts):
+        with pytest.raises(ValueError, match="initial counts"):
+            finite.simulate(lambda c: 0, sec4, 3, 10, seed=1, initial_counts=counts)
+
+    def test_default_start_has_empty_queues(self, sec4):
+        # n3 ~ Bin(N, beta1) good-channel users, every queue empty
+        n, good = 10**6, sec4.beta[1]
+        n1, n2, n3, n4 = finite.simulate(lambda c: 0, sec4, n, 1, seed=8).measures[0]
+        assert (n2, n4, n1 + n3) == (0, 0, n)
+        assert abs(n3 / n - good) <= 4.0 * np.sqrt(good * (1.0 - good) / n)
+
+    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
+    def test_one_slot_law_matches_full_chain(self, channel_model):
+        # the empirical next-state law of every well-visited state against the
+        # user-by-user oracle row, under a fixed table serving k in n4 // 2..n4
+        # (a table idling in every full state would trap the chain there).
+        # About 300 cells are compared, so a correct simulator breaks a 4-sigma
+        # bound on some seeds: 4 of 80 runs (seeds 0-39, both channels)
+        params = sec4_at(0.2) if channel_model == "iid" else MARKOV
+        n_users = 3
+        space = finite.AggregateSpace(n_users, params)
+        rng = np.random.default_rng(60)
+        table = {tuple(s): int(rng.integers(s[3] // 2, s[3] + 1)) for s in space.states}
+        sim = finite.simulate(lambda c: table[tuple(c)], params, n_users, 150_000, seed=1,
+                              channel_model=channel_model)
+        # the states are in lexicographic order, so their base-4 codes are sorted
+        code = lambda counts: counts[:, :3] @ [16, 4, 1]
+        now = np.searchsorted(code(space.states), code(sim.measures))
+        checked = 0
+        for i, counts in enumerate(space.states):
+            visits = np.flatnonzero(now[:-1] == i)
+            if len(visits) <= 1000:
+                continue
+            row = full_row(space, counts, table[tuple(counts)], params, channel_model)
+            freqs = np.bincount(now[visits + 1], minlength=len(space)) / len(visits)
+            bound = 4.0 * np.sqrt(row * (1.0 - row) / len(visits))
+            assert np.all(np.abs(freqs - row) <= bound + 1e-12), tuple(counts)
+            checked += 1
+        assert checked >= 15
+
+    def test_markov_matches_exact_evaluation(self, sec4):
+        # the benchmark's Markov channel with the default config's bench policy
+        bench = policy.make_bench_policy(sec4)
+        pick = lambda c: policy.apply_finite(bench, c, 10)
+        g = finite.evaluate_policy_exact(pick, MARKOV, 10, channel_model="markov")
+        assert g == pytest.approx(3.14080399772, abs=1e-10)
+        sim = finite.simulate(pick, MARKOV, 10, 200_000, seed=1, channel_model="markov")
+        assert abs(sim.mean_cost - g) <= 4 * sim.ci95
+
+    def test_large_population_follows_fluid(self, sec4):
+        # always-transmit from m0: the mean sup-norm gap to the fluid path
+        # shrinks like 1/sqrt(N), which only a count-level simulator can reach
+        m0, horizon = np.array([0.3, 0.2, 0.3, 0.2]), 300
+        path = [m0]
+        for _ in range(horizon - 1):
+            path.append(fluid.discrete_step(path[-1], 1.0, sec4))
+        path = np.array(path)
+        gaps = {}
+        for n in (10**4, 10**6):
+            counts0 = np.rint(m0 * n).astype(np.int64)
+            gaps[n] = np.mean([
+                np.abs(finite.simulate(lambda c: int(c[3]), sec4, n, horizon, seed=seed,
+                                       initial_counts=counts0).measures / n - path).max()
+                for seed in range(20)
+            ])
+        assert gaps[10**6] <= 5e-3
+        assert gaps[10**4] >= 5.0 * gaps[10**6]
 
     def test_csv_export(self, sec4, tmp_path):
         sim = finite.simulate(lambda c: 0, sec4, 10, 50, seed=1)
