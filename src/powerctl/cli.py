@@ -200,9 +200,7 @@ def _bench_row(cfg, rho):
     params = _params(cfg, rho=rho)
     controller = _bench_policy(cfg, params)
     n_users = cfg["n_users"]
-    g_mf = finite.evaluate_policy_exact(
-        lambda counts: policy.apply_finite(controller, counts, n_users), params, n_users
-    )
+    g_mf = finite.evaluate_table_exact(policy.finite_table(controller, n_users), params, n_users)
     vi = finite.relative_value_iteration(params, n_users, tol=cfg["vi_tol"])
     rel = abs(g_mf - vi.g) * 100.0 / g_mf
     return {

@@ -11,18 +11,23 @@ power that makes each of their SINRs equal to it.
 
 Provides exact machinery (relative value iteration for the optimal
 average cost, stationary-distribution policy evaluation) and a seeded
-Monte Carlo simulator. Both exact solvers use the factorisation
-P = A·D: a (state, action) pair fixes a post-decision key (A), and the next
-state is drawn from that key's law (D), built from binomial pmfs: keyed by the
-backlog under the memoryless channel, by the post-service counts under the Markov one.
+Monte Carlo simulator. Under the memoryless channel a state acts only
+through Q = n2 + n4 and n4, and its next state's law only through the
+backlog a = Q - k, so VI keeps h on (Q, n4), O(N^2) per sweep, and a k table
+over (Q, n4) is evaluated on the N + 1 backlogs. A policy given as a callable
+is evaluated through P = A·D: a (state, action) pair fixes a post-decision key
+(A), and the next state is drawn from that key's law (D), built from binomial
+pmfs: keyed by the backlog under the memoryless channel, by the
+post-service counts under the Markov one.
 The simulator carries the counts too: each slot it draws the next counts from
 the same laws, one scalar binomial per group, so a slot costs O(1) in N.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -33,24 +38,32 @@ from .kernel import IID, MARKOV, require_channel_model
 from .model import ModelParams, require_good_bad, validate_params, write_csv
 
 
+def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
+    """All vectors of ``parts`` counts summing to n_users, in lexicographic order."""
+    vectors, rest = np.zeros((1, 0), dtype=np.int64), np.array([n_users])
+    for _ in range(parts - 1):  # every prefix in order, then its next count ascending
+        width = rest + 1
+        prefix = np.repeat(np.arange(len(rest)), width)
+        count = np.arange(len(prefix)) - np.repeat(np.cumsum(width) - width, width)
+        vectors, rest = np.column_stack([vectors[prefix], count]), rest[prefix] - count
+    return np.column_stack([vectors, rest])
+
+
 class AggregateSpace:
     """All count vectors of a fixed population over the four classes."""
 
     def __init__(self, n_users: int, params: ModelParams):
         require_good_bad(params)
         self.n_users = n_users
-        states = []
-        for n1 in range(n_users + 1):
-            for n2 in range(n_users - n1 + 1):
-                for n3 in range(n_users - n1 - n2 + 1):
-                    states.append((n1, n2, n3, n_users - n1 - n2 - n3))
-        self.states = np.array(states, dtype=np.int64)
-        self._index = {tuple(s): i for i, s in enumerate(states)}
+        self.states = _count_vectors(n_users)
+        self._index = None  # count vector -> position, built by the first index_of
 
     def __len__(self):
         return len(self.states)
 
     def index_of(self, counts) -> int:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(map(tuple, self.states.tolist()))}
         return self._index[tuple(int(c) for c in counts)]
 
 
@@ -106,15 +119,28 @@ def transition_distribution(counts, k: int, params: ModelParams):
     return {tuple(int(c) for c in space.states[i]): float(row[i]) for i in np.flatnonzero(row)}
 
 
+def _per_count_vector(grid) -> np.ndarray:
+    """grid[Q, n4] read off at every count vector, in ``AggregateSpace`` order."""
+    _, n2, _, n4 = _count_vectors(len(grid) - 1).T
+    return grid[n2 + n4, n4]
+
+
 @dataclass
 class VIResult:
-    """Output of average-cost relative value iteration."""
+    """Output of average-cost relative value iteration.
+
+    ``values`` (the relative value h) and ``table`` (the greedy k) live on
+    (Q, n4) = (n2 + n4, n4), indexed [Q, n4] for n4 <= Q; ``h`` and ``policy``
+    read them off per count vector, in ``AggregateSpace`` order, on first use.
+    """
 
     g: float
-    h: np.ndarray
-    policy: np.ndarray
+    values: np.ndarray
+    table: np.ndarray
     iterations: int
     span_residual: float
+    h = functools.cached_property(lambda self: _per_count_vector(self.values))
+    policy = functools.cached_property(lambda self: _per_count_vector(self.table))
 
     def to_json(self, path=None) -> str:
         payload = {
@@ -131,11 +157,23 @@ class VIResult:
 
 
 def _binomial_table(n: int, p: float) -> np.ndarray:
-    """(n + 1) x (n + 1) table whose row m is the pmf of Bin(m, p), zero past m."""
+    """(n + 1) x (n + 1) table whose row m is the pmf of Bin(m, p), zero past m:
+    row m + 1 is row m convolved with (1 - p, p), divided by its sum so that
+    rounding does not build up along the rows."""
     table = np.zeros((n + 1, n + 1))
+    row, step = np.ones(1), np.array([1.0 - p, p])
     for m in range(n + 1):
-        table[m, : m + 1] = [math.comb(m, j) * p**j * (1.0 - p) ** (m - j) for j in range(m + 1)]
+        table[m, : m + 1] = row
+        row = np.convolve(row, step)
+        row /= row.sum()
     return table
+
+
+def _arrival_law(n: int, rho: float) -> np.ndarray:
+    """[a, Q']: the law of Q' = a + Bin(n - a, rho) full queues from backlog a."""
+    arrive = _binomial_table(n, rho)
+    a, q = np.ogrid[: n + 1, : n + 1]
+    return np.where(q >= a, arrive[n - a, q - a], 0.0)
 
 
 def _iid_next_law(space: AggregateSpace, params: ModelParams) -> np.ndarray:
@@ -147,12 +185,9 @@ def _iid_next_law(space: AggregateSpace, params: ModelParams) -> np.ndarray:
     Row a of the returned (N + 1) x S matrix is that law over ``space``.
     """
     n = space.n_users
-    arrive, good = _binomial_table(n, params.rho), _binomial_table(n, params.beta[1])
-    a, q = np.ogrid[: n + 1, : n + 1]
-    arrivals = np.where(q >= a, arrive[n - a, q - a], 0.0)  # [a, Q']
+    arrivals, good = _arrival_law(n, params.rho), _binomial_table(n, params.beta[1])
     _, n2, n3, n4 = space.states.T
     full = n2 + n4
-    # column-major, as indexed here: a row-major copy changes the rounding of law @ h
     return arrivals[:, full] * (good[full, n4] * good[n - full, n3])
 
 
@@ -187,17 +222,10 @@ def _markov_next_law(keys: np.ndarray, space: AggregateSpace, params: ModelParam
     return law
 
 
-def _stationary_law(law, post) -> np.ndarray:
-    """Stationary law of P = A·D, where state s moves to key ``post[s]`` (A)
-    and key r draws the next state from ``law[r]`` (D).
-
-    Solves directly for the law nu of the key chain M = D·A; nu·D is that
-    of P. AD and DA share their nonzero eigenvalues with multiplicities, so
-    P has a single recurrent class exactly when M has, and M is checked.
-    """
-    n_keys = len(law)
-    order = np.argsort(post, kind="stable")
-    m = np.add.reduceat(law[:, order], np.searchsorted(post[order], np.arange(n_keys)), axis=1)
+def _key_chain_law(m) -> np.ndarray:
+    """Stationary law of the post-decision key chain M, solved directly once M
+    is checked to have a single recurrent class (else MultichainDetected)."""
+    n_keys = len(m)
     reach = (m > 0.0) | np.eye(n_keys, dtype=bool)
     for _ in range(n_keys.bit_length()):  # squaring doubles the path length covered
         reach = (reach.astype(float) @ reach) > 0.0
@@ -209,7 +237,17 @@ def _stationary_law(law, post) -> np.ndarray:
         raise MultichainDetected(f"policy induces {n_classes} recurrent classes; expected 1")
     system = m.T - np.eye(n_keys)
     system[-1] = 1.0  # replaces one redundant balance equation by sum(nu) = 1
-    return np.linalg.solve(system, np.eye(n_keys)[-1]) @ law
+    return np.linalg.solve(system, np.eye(n_keys)[-1])
+
+
+def _power_table(n_users: int, params: ModelParams) -> np.ndarray:
+    """k * p(k) for k = 0..N, inf from the first k ``transmit_power`` refuses:
+    p grows with k, so the allowed k are a prefix of 0..N."""
+    power = np.full(n_users + 1, np.inf)
+    with contextlib.suppress(Infeasible):
+        for k in range(n_users + 1):
+            power[k] = k * transmit_power(k, n_users, params)
+    return power
 
 
 def relative_value_iteration(
@@ -217,46 +255,43 @@ def relative_value_iteration(
 ) -> VIResult:
     """Optimal average cost of the aggregated problem by relative VI.
 
-    The next state depends on (state, k) only through the backlog
-    a = n2 + n4 - k, so a Bellman sweep is q = cost + (D @ h)[a] followed
-    by a minimum over each state's actions. Span-seminorm stopping: stop
-    once span(Th - h) < tol, report g as the midpoint of the span bounds
-    and the greedy policy (smallest k within 1e-12 of the minimum).
+    h lives on (Q, n4) = (n2 + n4, n4). A sweep takes W(a) = E[h(Q', n4') | a]
+    for Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), then Th(Q, n4) as the
+    minimum over allowed k <= n4 of lam * Q + k * p(k) + W(Q - k), one running
+    minimum along k for all n4: O(N^2). Span-seminorm stopping: stop once
+    span(Th - h) < tol, report g as the midpoint of the span bounds and the
+    greedy policy (smallest k within 1e-12 of the minimum); h is 0 at
+    (Q, n4) = (N, N), the first count vector.
     """
     validate_params(params)
-    space = AggregateSpace(n_users, params)
-    law = _iid_next_law(space, params)
-    power = []  # k * p(k); p grows with k, so the allowed k are a prefix of 0..N
-    for k in range(n_users + 1):
-        try:
-            power.append(k * transmit_power(k, n_users, params))
-        except Infeasible:
-            break
-    _, n2, _, n4 = space.states.T
-    n_actions = np.minimum(n4, len(power) - 1) + 1
-    offsets = np.concatenate([[0], np.cumsum(n_actions)[:-1]])
-    state = np.repeat(np.arange(len(space)), n_actions)
-    action = np.arange(len(state)) - offsets[state]
-    backlog = (n2 + n4)[state] - action
-    cost = np.array(power)[action] + params.lam * (n2 + n4)[state]
+    require_good_bad(params)
+    n = n_users
+    arrivals, good = _arrival_law(n, params.rho), _binomial_table(n, params.beta[1])
+    cost = _power_table(n, params) + params.lam * np.arange(n + 1)[:, None]  # [Q, k]
+    padded = np.full(2 * n + 1, np.inf)  # (W(N), ..., W(0), inf, ...)
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1]  # W(Q - k)
+    work = np.empty((n + 1, n + 1))  # holds Th, overwritten by every sweep
 
     def sweep(h):
-        q = cost + (law @ h)[backlog]
-        return q, np.minimum.reduceat(q, offsets)
+        padded[n::-1] = np.einsum("aq,q->a", arrivals, np.einsum("qj,qj->q", good, h))
+        # the running minimum over k <= n4 is Th(Q, n4); for n4 > Q (no state) it repeats
+        # Th(Q, Q), so it adds no extreme to the span, and good is 0 there
+        return np.minimum.accumulate(np.add(cost, shifted, out=work), axis=1, out=work)
 
-    h = np.zeros(len(space))
+    h = np.zeros((n + 1, n + 1))
     for it in range(1, max_iter + 1):
-        _, th = sweep(h)
+        th = sweep(h)
         delta = th - h
         span = float(delta.max() - delta.min())
         if span < tol:
             g = 0.5 * float(delta.max() + delta.min())
-            h = th - th[0]
-            q, best = sweep(h)
-            ties = np.where(q <= best[state] + 1e-12, action, n_users + 1)
-            policy = np.minimum.reduceat(ties, offsets)
-            return VIResult(g=g, h=h, policy=policy, iterations=it, span_residual=span)
-        h = th - th[0]
+            h = th - th[n, n]
+            best = sweep(h)
+            # the running minimum falls, so its first entry within 1e-12 of the
+            # minimum is the first k within 1e-12
+            table = np.array([np.searchsorted(-row, -(row + 1e-12)) for row in best])
+            return VIResult(g=g, values=h, table=table, iterations=it, span_residual=span)
+        h = th - th[n, n]
     raise NoConvergence(
         f"span {span:.3e} above tolerance {tol} after {max_iter} iterations",
         span=span,
@@ -264,19 +299,46 @@ def relative_value_iteration(
     )
 
 
+def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
+    """Exact long-run average cost (memoryless channel) of the policy serving
+    k = table[Q, n4] where Q = n2 + n4; entries with n4 > Q are not read.
+
+    The key chain is that of the N + 1 backlogs, M = P_Q·T: P_Q[a, Q'] is the
+    law of Q' = a + Bin(N - a, rho) and T[Q', a'] the probability, over
+    n4' ~ Bin(Q', beta1), that Q' - k(Q', n4') = a'. Raises Infeasible on the
+    k ``evaluate_policy_exact`` raises on: the first, in count-vector order,
+    outside [0, n4] or refused by ``transmit_power``.
+    """
+    require_good_bad(params)
+    n = n_users
+    # the count vectors with n1 = 0 hold every (Q, n4) once, each at its first place
+    n2, _, n4 = _count_vectors(n, parts=3).T
+    full = n2 + n4
+    k = np.asarray(table, dtype=np.int64)[full, n4]
+    power = _power_table(n, params)
+    allowed = (k >= 0) & (k <= n4)
+    for i in np.flatnonzero(~allowed | np.isinf(power[np.where(allowed, k, 0)]))[:1]:
+        _check_action((0, 0, 0, n4[i]), int(k[i]))  # reads n4 only
+        transmit_power(int(k[i]), n, params)  # one of the two raises
+    weight = _binomial_table(n, params.beta[1])[full, n4]
+    moves = np.bincount(full * (n + 1) + full - k, weight, (n + 1) ** 2).reshape(n + 1, n + 1)
+    arrivals = _arrival_law(n, params.rho)
+    cost = np.bincount(full, weight * (params.lam * full + power[k]), n + 1)  # E[cost | Q']
+    return float(_key_chain_law(arrivals @ moves) @ (arrivals @ cost))
+
+
 def evaluate_policy_exact(
     policy_fn, params: ModelParams, n_users: int, channel_model: str = IID
 ) -> float:
     """Exact long-run average cost of a stationary policy.
 
-    Averages the stage cost under the stationary distribution, obtained by
-    a direct solve after verifying the induced chain has a single recurrent
-    class (memoryless channels always do; the check guards degenerate
-    Markov channel laws). The post-decision key is the backlog n2 + n4 - k
-    under the memoryless channel and the post-service counts
-    (n1, n2, n3 + k, n4 - k) under the Markov one, where a served class-4
-    user moves exactly like a class-3 one. Raises Infeasible when the
-    policy picks k outside [0, n4].
+    The stationary law of P = A·D (state s moves to key post[s], key r draws
+    the next state from law[r]) is nu·D for the law nu of the key chain
+    M = D·A; AD and DA share their nonzero eigenvalues, so M's single-class
+    check is P's. The key is the backlog n2 + n4 - k under the memoryless
+    channel and the post-service counts (n1, n2, n3 + k, n4 - k) under the
+    Markov one, where a served class-4 user moves exactly like a class-3 one.
+    Raises Infeasible when the policy picks k outside [0, n4].
     """
     require_channel_model(params, channel_model)
     space = AggregateSpace(n_users, params)
@@ -293,7 +355,9 @@ def evaluate_policy_exact(
         served = space.states + np.outer(actions, [0, 0, 1, -1])
         keys, post = np.unique(served, axis=0, return_inverse=True)
         law = _markov_next_law(keys, space, params)
-    return float(_stationary_law(law, post) @ costs)
+    order = np.argsort(post, kind="stable")
+    m = np.add.reduceat(law[:, order], np.searchsorted(post[order], np.arange(len(law))), axis=1)
+    return float(_key_chain_law(m) @ law @ costs)
 
 
 @dataclass

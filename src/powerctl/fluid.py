@@ -200,17 +200,18 @@ def _bisect_time(step_fn, predicate, h):
     return lo
 
 
-def _event_step(model, m, arc, tau, h, switched):
+def _event_step(model, m, arc, tau, h, switched, matrices=None):
     """One RK4 step of size h from m on ``arc`` that may meet an event.
 
     An event is bisected on the step matrix to _EVENT_TIME_TOL and landed on
     its far side, within the step, so it takes one step. For a callable, a second switch within
     _EVENT_TIME_TOL of a first (``switched``: the last step ended on one) is
     chattering, or a policy that changes continuously, and raises NonConvergent.
+    ``matrices``, if given, are ``step_matrices`` of the arc's generator for h.
     Returns (state, arc, step taken, its stage maps, whether it switched).
     """
     a = model.generator(arc)
-    stage_maps, d = _FluidSystem.step_matrices(a, h)
+    stage_maps, d = matrices or _FluidSystem.step_matrices(a, h)
     end = m + d[0] @ m
     if not model.crossed(end[None], arc, tau)[0]:
         return end, arc, h, stage_maps, False
@@ -304,6 +305,7 @@ def bias_cost(
     model = _CallableDriver(system, policy)
     m, s = model.land(m)
     t, j, switched = 0.0, 0.0, False
+    full = {}  # s -> step matrices of U(s) for a full step dt
     while t < t_max:
         cost_now = instantaneous_cost(m, s, params)
         if np.abs(m - m_star).sum() < 1e-9 and abs(cost_now - e_star) < 1e-10:
@@ -311,7 +313,11 @@ def bias_cost(
         if np.abs(model.generator(s) @ m).sum() < 1e-13:
             j += (cost_now - e_star) * (t_max - t)
             raise NonConvergent(_OFF_TARGET.format(cost_now, e_star), value=j, t_end=t)
-        m_new, s_new, done, stage_maps, switched = _event_step(model, m, s, None, dt, switched)
+        if s not in full:
+            full[s] = _FluidSystem.step_matrices(model.generator(s), dt)
+        m_new, s_new, done, stage_maps, switched = _event_step(
+            model, m, s, None, dt, switched, full[s]
+        )
         stages = np.concatenate([m[None], stage_maps @ m])  # m, Q2 m, Q3 m, Q4 m
         j += (done / 6.0) * ((instantaneous_cost(stages.T, s, params) - e_star) @ _RK4_WEIGHTS)
         m, s, t = system.check_simplex(m_new), s_new, t + done

@@ -105,6 +105,13 @@ def apply_finite(policy: ThresholdPolicy, counts, n_users: int) -> int:
     return n4 if n4 / n_users > policy.pi else 0
 
 
+def finite_table(policy: ThresholdPolicy, n_users: int) -> np.ndarray:
+    """``apply_finite`` as a k table over (Q, n4) = (n2 + n4, n4), for
+    ``finite.evaluate_table_exact``: every row is the same, as it reads n4 only."""
+    n4 = np.arange(n_users + 1)
+    return np.tile(np.where(n4 / n_users > policy.pi, n4, 0), (n_users + 1, 1))
+
+
 @dataclass
 class BiasCheckReport:
     """Grid-search audit of the threshold controller's bias optimality."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,10 @@ class TestEnumeration:
         assert len(finite.enumerate_states(1, sec4)) == 4
         assert len(finite.enumerate_states(2, sec4)) == 10
         assert len(finite.enumerate_states(10, sec4)) == 286
+
+    def test_lexicographic_order(self, sec4):
+        compositions = [c for c in itertools.product(range(8), repeat=4) if sum(c) == 7]
+        assert finite.enumerate_states(7, sec4) == sorted(compositions)
 
     def test_index_round_trip(self, sec4):
         space = finite.AggregateSpace(10, sec4)
@@ -135,6 +140,23 @@ class TestTransitionDistribution:
         for key, val in expected.items():
             if val > 0:
                 assert dist[key] == pytest.approx(val, abs=1e-14)
+
+
+class TestBinomialTable:
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.6])
+    def test_rows_sum_to_one_at_five_thousand(self, p):
+        table = finite._binomial_table(5000, p)
+        assert np.abs(table.sum(axis=1) - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.6])
+    def test_rows_match_comb(self, p):
+        table = finite._binomial_table(50, p)
+        exact = np.zeros((51, 51))
+        for m in range(51):
+            exact[m, : m + 1] = [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)]
+        assert np.array_equal(table == 0.0, exact == 0.0)
+        ratio = table[exact > 0.0] / exact[exact > 0.0]
+        assert np.abs(ratio - 1.0).max() <= 1e-14
 
 
 def stationary_of(matrix):
@@ -257,6 +279,110 @@ class TestValueIteration:
             table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
             g = finite.evaluate_policy_exact(lambda c: table[tuple(c)], sec4, 5)
             assert res.g <= g + 1e-9
+
+
+def per_state(table, space):
+    """A (Q, n4) k table read off per count vector, as a dict for evaluate_policy_exact."""
+    return {tuple(c): int(table[c[1] + c[3], c[3]]) for c in space.states}
+
+
+def random_table(rng, n_users):
+    """A seeded k table over (Q, n4), each k drawn from 0..n4."""
+    return np.array([[rng.integers(n4 + 1) for n4 in range(n_users + 1)]
+                     for _ in range(n_users + 1)])
+
+
+# (rho, N): g and iterations of the count-vector solver these replaced, recorded before
+RECORDED_VI = {(0.1, 10): (3.4376010629336653, 41), (0.1, 12): (4.125173984377078, 41),
+               (0.1, 30): (10.313325583730963, 42), (0.05, 30): (5.514176635687145, 46)}
+# (rho, N): g of the bench threshold from evaluate_policy_exact, recorded the same way
+RECORDED_BENCH = {(0.1, 10): 3.437601062732495, (0.1, 30): 10.313325583405,
+                  (0.05, 30): 6.556968234314587}
+
+
+class TestBacklogSolvers:
+    """The VI and the k-table evaluator on the N + 1 backlogs against oracles."""
+
+    @pytest.mark.parametrize("n_users,rho", [(8, 0.1), (8, 0.2), (7, 0.05)])
+    def test_vi_matches_full_chain_rvi(self, n_users, rho):
+        params = sec4_at(rho)
+        g, _, pol, iterations = full_chain_rvi(params, n_users)
+        res = finite.relative_value_iteration(params, n_users)
+        assert res.g == pytest.approx(g, abs=1e-12)
+        assert np.array_equal(res.policy, pol)
+        assert res.iterations == iterations
+        space = finite.AggregateSpace(n_users, params)
+        assert np.array_equal(res.policy, list(per_state(res.table, space).values()))
+
+    @pytest.mark.parametrize("n_users,rho", [(3, 0.2), (6, 0.1), (8, 0.3)])
+    def test_evaluator_matches_full_chain_stationary_solve(self, n_users, rho):
+        params = sec4_at(rho)
+        space = finite.AggregateSpace(n_users, params)
+        rng = np.random.default_rng(70 + n_users)
+        for _ in range(3):
+            table = random_table(rng, n_users)
+            pick = per_state(table, space)
+            chain = np.array([full_row(space, s, pick[tuple(s)], params) for s in space.states])
+            costs = np.array([finite.stage_cost(s, pick[tuple(s)], n_users, params)
+                              for s in space.states])
+            g = finite.evaluate_table_exact(table, params, n_users)
+            assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
+            assert g == pytest.approx(
+                finite.evaluate_policy_exact(lambda c: pick[tuple(c)], params, n_users), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("key", RECORDED_VI, ids=str)
+    def test_recorded_vi(self, key):
+        rho, n_users = key
+        res = finite.relative_value_iteration(sec4_at(rho), n_users)
+        g, iterations = RECORDED_VI[key]
+        assert res.g == pytest.approx(g, abs=1e-12)
+        assert res.iterations == iterations
+
+    @pytest.mark.parametrize("key", RECORDED_BENCH, ids=str)
+    def test_recorded_bench_threshold(self, key):
+        rho, n_users = key
+        params = sec4_at(rho)
+        table = policy.finite_table(policy.make_bench_policy(params), n_users)
+        assert finite.evaluate_table_exact(table, params, n_users) == pytest.approx(
+            RECORDED_BENCH[key], abs=1e-12
+        )
+
+    def test_two_hundred_users(self, sec4):
+        n_users = 200
+        res = finite.relative_value_iteration(sec4, n_users)
+        assert abs(finite.evaluate_table_exact(res.table, sec4, n_users) - res.g) <= 1e-9 * n_users
+        # always-transmit is within the VI's tolerance of the optimum here
+        bench = policy.finite_table(policy.make_bench_policy(sec4), n_users)
+        assert res.g <= finite.evaluate_table_exact(bench, sec4, n_users) + 1e-9
+
+    @pytest.mark.parametrize("pi", [0.0, 0.05, 0.3, 1.0])
+    def test_threshold_table_is_apply_finite(self, sec4, pi):
+        tp = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
+        space = finite.AggregateSpace(10, sec4)
+        table = per_state(policy.finite_table(tp, 10), space)
+        assert all(table[tuple(c)] == policy.apply_finite(tp, c, 10) for c in space.states)
+
+    @pytest.mark.parametrize("pick", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_table_raises_on_the_same_k(self, pick):
+        table = np.array([[pick((0, q - n4, 3 - q, n4)) for n4 in range(4)] for q in range(4)])
+        with pytest.raises(Infeasible) as by_table:
+            finite.evaluate_table_exact(table, sec4_at(0.1), 3)
+        with pytest.raises(Infeasible) as by_callable:
+            finite.evaluate_policy_exact(pick, sec4_at(0.1), 3)
+        assert by_table.value.k == by_callable.value.k
+
+    def test_refused_power_raises_on_the_same_k(self):
+        # p(k) exceeds the cap from k = 4 on, and both evaluators first meet k = 10
+        # at the first count vector (0, 0, 0, 10)
+        raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2,
+                          n0=1.0, lam=1.5, p_max=0.21, q_max=1)
+        table = np.tile(np.arange(11), (11, 1))
+        with pytest.raises(Infeasible) as by_table:
+            finite.evaluate_table_exact(table, raw, 10)
+        with pytest.raises(Infeasible) as by_callable:
+            finite.evaluate_policy_exact(lambda c: int(c[3]), raw, 10)
+        assert by_table.value.k == by_callable.value.k == 10
 
 
 class TestPolicyEvaluation:

@@ -181,6 +181,30 @@ class TestBiasCost:
             pick = lambda m: policy.apply_fluid(tp, m)
             assert abs(fluid.bias_cost(np.array(m0), pick, rep.E_star, sec4) - exact) < 1e-8
 
+    def test_callable_reuses_full_step_matrices(self, sec4, monkeypatch):
+        # the values recorded when every step rebuilt its step matrices, bit for bit:
+        # reusing the full-dt matrices of U(s) changes no digit. A path with one
+        # switch builds them once per value of s, plus those of its bisection
+        rep = equilibrium.optimal_equilibrium(sec4)
+        tp = policy.make_policy(sec4)
+        pick = lambda m: policy.apply_fluid(tp, m)
+        build = fluid._FluidSystem.step_matrices
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fluid._FluidSystem, "step_matrices", staticmethod(counted))
+        for m0, recorded in (
+            ([0.1, 0.4, 0.45, 0.05], 1.1479736450678613),  # 4,932 steps
+            ([0.7, 0.1, 0.15, 0.05], -0.1905208029331337),
+        ):
+            builds.clear()
+            assert fluid.bias_cost(np.array(m0), pick, rep.E_star, sec4) == recorded
+            assert builds.count(0.01) == 2
+            assert len(builds) <= 40
+
     def test_dt_invariance(self, sec4):
         rep = equilibrium.optimal_equilibrium(sec4)
         tp = policy.make_policy(sec4)
