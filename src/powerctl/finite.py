@@ -19,8 +19,8 @@ is evaluated through P = A·D: a (state, action) pair fixes a post-decision key
 (A), and the next state is drawn from that key's law (D), built from binomial
 pmfs: keyed by the backlog under the memoryless channel, by the
 post-service counts under the Markov one.
-The simulator carries the counts too: each slot it draws the next counts from
-the same laws, one scalar binomial per group, so a slot costs O(1) in N.
+The simulator draws the next counts from the same laws, one scalar binomial per
+group per slot (O(1) in N), and calls the policy once per distinct count vector.
 """
 
 from __future__ import annotations
@@ -417,11 +417,16 @@ def simulate(
       its good-next count with the probability of its current level.
 
     Without ``initial_counts`` all queues start empty with n3 ~ Bin(N, beta1).
-    Deterministic given the seed. Cost is charged on the pre-transition
-    state; the mean is taken after the burn-in fraction.
+    ``policy_fn`` must be a deterministic function of the counts: it is called
+    (with an int64 array) on a count vector's first visit only, and that k and
+    its stage cost, charged on the pre-transition state, serve every revisit.
+    Deterministic given the seed. The mean is taken after the burn-in fraction;
+    ValueError when horizon < 1 or burn_in outside [0, 1) leaves no slot for it.
     """
     require_good_bad(params)
     require_channel_model(params, channel_model)
+    if horizon < 1 or not 0.0 <= burn_in < 1.0 or int(burn_in * horizon) >= horizon:
+        raise ValueError(f"horizon {horizon} and burn_in {burn_in} leave no slot to average")
     rng = np.random.default_rng(seed)
     binomial, rho, good, lam = rng.binomial, params.rho, params.beta[1], params.lam
     if initial_counts is not None:
@@ -432,17 +437,17 @@ def simulate(
     if channel_model == MARKOV:
         from_bad, from_good = (row[1] for row in params.channel_matrix)
     power = {}  # k -> k * p(k), each k priced once by transmit_power
-    measures = np.empty((horizon, 4), dtype=np.int64)
-    actions = np.empty(horizon, dtype=np.int64)
-    costs = np.empty(horizon)
+    seen = {}  # count vector -> (position, checked k, stage cost), in order of first visit
+    visits = np.empty(horizon, dtype=np.int64)  # position of each slot's counts
     for t in range(horizon):
-        counts = np.array((n1, n2, n3, n4), dtype=np.int64)
-        k = _check_action(counts, int(policy_fn(counts)))
-        if k not in power:
-            power[k] = k * transmit_power(k, n_users, params)
-        measures[t] = counts
-        actions[t] = k
-        costs[t] = power[k] + lam * (n2 + n4)
+        counts = (n1, n2, n3, n4)
+        hit = seen.get(counts)
+        if hit is None:
+            k = _check_action(counts, int(policy_fn(np.array(counts, dtype=np.int64))))
+            if k not in power:
+                power[k] = k * transmit_power(k, n_users, params)
+            hit = seen[counts] = (len(seen), k, power[k] + lam * (n2 + n4))
+        visits[t], k, _ = hit
         if channel_model == IID:
             backlog = n2 + n4 - k
             full = backlog + binomial(n_users - backlog, rho)
@@ -457,6 +462,10 @@ def simulate(
             n3 = binomial(bad_empty, from_bad) + binomial(good_empty, from_good)
             n1, n2 = bad_empty + good_empty - n3, bad_full + good_full - n4
     start = int(burn_in * horizon)
+    _, seen_actions, seen_costs = zip(*seen.values())
+    measures = np.array(list(seen), dtype=np.int64)[visits]
+    actions = np.array(seen_actions, dtype=np.int64)[visits]
+    costs = np.array(seen_costs)[visits]
     tail = costs[start:]
     n_batches = min(20, max(1, len(tail) // 50))
     batches = np.array_split(tail, n_batches)

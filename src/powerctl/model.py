@@ -17,6 +17,7 @@ two-level unit-buffer case the labels are 1=(BAD,0), 2=(BAD,1), 3=(GOOD,0),
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,13 +281,26 @@ def rate(n: int, h, p, big_n: int, params: ModelParams) -> int:
 
 
 _CSV_BLOCK = 4096  # rows formatted per write
+# one conversion with the literal text (``%%`` included) around it
+_PIECE = re.compile(r"(?:[^%]|%%)*%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z](?:[^%]|%%)*")
 
 
 def write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write equal-length columns as CSV, each row through the %-template
-    ``row_format`` (ending in a newline), a block of rows at a time."""
+    """Write equal-length columns as CSV, each row as ``row_format % row`` (the
+    template ends in a newline), a block of rows at a time: the template is cut
+    into one conversion per column, and within a block each distinct value of a
+    column, told apart by its bits (0.0 and -0.0 are two), is formatted once."""
+    pieces = _PIECE.findall(row_format)
+    if len(pieces) != len(columns) or "".join(pieces) != row_format:
+        raise ValueError(f"row format {row_format!r} needs one conversion per column")
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*(col[i : i + _CSV_BLOCK].tolist() for col in columns))
-            fh.write("".join(row_format % row for row in rows))
+            texts = []
+            for piece, col in zip(pieces, columns):
+                block = col[i : i + _CSV_BLOCK]
+                bits = block.view(f"u{block.dtype.itemsize}")  # TypeError for other widths
+                _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+                distinct = np.array([piece % (v,) for v in block[first].tolist()], dtype=object)
+                texts.append(distinct[inverse])
+            fh.write("".join(np.stack(texts, axis=1).ravel().tolist()))
