@@ -15,31 +15,12 @@ import sys
 import numpy as np
 
 from . import equilibrium, finite, fluid, policy
-from .errors import (
-    AssumptionViolation,
-    ConvexityUnverified,
-    DegenerateRegime,
-    MultichainDetected,
-    NoConvergence,
-    NonConvergent,
-    NotADistribution,
-    PowerCtlError,
-    StepTooLarge,
-)
-from .model import ModelParams
+from .errors import AssumptionViolation, NotADistribution, PowerCtlError
+from .model import ModelParams, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    NonConvergent,
-    StepTooLarge,
-    MultichainDetected,
-    ConvexityUnverified,
-    DegenerateRegime,
-)
 
 _DEFAULTS = {
     "theta": 0.2,
@@ -215,16 +196,9 @@ def _bench_row(cfg, rho):
 def cmd_compare(cfg, out_dir, seed):
     rows = [_bench_row(cfg, rho) for rho in sorted(cfg["rho_list"])]
     path = f"{out_dir}/compare.csv"
-    with open(path, "w") as fh:
-        fh.write("rho,g_mf,g_vi,rel_err_pct,abs_err_pct\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    f"{row[c]:.12g}"
-                    for c in ("rho", "g_mf", "g_vi", "rel_err_pct", "abs_err_pct")
-                )
-                + "\n"
-            )
+    names = ("rho", "g_mf", "g_vi", "rel_err_pct", "abs_err_pct")
+    columns = [np.array([row[c] for row in rows]) for c in names]
+    write_csv(path, ",".join(names), "%.12g," * 4 + "%.12g\n", columns)
     worst = max(row["rel_err_pct"] for row in rows)
     print(f"{len(rows)} rows, worst rel err {worst:.4g}% -> {path}")
     return EXIT_OK
@@ -257,9 +231,6 @@ def main(argv=None) -> int:
     except (ConfigError, AssumptionViolation, NotADistribution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except PowerCtlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

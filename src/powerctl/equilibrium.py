@@ -10,13 +10,12 @@ separated by two explicit noise constants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConvexityUnverified, DegenerateRegime, DomainError
-from .model import ModelParams, require_good_bad
+from .model import ModelParams, require_good_bad, write_json
 
 PASSIVE = "Passive"
 ACTIVE = "Active"
@@ -134,12 +133,7 @@ class EquilibriumReport:
     convexity_ok: bool
 
     def to_json(self, path=None) -> str:
-        payload = asdict(self)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return write_json(asdict(self), path)
 
 
 def optimal_equilibrium(params: ModelParams) -> EquilibriumReport:

@@ -13,12 +13,12 @@ Provides exact machinery (relative value iteration for the optimal
 average cost, stationary-distribution policy evaluation) and a seeded
 Monte Carlo simulator. Under the memoryless channel a state acts only
 through Q = n2 + n4 and n4, and its next state's law only through the
-backlog a = Q - k, so VI keeps h on (Q, n4), O(N^2) per sweep, and a k table
-over (Q, n4) is evaluated on the N + 1 backlogs. A policy given as a callable
-is evaluated through P = A·D: a (state, action) pair fixes a post-decision key
-(A), and the next state is drawn from that key's law (D), built from binomial
-pmfs: keyed by the backlog under the memoryless channel, by the
-post-service counts under the Markov one.
+backlog a = Q - k, so VI keeps h on (Q, n4), O(N^2) per sweep, and every
+exact evaluation, of a k table over (Q, n4) or of a callable on the counts,
+is one stationary solve on the N + 1 backlogs. Under the Markov channel a
+callable is evaluated through P = A·D: a (state, action) pair fixes a
+post-decision key (A), its post-service counts, and the next state is drawn
+from that key's law (D), built from binomial pmfs.
 The simulator draws the next counts from the same laws, one scalar binomial per
 group per slot (O(1) in N), and calls the policy once per distinct count vector.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import Infeasible, MultichainDetected, NoConvergence
 from .kernel import IID, MARKOV, require_channel_model
-from .model import ModelParams, require_good_bad, validate_params, write_csv
+from .model import ModelParams, require_good_bad, validate_params, write_csv, write_json
 
 
 def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
@@ -107,16 +106,19 @@ def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
 def transition_distribution(counts, k: int, params: ModelParams):
     """Sparse next-state distribution of the aggregate chain (memoryless channel).
 
-    k class-4 users are served with guaranteed success, so the law is row
-    a = n2 + n4 - k of ``_iid_next_law`` for N = sum(counts) users: a dict
-    from each reachable count vector to its probability.
+    k class-4 users are served with guaranteed success, leaving the backlog
+    a = n2 + n4 - k, so for N = sum(counts) users Q' = a + Bin(N - a, rho),
+    n4' ~ Bin(Q', beta1) and n3' ~ Bin(N - Q', beta1): a dict from each
+    reachable count vector to its probability.
     """
     counts = tuple(int(c) for c in counts)
     _check_action(counts, k)
-    transmit_power(k, sum(counts), params)  # raises when k is excluded
-    space = AggregateSpace(sum(counts), params)
-    row = _iid_next_law(space, params)[counts[1] + counts[3] - k]
-    return {tuple(int(c) for c in space.states[i]): float(row[i]) for i in np.flatnonzero(row)}
+    n = sum(counts)
+    transmit_power(k, n, params)  # raises when k is excluded
+    states = AggregateSpace(n, params).states
+    arrivals = _arrival_law(n, params.rho)[counts[1] + counts[3] - k]
+    row = arrivals[states[:, 1] + states[:, 3]] * _channel_weight(states, n, params)
+    return {tuple(int(c) for c in states[i]): float(row[i]) for i in np.flatnonzero(row)}
 
 
 def _per_count_vector(grid) -> np.ndarray:
@@ -149,11 +151,7 @@ class VIResult:
             "span_residual": self.span_residual,
             "policy": self.policy.tolist(),
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return write_json(payload, path)
 
 
 def _binomial_table(n: int, p: float) -> np.ndarray:
@@ -176,19 +174,13 @@ def _arrival_law(n: int, rho: float) -> np.ndarray:
     return np.where(q >= a, arrive[n - a, q - a], 0.0)
 
 
-def _iid_next_law(space: AggregateSpace, params: ModelParams) -> np.ndarray:
-    """Next-state law of the memoryless chain for every post-service backlog a.
-
-    The a users left holding a packet keep it, the N - a others receive one
-    with probability rho, and every user redraws its channel level, so
-    Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1) and n3' ~ Bin(N - Q', beta1).
-    Row a of the returned (N + 1) x S matrix is that law over ``space``.
-    """
-    n = space.n_users
-    arrivals, good = _arrival_law(n, params.rho), _binomial_table(n, params.beta[1])
-    _, n2, n3, n4 = space.states.T
+def _channel_weight(states: np.ndarray, n: int, params: ModelParams) -> np.ndarray:
+    """Probability Bin(n4; Q, beta1)·Bin(n3; N - Q, beta1) that redrawn channels
+    split the Q = n2 + n4 full and N - Q empty queues as each count vector does."""
+    good = _binomial_table(n, params.beta[1])
+    _, n2, n3, n4 = states.T
     full = n2 + n4
-    return arrivals[:, full] * (good[full, n4] * good[n - full, n3])
+    return good[full, n4] * good[n - full, n3]
 
 
 def _markov_next_law(keys: np.ndarray, space: AggregateSpace, params: ModelParams) -> np.ndarray:
@@ -299,14 +291,39 @@ def relative_value_iteration(
     )
 
 
+def _priced(k: np.ndarray, n4: np.ndarray, n_users: int, params: ModelParams) -> np.ndarray:
+    """k * p(k) for every entry of the actions k, n4 holding the class-4 count
+    at each entry; Infeasible on the first entry, in the given order, outside
+    [0, n4] or refused by ``transmit_power``."""
+    power = _power_table(n_users, params)
+    allowed = (k >= 0) & (k <= n4)
+    for i in np.flatnonzero(~allowed | np.isinf(power[np.where(allowed, k, 0)]))[:1]:
+        _check_action((0, 0, 0, n4[i]), int(k[i]))  # reads n4 only
+        transmit_power(int(k[i]), n_users, params)  # one of the two raises
+    return power[k]
+
+
+def _backlog_chain_cost(n, full, weight, k, cost, params: ModelParams) -> float:
+    """Average cost of the memoryless chain on its N + 1 backlogs, M = P_Q·T.
+
+    Entry i stands for the states with Q' = full[i] that the channel redraw
+    reaches with probability weight[i], serving k[i] at stage cost cost[i].
+    P_Q[a, Q'] is the law of Q' = a + Bin(N - a, rho) and T[Q', a'] the
+    probability that Q' - k = a'.
+    """
+    moves = np.bincount(full * (n + 1) + full - k, weight, (n + 1) ** 2).reshape(n + 1, n + 1)
+    arrivals = _arrival_law(n, params.rho)
+    cost = np.bincount(full, weight * cost, n + 1)  # E[cost | Q']
+    return float(_key_chain_law(arrivals @ moves) @ (arrivals @ cost))
+
+
 def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     """Exact long-run average cost (memoryless channel) of the policy serving
     k = table[Q, n4] where Q = n2 + n4; entries with n4 > Q are not read.
 
-    The key chain is that of the N + 1 backlogs, M = P_Q·T: P_Q[a, Q'] is the
-    law of Q' = a + Bin(N - a, rho) and T[Q', a'] the probability, over
-    n4' ~ Bin(Q', beta1), that Q' - k(Q', n4') = a'. Raises Infeasible on the
-    k ``evaluate_policy_exact`` raises on: the first, in count-vector order,
+    The key chain is that of the N + 1 backlogs (``_backlog_chain_cost``),
+    with n4' ~ Bin(Q', beta1). Raises Infeasible on the k
+    ``evaluate_policy_exact`` raises on: the first, in count-vector order,
     outside [0, n4] or refused by ``transmit_power``.
     """
     require_good_bad(params)
@@ -315,16 +332,9 @@ def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     n2, _, n4 = _count_vectors(n, parts=3).T
     full = n2 + n4
     k = np.asarray(table, dtype=np.int64)[full, n4]
-    power = _power_table(n, params)
-    allowed = (k >= 0) & (k <= n4)
-    for i in np.flatnonzero(~allowed | np.isinf(power[np.where(allowed, k, 0)]))[:1]:
-        _check_action((0, 0, 0, n4[i]), int(k[i]))  # reads n4 only
-        transmit_power(int(k[i]), n, params)  # one of the two raises
+    cost = params.lam * full + _priced(k, n4, n, params)
     weight = _binomial_table(n, params.beta[1])[full, n4]
-    moves = np.bincount(full * (n + 1) + full - k, weight, (n + 1) ** 2).reshape(n + 1, n + 1)
-    arrivals = _arrival_law(n, params.rho)
-    cost = np.bincount(full, weight * (params.lam * full + power[k]), n + 1)  # E[cost | Q']
-    return float(_key_chain_law(arrivals @ moves) @ (arrivals @ cost))
+    return _backlog_chain_cost(n, full, weight, k, cost, params)
 
 
 def evaluate_policy_exact(
@@ -332,29 +342,30 @@ def evaluate_policy_exact(
 ) -> float:
     """Exact long-run average cost of a stationary policy.
 
-    The stationary law of P = A·D (state s moves to key post[s], key r draws
+    The policy runs once on every count vector, in ``AggregateSpace`` order,
+    before its actions are checked: Infeasible names the first k outside
+    [0, n4] or refused by ``transmit_power``. Under the memoryless channel a
+    count vector moves to its backlog n2 + n4 - k, and the chain is solved on
+    the N + 1 backlogs (``_backlog_chain_cost``), each vector weighted by the
+    law of its channel redraw. Under the Markov channel the stationary law of
+    P = A·D (state s moves to the post-service key (n1, n2, n3 + k, n4 - k),
+    a served class-4 user moving exactly like a class-3 one, and key r draws
     the next state from law[r]) is nu·D for the law nu of the key chain
     M = D·A; AD and DA share their nonzero eigenvalues, so M's single-class
-    check is P's. The key is the backlog n2 + n4 - k under the memoryless
-    channel and the post-service counts (n1, n2, n3 + k, n4 - k) under the
-    Markov one, where a served class-4 user moves exactly like a class-3 one.
-    Raises Infeasible when the policy picks k outside [0, n4].
+    check is P's.
     """
     require_channel_model(params, channel_model)
     space = AggregateSpace(n_users, params)
-    actions = np.empty(len(space), dtype=np.int64)
-    costs = np.empty(len(space))
-    for i, counts in enumerate(space.states):
-        k = _check_action(counts, int(policy_fn(counts)))
-        actions[i], costs[i] = k, stage_cost(counts, k, n_users, params)
+    states = space.states
+    actions = np.array([int(policy_fn(counts)) for counts in states], dtype=np.int64)
+    full = states[:, 1] + states[:, 3]
+    costs = _priced(actions, states[:, 3], n_users, params) + params.lam * full
     if channel_model == IID:
-        backlog = space.states[:, 1] + space.states[:, 3] - actions
-        keys, post = np.unique(backlog, return_inverse=True)
-        law = _iid_next_law(space, params)[keys]
-    else:
-        served = space.states + np.outer(actions, [0, 0, 1, -1])
-        keys, post = np.unique(served, axis=0, return_inverse=True)
-        law = _markov_next_law(keys, space, params)
+        weight = _channel_weight(states, n_users, params)
+        return _backlog_chain_cost(n_users, full, weight, actions, costs, params)
+    served = states + np.outer(actions, [0, 0, 1, -1])
+    keys, post = np.unique(served, axis=0, return_inverse=True)
+    law = _markov_next_law(keys, space, params)
     order = np.argsort(post, kind="stable")
     m = np.add.reduceat(law[:, order], np.searchsorted(post[order], np.arange(len(law))), axis=1)
     return float(_key_chain_law(m) @ law @ costs)
@@ -410,7 +421,7 @@ def simulate(
     group by group from the binomial laws of the exact solvers, a handful of
     scalar draws per slot whatever N is:
 
-    - memoryless channel (``_iid_next_law``): with a = n2 + n4 - k,
+    - memoryless channel (``transition_distribution``): with a = n2 + n4 - k,
       Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), n3' ~ Bin(N - Q', beta1);
     - Markov channel (``_markov_next_law``): the served users join the empty
       good group, each empty group draws its arrivals, and each group draws

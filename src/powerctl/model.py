@@ -17,6 +17,7 @@ two-level unit-buffer case the labels are 1=(BAD,0), 2=(BAD,1), 3=(GOOD,0),
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 
@@ -286,13 +287,16 @@ _PIECE = re.compile(r"(?:[^%]|%%)*%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z](?:[^%]|%%)*")
 
 
 def write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write equal-length columns as CSV, each row as ``row_format % row`` (the
-    template ends in a newline), a block of rows at a time: the template is cut
-    into one conversion per column, and within a block each distinct value of a
-    column, told apart by its bits (0.0 and -0.0 are two), is formatted once."""
+    """Write equal-length columns (else ValueError) as CSV, each row as
+    ``row_format % row`` (the template ends in a newline), a block of rows at a
+    time: the template is cut into one conversion per column, and within a
+    block each distinct value of a column, told apart by its bits (0.0 and -0.0
+    are two), is formatted once."""
     pieces = _PIECE.findall(row_format)
     if len(pieces) != len(columns) or "".join(pieces) != row_format:
         raise ValueError(f"row format {row_format!r} needs one conversion per column")
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(col) for col in columns]}")
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]), _CSV_BLOCK):
@@ -304,3 +308,13 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
                 distinct = np.array([piece % (v,) for v in block[first].tolist()], dtype=object)
                 texts.append(distinct[inverse])
             fh.write("".join(np.stack(texts, axis=1).ravel().tolist()))
+
+
+def write_json(payload, path=None) -> str:
+    """``payload`` as indented JSON with sorted keys; also written to ``path``,
+    with a trailing newline, when one is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text

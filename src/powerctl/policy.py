@@ -20,14 +20,13 @@ it certifies as optimal, so both pairings are implemented:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .equilibrium import INTERIOR, PASSIVE, EquilibriumReport, optimal_equilibrium
 from .fluid import threshold_bias_batch
-from .model import ModelParams, require_good_bad
+from .model import ModelParams, require_good_bad, write_json
 
 PROP3_CONSISTENT = "Prop3Consistent"
 PAPER_LITERAL = "PaperLiteral"
@@ -131,11 +130,7 @@ class BiasCheckReport:
     pairing_costs: dict = field(default_factory=dict)
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return write_json(asdict(self), path)
 
 
 def _argmin_toward(costs, thresholds, target):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -355,8 +356,13 @@ class TestBacklogSolvers:
     def test_recorded_bench_threshold(self, key):
         rho, n_users = key
         params = sec4_at(rho)
-        table = policy.finite_table(policy.make_bench_policy(params), n_users)
+        bench = policy.make_bench_policy(params)
+        table = policy.finite_table(bench, n_users)
         assert finite.evaluate_table_exact(table, params, n_users) == pytest.approx(
+            RECORDED_BENCH[key], abs=1e-12
+        )
+        pick = lambda c: policy.apply_finite(bench, c, n_users)
+        assert finite.evaluate_policy_exact(pick, params, n_users) == pytest.approx(
             RECORDED_BENCH[key], abs=1e-12
         )
 
@@ -398,6 +404,31 @@ class TestBacklogSolvers:
 
 
 class TestPolicyEvaluation:
+    def test_recorded_markov_bench_threshold(self):
+        # the Markov law and key chain, pinned to the last bit of a recorded g
+        bench = policy.make_bench_policy(MARKOV)
+        pick = lambda c: policy.apply_finite(bench, c, 10)
+        g = finite.evaluate_policy_exact(pick, MARKOV, 10, channel_model="markov")
+        assert g == 3.140803997721875
+
+    def test_markov_refused_power_raises_on_the_first_count_vector(self):
+        # p(k) exceeds the cap from k = 4 on; (0, 0, 0, 10) comes first and picks k = 10
+        raw = dataclasses.replace(MARKOV, p_max=0.21)
+        with pytest.raises(Infeasible) as refused:
+            finite.evaluate_policy_exact(lambda c: int(c[3]), raw, 10, channel_model="markov")
+        assert refused.value.k == 10
+
+    def test_memoryless_peak_memory_at_sixty_users(self, sec4):
+        # 39,711 count vectors: a dense (N + 1) x S law alone would take 19 MB
+        bench = policy.make_bench_policy(sec4)
+        tracemalloc.start()
+        try:
+            finite.evaluate_policy_exact(lambda c: policy.apply_finite(bench, c, 60), sec4, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_idle_policy_saturates(self, sec4):
         g = finite.evaluate_policy_exact(lambda c: 0, sec4, 10)
         assert g == pytest.approx(15.0, abs=1e-9)

@@ -211,6 +211,13 @@ class TestWriteCsv:
             model.write_csv(path, "x", "%s\n", (column,))
             assert path.read_text().split("\n") == _rows_oracle("x", "%s\n", (column,))
 
+    @pytest.mark.parametrize("later", [5000, 4000], ids=["longer", "shorter"])
+    def test_unequal_columns_raise(self, tmp_path, later):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="unequal lengths"):
+            model.write_csv(path, "a,b", "%d,%d\n", (np.arange(4096), np.arange(later)))
+        assert not path.exists()
+
     @pytest.mark.parametrize("row_format", ["%d,%d\n", "%d\n", "%(t)d,%d,%d\n", "%*d,%d,%d\n"])
     def test_row_format_needs_one_conversion_per_column(self, tmp_path, row_format):
         with pytest.raises(ValueError, match="one conversion per column"):
