@@ -18,9 +18,13 @@ exact evaluation, of a k table over (Q, n4) or of a callable on the counts,
 is one stationary solve on the N + 1 backlogs. Under the Markov channel a
 callable is evaluated through P = A·D: a (state, action) pair fixes a
 post-decision key (A), its post-service counts, and the next state is drawn
-from that key's law (D), built from binomial pmfs.
-The simulator draws the next counts from the same laws, one scalar binomial per
-group per slot (O(1) in N), and calls the policy once per distinct count vector.
+from that key's law (D), built from binomial pmfs. Both chains have a single
+recurrent class, proved from the parameters (``_backlog_chain_cost``,
+``_require_markov_unichain``), so each evaluation is one direct solve.
+The simulator draws the next counts from the same laws, one binomial per group
+per slot (O(1) in N), each served from a per-(m, p) stock of draws made ahead
+in blocks (``_binomial_stock``), and calls the policy once per distinct count
+vector.
 """
 
 from __future__ import annotations
@@ -28,13 +32,21 @@ from __future__ import annotations
 import contextlib
 import functools
 import numbers
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Infeasible, MultichainDetected, NoConvergence
 from .kernel import IID, MARKOV, require_channel_model
-from .model import ModelParams, require_good_bad, validate_params, write_csv, write_json
+from .model import (
+    ModelParams,
+    require_arrival_probability,
+    require_good_bad,
+    validate_params,
+    write_csv,
+    write_json,
+)
 
 
 def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
@@ -215,21 +227,48 @@ def _markov_next_law(keys: np.ndarray, space: AggregateSpace, params: ModelParam
 
 
 def _key_chain_law(m) -> np.ndarray:
-    """Stationary law of the post-decision key chain M, solved directly once M
-    is checked to have a single recurrent class (else MultichainDetected)."""
+    """Stationary law of a post-decision key chain M with a single recurrent
+    class, by one direct solve; the callers prove the single class from the
+    parameters (``_backlog_chain_cost``, ``_require_markov_unichain``)."""
     n_keys = len(m)
-    reach = (m > 0.0) | np.eye(n_keys, dtype=bool)
-    for _ in range(n_keys.bit_length()):  # squaring doubles the path length covered
-        reach = (reach.astype(float) @ reach) > 0.0
-    # a key is recurrent when every key it reaches reaches it back; its
-    # reachable set is then its class, named by its first member
-    recurrent = ~(reach & ~reach.T).any(axis=1)
-    n_classes = np.unique(reach[recurrent].argmax(axis=1)).size
-    if n_classes != 1:
-        raise MultichainDetected(f"policy induces {n_classes} recurrent classes; expected 1")
     system = m.T - np.eye(n_keys)
     system[-1] = 1.0  # replaces one redundant balance equation by sum(nu) = 1
     return np.linalg.solve(system, np.eye(n_keys)[-1])
+
+
+def _require_markov_unichain(params: ModelParams, n_users: int) -> None:
+    """Raise MultichainDetected when the Markov-channel chain can have more
+    than one recurrent class, which only two channels allow.
+
+    Let c_l be the probability of a good level next from level l, and rho lie
+    in (0, 1). If c0 < 1 and c1 < 1, every key reaches "every queue full,
+    every channel bad" in one step; there n4 = 0 forces k = 0, so every key
+    reaches key (0, N, 0, 0) in one step. If c0 > 0 and c1 > 0, every key
+    reaches "every queue full, every channel good", whose key is
+    (0, 0, k*, N - k*) for the policy's k* there. Either way one key is
+    reached from every key in one step, so there is a single recurrent class,
+    and it is aperiodic, whatever the policy. Otherwise (c0, c1) is (0, 1) or
+    (1, 0):
+
+    - (0, 1), a frozen channel: the good-channel count never changes, so
+      each of its N + 1 values is closed;
+    - (1, 0): every level flips each slot and the good-channel count G moves
+      to N - G. For N >= 2, {0, N} and {1, N - 1} are closed. At N = 1 the
+      chain is one class of period 2, and its stationary law is unique.
+    """
+    c0, c1 = (row[1] for row in params.channel_matrix)
+    if (c0, c1) == (0.0, 1.0):
+        raise MultichainDetected(
+            "frozen Markov channel (good-next probabilities 0 from bad, 1 from good): "
+            "the good-channel count never changes, so every policy has at least "
+            f"{n_users + 1} recurrent classes"
+        )
+    if (c0, c1) == (1.0, 0.0) and n_users >= 2:
+        raise MultichainDetected(
+            "alternating Markov channel (good-next probabilities 1 from bad, 0 from good): "
+            "the good-channel count G moves to N - G every slot, so for N >= 2 "
+            "every policy has more than one recurrent class"
+        )
 
 
 def _power_table(n_users: int, params: ModelParams) -> np.ndarray:
@@ -310,6 +349,13 @@ def _backlog_chain_cost(n, full, weight, k, cost, params: ModelParams) -> float:
     reaches with probability weight[i], serving k[i] at stage cost cost[i].
     P_Q[a, Q'] is the law of Q' = a + Bin(N - a, rho) and T[Q', a'] the
     probability that Q' - k = a'.
+
+    M has a single recurrent class for every policy and every beta1, and it
+    is aperiodic, so no check precedes the solve. From every backlog a,
+    Q' = N has probability rho^(N - a) > 0. Given Q' = N, the counts are
+    (0, N - j, 0, j) with probability Bin(j; N, beta1), the same for every a.
+    So for any j of positive probability, the backlog N - k(0, N - j, 0, j)
+    is reached in one step from every backlog, and also from itself.
     """
     moves = np.bincount(full * (n + 1) + full - k, weight, (n + 1) ** 2).reshape(n + 1, n + 1)
     arrivals = _arrival_law(n, params.rho)
@@ -324,9 +370,11 @@ def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     The key chain is that of the N + 1 backlogs (``_backlog_chain_cost``),
     with n4' ~ Bin(Q', beta1). Raises Infeasible on the k
     ``evaluate_policy_exact`` raises on: the first, in count-vector order,
-    outside [0, n4] or refused by ``transmit_power``.
+    outside [0, n4] or refused by ``transmit_power``. AssumptionViolation
+    unless rho lies in (0, 1), which the chain's single class needs.
     """
     require_good_bad(params)
+    require_arrival_probability(params)
     n = n_users
     # the count vectors with n1 = 0 hold every (Q, n4) once, each at its first place
     n2, _, n4 = _count_vectors(n, parts=3).T
@@ -351,10 +399,16 @@ def evaluate_policy_exact(
     P = A·D (state s moves to the post-service key (n1, n2, n3 + k, n4 - k),
     a served class-4 user moving exactly like a class-3 one, and key r draws
     the next state from law[r]) is nu·D for the law nu of the key chain
-    M = D·A; AD and DA share their nonzero eigenvalues, so M's single-class
-    check is P's.
+    M = D·A; AD and DA share their nonzero eigenvalues, so M has a single
+    recurrent class exactly when P has. Both chains have one for every policy
+    (``_backlog_chain_cost``, ``_require_markov_unichain``), except on the two
+    degenerate Markov channels, which raise MultichainDetected before the
+    policy runs. AssumptionViolation unless rho lies in (0, 1).
     """
     require_channel_model(params, channel_model)
+    require_arrival_probability(params)
+    if channel_model == MARKOV:
+        _require_markov_unichain(params, n_users)
     space = AggregateSpace(n_users, params)
     states = space.states
     actions = np.array([int(policy_fn(counts)) for counts in states], dtype=np.int64)
@@ -402,6 +456,47 @@ def _initial_counts(initial_counts, n_users: int) -> tuple:
     return tuple(int(c) for c in counts)
 
 
+_STOCK_CAP = 4096  # most pending draws one (m, p) stock holds
+
+
+def _binomial_stock(rng):
+    """``draw(m, p)``: one Bin(m, p) draw from ``rng``, served from a stock per (m, p).
+
+    A key's first draw is one scalar ``rng.binomial(m, p)``. Each later draw
+    pops the key's pending draws; an empty stock is refilled by one
+    vectorised ``rng.binomial(m, p, size)`` whose size doubles per refill,
+    from 2 up to ``_STOCK_CAP``. Block sizes depend only on how often the key
+    was refilled, never on the horizon or the slot.
+
+    The law is that of one scalar draw per call. Every ``rng.binomial`` call
+    returns fresh draws, independent of all earlier ones, and no draw is read
+    before it is popped. So each key's stock, in pop order, is an i.i.d.
+    Bin(m, p) sequence, independent of every other key's stock. Which key a
+    call pops from depends only on the values popped before it. Hence each
+    popped value is a fresh Bin(m, p) draw, independent of everything
+    popped before.
+    """
+    binomial = rng.binomial
+    stocks = {}  # (m, p) -> pending draws, popped from the end
+    sizes = {}  # (m, p) -> size of the key's last draw or block
+
+    def draw(m, p):
+        key = (m, p)
+        pending = stocks.get(key)
+        if pending:
+            return pending.pop()
+        size = sizes.get(key)
+        if size is None:  # the key's first draw
+            sizes[key] = 1
+            return binomial(m, p)
+        size = sizes[key] = min(2 * size, _STOCK_CAP)
+        # int64 draws packed 8 bytes apiece; each pop returns a fresh int
+        pending = stocks[key] = array("q", binomial(m, p, size).tobytes())
+        return pending.pop()
+
+    return draw
+
+
 def simulate(
     policy_fn,
     params: ModelParams,
@@ -419,7 +514,7 @@ def simulate(
     depart), queues then absorb Bernoulli arrivals with overflow drop, and
     channels redraw. Users are exchangeable, so the next counts are drawn
     group by group from the binomial laws of the exact solvers, a handful of
-    scalar draws per slot whatever N is:
+    draws per slot whatever N is:
 
     - memoryless channel (``transition_distribution``): with a = n2 + n4 - k,
       Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), n3' ~ Bin(N - Q', beta1);
@@ -427,7 +522,10 @@ def simulate(
       good group, each empty group draws its arrivals, and each group draws
       its good-next count with the probability of its current level.
 
-    Without ``initial_counts`` all queues start empty with n3 ~ Bin(N, beta1).
+    Each draw comes from ``_binomial_stock``: a key (m, p) seen before pops a
+    draw made ahead in a block, so a slot makes no ``rng`` call on most keys
+    at small N. Without ``initial_counts`` all queues start empty with
+    n3 ~ Bin(N, beta1).
     ``policy_fn`` must be a deterministic function of the counts: it is called
     (with an int64 array) on a count vector's first visit only, and that k and
     its stage cost, charged on the pre-transition state, serve every revisit.
@@ -438,8 +536,8 @@ def simulate(
     require_channel_model(params, channel_model)
     if horizon < 1 or not 0.0 <= burn_in < 1.0 or int(burn_in * horizon) >= horizon:
         raise ValueError(f"horizon {horizon} and burn_in {burn_in} leave no slot to average")
-    rng = np.random.default_rng(seed)
-    binomial, rho, good, lam = rng.binomial, params.rho, params.beta[1], params.lam
+    binomial = _binomial_stock(np.random.default_rng(seed))
+    rho, good, lam = params.rho, params.beta[1], params.lam
     if initial_counts is not None:
         n1, n2, n3, n4 = _initial_counts(initial_counts, n_users)
     else:

@@ -146,13 +146,18 @@ def validate_params(raw: ModelParams) -> ModelParams:
                     "Assumption 2 violated: need theta <= p_max*c/(n0 + p_max*c) "
                     f"for gain c={g}; theta={raw.theta} > {cap}"
                 )
-    if not 0.0 < raw.rho < 1.0:
-        raise AssumptionViolation(f"arrival probability must lie in (0,1), got {raw.rho}")
+    require_arrival_probability(raw)
     if raw.lam < 0.0:
         raise AssumptionViolation(f"queue weight must be nonnegative, got {raw.lam}")
     if raw.q_max < 1:
         raise AssumptionViolation(f"buffer capacity must be >= 1, got {raw.q_max}")
     return raw
+
+
+def require_arrival_probability(params: ModelParams):
+    """Raise AssumptionViolation unless the arrival probability rho lies in (0, 1)."""
+    if not 0.0 < params.rho < 1.0:
+        raise AssumptionViolation(f"arrival probability must lie in (0,1), got {params.rho}")
 
 
 def require_good_bad(params: ModelParams):

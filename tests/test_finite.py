@@ -14,7 +14,7 @@ import pytest
 import powerctl
 from conftest import sec4_at
 from powerctl import finite, fluid, kernel, policy
-from powerctl.errors import Infeasible, MultichainDetected
+from powerctl.errors import AssumptionViolation, Infeasible, MultichainDetected
 from powerctl.model import ModelParams
 
 
@@ -197,6 +197,19 @@ def full_row(space, counts, k, params, channel_model="iid"):
             moved[tuple(dst)] += row[dest] * dist[tuple(src)]
         dist = moved
     return dist[tuple(space.states.T)]
+
+
+def recurrent_classes(matrix):
+    """Number of recurrent classes of a stochastic matrix, read off its support:
+    reachability closed by boolean squaring, each squaring doubling the path
+    length covered. A state is recurrent when every state it reaches reaches it
+    back; its reachable set is then its class, named by its first member."""
+    n = len(matrix)
+    reach = (matrix > 0.0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(float) @ reach) > 0.0
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    return np.unique(reach[recurrent].argmax(axis=1)).size
 
 
 def full_chain_rvi(params, n_users, tol=1e-9):
@@ -501,6 +514,63 @@ class TestPolicyEvaluation:
             finite.evaluate_policy_exact(lambda c: 0, p, 2, channel_model="markov")
 
 
+class TestUnichainCertificate:
+    """The single-class rule of the exact evaluators against the reachability
+    oracle, run on the full chain of a random policy: always one class under
+    the memoryless channel, several exactly for the frozen Markov channel
+    (c0, c1) = (0, 1) and for the alternating one (1, 0) at N >= 2."""
+
+    @pytest.mark.parametrize("beta1", [0.0, 0.4, 1.0])
+    def test_memoryless_chain_has_one_class(self, beta1):
+        params = ModelParams.good_bad(theta=0.2, beta1=beta1, rho=0.1, lam=1.5, n0=1.0)
+        rng = np.random.default_rng(80)
+        for n_users in range(1, 5):
+            space = finite.AggregateSpace(n_users, params)
+            for _ in range(3):
+                table = random_table(rng, n_users)
+                pick = per_state(table, space)
+                chain = np.array([full_row(space, s, pick[tuple(s)], params)
+                                  for s in space.states])
+                assert recurrent_classes(chain) == 1
+                costs = np.array([finite.stage_cost(s, pick[tuple(s)], n_users, params)
+                                  for s in space.states])
+                g = finite.evaluate_table_exact(table, params, n_users)
+                assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
+
+    @pytest.mark.parametrize("c1", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("c0", [0.0, 0.3, 1.0])
+    def test_markov_rule_matches_the_oracle(self, c0, c1):
+        params = dataclasses.replace(MARKOV, channel_matrix=((1.0 - c0, c0), (1.0 - c1, c1)))
+        rng = np.random.default_rng(81)
+        for n_users in range(1, 5):
+            multichain = (c0, c1) == (0.0, 1.0) or ((c0, c1) == (1.0, 0.0) and n_users >= 2)
+            space = finite.AggregateSpace(n_users, params)
+            for _ in range(3):
+                table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
+                chain = np.array([full_row(space, s, table[tuple(s)], params, "markov")
+                                  for s in space.states])
+                assert (recurrent_classes(chain) > 1) == multichain
+                pick = lambda c: table[tuple(c)]
+                if multichain:
+                    with pytest.raises(MultichainDetected):
+                        finite.evaluate_policy_exact(pick, params, n_users, channel_model="markov")
+                    continue
+                costs = np.array([finite.stage_cost(s, table[tuple(s)], n_users, params)
+                                  for s in space.states])
+                g = finite.evaluate_policy_exact(pick, params, n_users, channel_model="markov")
+                assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_arrival_probability_outside_the_open_interval_raises(self, rho):
+        # rho = 0 leaves every backlog closed: a solve would return some g silently
+        raw = dataclasses.replace(sec4_at(0.1), rho=rho)
+        table = np.zeros((4, 4), dtype=np.int64)
+        for evaluate in (lambda: finite.evaluate_table_exact(table, raw, 3),
+                         lambda: finite.evaluate_policy_exact(lambda c: 0, raw, 3)):
+            with pytest.raises(AssumptionViolation, match="arrival probability"):
+                evaluate()
+
+
 # channel models each solver must refuse, with build_tables' message
 BAD_CHANNELS = {
     "unknown": (MARKOV, "gilbert", "unknown channel model"),
@@ -530,15 +600,15 @@ SIM_CASES = {
     "markov-n10": (policy.make_bench_policy, MARKOV, 10, 20_000, 13, "markov"),
 }
 SIM_RECORDED = {
-    "iid-n10": (3.4440214729020395, 0.03797404232497533,
-                "36d6b404d8679f1c6680a5af7268eb567c7315008d37bfce69c3c3e91daa26f7",
-                "607adc3b0482c6129f5279b02b93aea72b98cbd77e21232ebd9e85d82b6a1355"),
-    "iid-n1000": (387.4390777889582, 1.571596254077859,
-                  "99d5e17bf8931e9d28a68e7c0c91d3c9bd92f40b6602b48c1daba242c0193b1a",
-                  "4fd5bf253585e94448351b75431360be710be96e81286a98c2bacf5a0006ee65"),
-    "markov-n10": (3.1437946432766752, 0.04072614085207508,
-                   "f4d79052101ad4e8c5cf17fc4714b52d340d0f758abec1c44423bd288809db6c",
-                   "369051904b96aa5608cc4fb98cc3a97f454e6ccd5acd07502057b37012a01b9d"),
+    "iid-n10": (3.4041707413333304, 0.05935803064547645,
+                "5bea9059cbd9ce65eca554b7b8b1b6a70e258d7cf956b13d394525e90fc92d1e",
+                "4f7b1bb019d8c7cd40025bb48fdc116b4760e1820bf3ae5b512cad2832bdaaa5"),
+    "iid-n1000": (389.6358952142213, 1.390612380812149,
+                  "93bc9cda8d80f5b56f690aae9c51e84c46db2716105453f71582131e4654a695",
+                  "3732464320d59670139041233b6743a85da347293324cf51c1cb8c21bfbf7bfa"),
+    "markov-n10": (3.169955917717071, 0.050425627021041225,
+                   "7f1bdf0e80e82d12b412e175d656d9f3927070df133a72bcf4973935b9e8ad3c",
+                   "844f33059e300792c29aa2d91769f6c296c438714bea415439eb7632b9c823a0"),
 }
 
 
@@ -594,8 +664,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", SIM_RECORDED)
     def test_recorded_results(self, name, tmp_path):
-        # recorded from a simulator that called the policy on every slot: a change to the
-        # draws, their order or the stage-cost arithmetic moves some bit here
+        # recorded from the simulator that serves each Bin(m, p) draw from a per-(m, p)
+        # stock: a change to the draws, the stock's block sizes, the order of the draws
+        # or the stage-cost arithmetic moves some bit here
         make, params, n_users, horizon, seed, channel_model = SIM_CASES[name]
         tp = make(sec4_at(0.1))
         sim = finite.simulate(lambda c: policy.apply_finite(tp, c, n_users), params, n_users,
@@ -605,6 +676,19 @@ class TestSimulate:
         digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
         csv_digest = hashlib.sha256((tmp_path / "sim.csv").read_bytes()).hexdigest()
         assert (sim.mean_cost, sim.ci95, digest, csv_digest) == SIM_RECORDED[name]
+
+    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
+    def test_a_run_is_the_prefix_of_a_longer_one(self, channel_model):
+        # the stock's block sizes do not depend on the horizon, so doubling it
+        # leaves the first slots as they were
+        params = sec4_at(0.1) if channel_model == "iid" else MARKOV
+        tp = policy.make_policy(sec4_at(0.1))
+        short, long = (finite.simulate(lambda c: policy.apply_finite(tp, c, 10), params, 10,
+                                       horizon, seed=6, channel_model=channel_model)
+                       for horizon in (5000, 10_000))
+        assert np.array_equal(short.measures, long.measures[:5000])
+        assert np.array_equal(short.actions, long.actions[:5000])
+        assert np.array_equal(short.costs, long.costs[:5000])
 
     @pytest.mark.parametrize("channel_model", ["iid", "markov"])
     def test_policy_once_per_count_vector_and_power_once_per_k(self, monkeypatch,
@@ -626,6 +710,29 @@ class TestSimulate:
         assert all(isinstance(c, np.ndarray) and c.dtype == np.int64 for c in asked)
         assert np.array_equal(np.unique(asked, axis=0), visited)
         assert sorted(priced) == np.unique(sim.actions).tolist()
+
+    @pytest.mark.parametrize("m,p", [(5, 0.4), (200, 0.4)], ids=["inversion", "btpe"])
+    def test_binomial_stock_moments_and_block_sizes(self, m, p):
+        # 20,000 draws of one key, in blocks 1, 2, 4, ..., 4096 and then 4096 at a
+        # time; m * p > 30 puts the second key on numpy's BTPE sampler
+        sizes = []
+
+        class Recorder:
+            def __init__(self):
+                self.rng = np.random.default_rng(21)
+
+            def binomial(self, n, q, size=None):
+                sizes.append(size)
+                return self.rng.binomial(n, q, size)
+
+        draw = finite._binomial_stock(Recorder())
+        n_draws = 20_000
+        x = np.array([draw(m, p) for _ in range(n_draws)], dtype=float)
+        assert sizes == [None, *(2**j for j in range(1, 13)), 4096, 4096, 4096]
+        mean, var = m * p, m * p * (1 - p)
+        fourth = var * (1 + 3 * (m - 2) * p * (1 - p))  # central fourth moment of Bin(m, p)
+        assert abs(x.mean() - mean) <= 4.0 * np.sqrt(var / n_draws)
+        assert abs(x.var(ddof=1) - var) <= 4.0 * np.sqrt((fourth - var**2) / n_draws)
 
     @pytest.mark.parametrize("n0", [1.0, 5.0], ids=["default", "interior"])
     def test_bench_threshold_matches_exact_at_a_thousand_users(self, n0):
