@@ -9,6 +9,7 @@ are JSON reports and CSV tables written to --out. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -56,8 +57,40 @@ class ConfigError(ValueError):
     pass
 
 
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _fluid_policy_ok(name) -> bool:
+    if name in ("threshold", "passive", "active"):
+        return True
+    try:
+        return name.startswith("s4=") and 0.0 <= float(name[3:]) <= 1.0
+    except ValueError:
+        return False
+
+
+# key, test of its value, and the rule a value failing the test breaks
+_CHECKS = (
+    ("n_users", lambda n: n >= 1, "must be at least 1"),
+    ("n_starts", lambda n: n >= 1, "must be at least 1"),
+    ("rho_list", len, "must list at least one value"),
+    ("m0", lambda m0: len(m0) == 4, "must have 4 entries"),
+    ("vi_tol", _positive, "must be positive and finite"),
+    ("grid_step", _positive, "must be positive and finite"),
+    ("horizon", _positive, "must be positive and finite"),
+    ("dt", _positive, "must be positive and finite"),
+    ("fluid_policy", _fluid_policy_ok,
+     "must be threshold, passive, active or s4=<v> with v in [0, 1]"),
+)
+
+
 def load_config(path) -> dict:
-    """Parse the flat key = value config file; '#' starts a comment."""
+    """Parse the flat key = value config file; '#' starts a comment.
+
+    ConfigError on an unreadable file, an unknown key, a value that does not
+    parse, or one that breaks a rule of ``_CHECKS``.
+    """
     cfg = dict(_DEFAULTS)
     try:
         with open(path) as fh:
@@ -85,6 +118,9 @@ def load_config(path) -> dict:
                 cfg[key] = float(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+    for key, ok, rule in _CHECKS:
+        if not ok(cfg[key]):
+            raise ConfigError(f"{path}: {key} {rule}, got {cfg[key]!r}")
     return cfg
 
 
@@ -153,11 +189,9 @@ def cmd_fluid(cfg, out_dir, seed):
         controller = lambda m: 0.0
     elif name == "active":
         controller = lambda m: 1.0
-    elif name.startswith("s4="):
+    else:  # s4=<v>, v in [0, 1] (load_config)
         level = float(name[3:])
         controller = lambda m: level
-    else:
-        raise ConfigError(f"fluid_policy must be threshold|passive|active|s4=<v>, got {name!r}")
     traj = fluid.integrate(cfg["m0"], controller, cfg["horizon"], params, dt=cfg["dt"])
     path = f"{out_dir}/fluid.csv"
     traj.to_csv(path)

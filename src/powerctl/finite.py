@@ -21,14 +21,16 @@ post-decision key (A), its post-service counts, and the next state is drawn
 from that key's law (D), built from binomial pmfs. Both chains have a single
 recurrent class, proved from the parameters (``_backlog_chain_cost``,
 ``_require_markov_unichain``), so each evaluation is one direct solve.
-The simulator draws the next counts from the same laws, one binomial per group
-per slot (O(1) in N), each served from a per-(m, p) stock of draws made ahead
-in blocks (``_binomial_stock``), and calls the policy once per distinct count
-vector.
+The simulator draws each slot's next counts from the law of its post-decision
+key, the same laws: a key's first draws are composed group by group from
+per-(m, p) binomial stocks (``_binomial_stock``, O(1) in N), and later ones are
+popped from a per-key stock of whole transitions drawn ahead in blocks
+(``_transition_stock``). It calls the policy once per distinct count vector.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import numbers
@@ -477,24 +479,110 @@ def _binomial_stock(rng):
     popped before.
     """
     binomial = rng.binomial
-    stocks = {}  # (m, p) -> pending draws, popped from the end
+    # p -> m -> pending draws, popped from the end; looked up by p, then by the int m,
+    # which is cheaper than hashing (m, p) on every draw
+    stocks = collections.defaultdict(dict)
     sizes = {}  # (m, p) -> size of the key's last draw or block
 
     def draw(m, p):
-        key = (m, p)
-        pending = stocks.get(key)
+        pending = stocks[p].get(m)
         if pending:
             return pending.pop()
+        key = (m, p)
         size = sizes.get(key)
         if size is None:  # the key's first draw
             sizes[key] = 1
             return binomial(m, p)
         size = sizes[key] = min(2 * size, _STOCK_CAP)
         # int64 draws packed 8 bytes apiece; each pop returns a fresh int
-        pending = stocks[key] = array("q", binomial(m, p, size).tobytes())
+        pending = stocks[p][m] = array("q", binomial(m, p, size).tobytes())
         return pending.pop()
 
     return draw
+
+
+_FIRST_DRAWS = 32  # draws of a post-decision key composed from binomial draws, before blocks
+
+
+def _channel_step(params: ModelParams, n_users: int, channel_model: str):
+    """``(post, draw_next)`` of a channel model on N = n_users users.
+
+    A count vector (n1, n2, n3, n4) has the code (n1 * (N + 1) + n2) * (N + 1)
+    + n3. ``post(code, full, k)`` is the int post-decision key of serving k at
+    the count vector of that code with full = n2 + n4: the key of the exact
+    solvers' P = A·D, on which alone the next counts depend.
+    ``draw_next(key, draw)`` draws the code of the next counts, taking each
+    Bin(m, p) from ``draw(m, p)``; when ``draw`` returns arrays of draws, it
+    returns an array of codes:
+
+    - memoryless (``transition_distribution``): the key is the backlog
+      a = full - k; Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1),
+      n3' ~ Bin(N - Q', beta1);
+    - Markov (``_markov_next_law``): the key is the code of (n1, n2, n3 + k,
+      n4 - k), code + k, a served user moving exactly like an empty
+      good-channel one; each empty group draws its arrivals, and each group
+      its good-next count with the probability of its current level.
+    """
+    n, base, rho = n_users, n_users + 1, params.rho
+    if channel_model == IID:
+        good = params.beta[1]
+
+        def draw_next(a, draw):
+            full = a + draw(n - a, rho)
+            n4, n3 = draw(full, good), draw(n - full, good)
+            return ((n - full - n3) * base + full - n4) * base + n3
+
+        return (lambda code, full, k: full - k), draw_next
+    from_bad, from_good = (row[1] for row in params.channel_matrix)
+
+    def draw_next(key, draw):
+        rest, k3 = divmod(key, base)
+        k1, k2 = divmod(rest, base)
+        a1, a3 = draw(k1, rho), draw(k3, rho)
+        bad_full, good_full = k2 + a1, n - k1 - k2 - k3 + a3
+        bad_empty, good_empty = k1 - a1, k3 - a3
+        n4 = draw(bad_full, from_bad) + draw(good_full, from_good)
+        n3 = draw(bad_empty, from_bad) + draw(good_empty, from_good)
+        return ((bad_empty + good_empty - n3) * base + bad_full + good_full - n4) * base + n3
+
+    return (lambda code, full, k: code + k), draw_next
+
+
+def _transition_stock(draw, binomial, draw_next, wide: bool = False):
+    """``(stocks, refill)``: a stock of whole next-state draws per post-decision key.
+
+    ``stocks`` maps a key to its pending codes, popped from the end, and
+    ``refill(key)``, called when they are missing or empty, returns the key's
+    next code. A key's first ``_FIRST_DRAWS`` codes are each one ``draw_next``
+    on the scalar ``draw(m, p)`` (``_binomial_stock``). Each later refill is
+    one ``draw_next`` on ``binomial(m, p, size=size)``, a block of whole
+    transitions in one vectorised pass, whose size doubles per refill from
+    2 * ``_FIRST_DRAWS`` up to ``_STOCK_CAP``. The schedule depends only on the
+    key's own refills. When codes can pass int64 (``wide``), every draw is
+    composed and nothing is stocked.
+
+    Each code is a draw from the key's next-state law, independent of every
+    code returned before it: a composed one by ``_binomial_stock``'s argument,
+    a block's because every ``binomial`` call returns fresh draws and no code
+    is read before it is popped.
+    """
+    stocks = {}  # key -> pending codes, popped from the end
+    sizes = {}  # key -> composed draws so far, then the size of its last block
+    composed = float("inf") if wide else _FIRST_DRAWS
+
+    def refill(key):
+        size = sizes.get(key, 0)
+        if size < composed:
+            sizes[key] = size + 1
+            return draw_next(key, draw)
+        size = sizes[key] = min(2 * size, _STOCK_CAP)
+        pending = stocks.setdefault(key, array("q"))
+        # int64 codes packed 8 bytes apiece into the key's emptied array, whose buffer
+        # popping never shrinks; each pop returns a fresh int
+        pending.frombytes(draw_next(key, functools.partial(binomial, size=size)).view(np.uint8))
+        return pending.pop()
+
+    return stocks, refill
 
 
 def simulate(
@@ -513,68 +601,82 @@ def simulate(
     transmitters are driven to the exact SINR threshold (their packets
     depart), queues then absorb Bernoulli arrivals with overflow drop, and
     channels redraw. Users are exchangeable, so the next counts are drawn
-    group by group from the binomial laws of the exact solvers, a handful of
-    draws per slot whatever N is:
+    from the binomial laws of the exact solvers, and their law depends only on
+    the post-decision key of the counts and k (``_channel_step``): the backlog
+    under the memoryless channel, (n1, n2, n3 + k, n4 - k) under the Markov one.
 
-    - memoryless channel (``transition_distribution``): with a = n2 + n4 - k,
-      Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), n3' ~ Bin(N - Q', beta1);
-    - Markov channel (``_markov_next_law``): the served users join the empty
-      good group, each empty group draws its arrivals, and each group draws
-      its good-next count with the probability of its current level.
+    Each slot pops one next state from its key's stock (``_transition_stock``):
+    a key's first draws are composed group by group from ``_binomial_stock``,
+    a handful of binomials whatever N is, and later ones come in blocks of
+    whole transitions, so a key seen often costs one pop per slot. The law is
+    that of one fresh draw per slot. Each key's stock, in pop order, is an
+    i.i.d. sequence of draws from the key's next-state law, every value is
+    read once, and which stock a slot pops from depends only on the values
+    popped before it. So each slot's next state is a fresh draw from its key's
+    law, independent of the path so far. Block sizes depend only on each
+    key's own history, never on the horizon, so a run is the prefix of a
+    longer one with the same seed.
 
-    Each draw comes from ``_binomial_stock``: a key (m, p) seen before pops a
-    draw made ahead in a block, so a slot makes no ``rng`` call on most keys
-    at small N. Without ``initial_counts`` all queues start empty with
-    n3 ~ Bin(N, beta1).
+    Without ``initial_counts`` all queues start empty with n3 ~ Bin(N, beta1).
     ``policy_fn`` must be a deterministic function of the counts: it is called
     (with an int64 array) on a count vector's first visit only, and that k and
     its stage cost, charged on the pre-transition state, serve every revisit.
     Deterministic given the seed. The mean is taken after the burn-in fraction;
-    ValueError when horizon < 1 or burn_in outside [0, 1) leaves no slot for it.
+    ValueError when horizon < 1 or burn_in outside [0, 1) leaves no slot to
+    average.
     """
     require_good_bad(params)
     require_channel_model(params, channel_model)
     if horizon < 1 or not 0.0 <= burn_in < 1.0 or int(burn_in * horizon) >= horizon:
         raise ValueError(f"horizon {horizon} and burn_in {burn_in} leave no slot to average")
-    binomial = _binomial_stock(np.random.default_rng(seed))
-    rho, good, lam = params.rho, params.beta[1], params.lam
+    n, base, lam = n_users, n_users + 1, params.lam
+    wide = base**3 > 2**63  # codes past int64 stay Python ints
+    rng = np.random.default_rng(seed)
+    draw = _binomial_stock(rng)
     if initial_counts is not None:
-        n1, n2, n3, n4 = _initial_counts(initial_counts, n_users)
+        n1, n2, n3, _ = _initial_counts(initial_counts, n)
     else:
-        n3 = binomial(n_users, good)
-        n1, n2, n4 = n_users - n3, 0, 0
-    if channel_model == MARKOV:
-        from_bad, from_good = (row[1] for row in params.channel_matrix)
+        n3 = draw(n, params.beta[1])
+        n1, n2 = n - n3, 0
+    post, draw_next = _channel_step(params, n, channel_model)
+    stocks, refill = _transition_stock(draw, rng.binomial, draw_next, wide)
     power = {}  # k -> k * p(k), each k priced once by transmit_power
-    seen = {}  # count vector -> (position, checked k, stage cost), in order of first visit
-    visits = np.empty(horizon, dtype=np.int64)  # position of each slot's counts
+    place = {}  # count code -> its place in order of first visit
+    keys, actions, costs = [], [], []  # per count vector, in order of first visit
+
+    def visit(code):
+        """A count code's place, on its first visit: its checked k, stage cost
+        (charged on the pre-transition state) and post-decision key are kept."""
+        rest, n3 = divmod(code, base)
+        n1, n2 = divmod(rest, base)
+        counts = (n1, n2, n3, n - n1 - n2 - n3)
+        k = _check_action(counts, int(policy_fn(np.array(counts, dtype=np.int64))))
+        if k not in power:
+            power[k] = k * transmit_power(k, n, params)
+        full = n2 + counts[3]
+        keys.append(post(code, full, k))
+        actions.append(k)
+        costs.append(power[k] + lam * full)
+        return len(keys) - 1
+
+    visits = array("q", [0]) * horizon  # place of each slot's count vector
+    code = (n1 * base + n2) * base + n3
     for t in range(horizon):
-        counts = (n1, n2, n3, n4)
-        hit = seen.get(counts)
-        if hit is None:
-            k = _check_action(counts, int(policy_fn(np.array(counts, dtype=np.int64))))
-            if k not in power:
-                power[k] = k * transmit_power(k, n_users, params)
-            hit = seen[counts] = (len(seen), k, power[k] + lam * (n2 + n4))
-        visits[t], k, _ = hit
-        if channel_model == IID:
-            backlog = n2 + n4 - k
-            full = backlog + binomial(n_users - backlog, rho)
-            n4, n3 = binomial(full, good), binomial(n_users - full, good)
-            n1, n2 = n_users - full - n3, full - n4
-        else:
-            # a served user moves exactly like an empty good-channel one
-            a1, a3 = binomial(n1, rho), binomial(n3 + k, rho)
-            bad_full, good_full = n2 + a1, n4 - k + a3
-            bad_empty, good_empty = n1 - a1, n3 + k - a3
-            n4 = binomial(bad_full, from_bad) + binomial(good_full, from_good)
-            n3 = binomial(bad_empty, from_bad) + binomial(good_empty, from_good)
-            n1, n2 = bad_empty + good_empty - n3, bad_full + good_full - n4
+        i = place.get(code)
+        if i is None:
+            i = place[code] = visit(code)
+        visits[t] = i
+        key = keys[i]
+        pending = stocks.get(key)
+        code = pending.pop() if pending else refill(key)
+    visits = np.asarray(visits)
+    first = np.array(list(place), dtype=object if wide else np.int64)
+    rest, n3 = first // base, first % base
+    n1, n2 = rest // base, rest % base
+    measures = np.column_stack([n1, n2, n3, n - n1 - n2 - n3]).astype(np.int64)[visits]
+    actions = np.array(actions, dtype=np.int64)[visits]
+    costs = np.array(costs)[visits]
     start = int(burn_in * horizon)
-    _, seen_actions, seen_costs = zip(*seen.values())
-    measures = np.array(list(seen), dtype=np.int64)[visits]
-    actions = np.array(seen_actions, dtype=np.int64)[visits]
-    costs = np.array(seen_costs)[visits]
     tail = costs[start:]
     n_batches = min(20, max(1, len(tail) // 50))
     batches = np.array_split(tail, n_batches)

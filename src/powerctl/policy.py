@@ -156,6 +156,7 @@ def bias_optimality_check(
     wrong operating point). The check passes when each argmin lies within
     one grid step of the policy's threshold. In the boundary regimes the
     two pairing candidates are also raced and the winner reported.
+    ValueError on an empty ``m0_set``, which would pass without a check.
     """
     require_good_bad(params)
     report: EquilibriumReport = optimal_equilibrium(params)
@@ -163,6 +164,8 @@ def bias_optimality_check(
     if m0_set is None:
         rng = np.random.default_rng(seed)
         m0_set = [rng.dirichlet(np.ones(4)) for _ in range(5)]
+    if len(m0_set) == 0:
+        raise ValueError("m0_set is empty: the check would pass without auditing a start")
     n_grid = int(np.floor(params.beta1 / grid_step)) + 2
     grid = np.arange(n_grid) * grid_step
     pi_p3c = make_policy(params, PROP3_CONSISTENT).pi

@@ -156,7 +156,40 @@ class TestModuleRun:
         assert (tmp_path / "equilibrium.json").exists()
 
 
+# config values no command can run on: (command, config line, key the error names).
+# Before the checks in load_config the first six crashed with a traceback (exit 1),
+# vi_tol = 0 ran 10^6 sweeps before exit 3, and the last four wrote a silently wrong
+# output: "grid check PASS" after auditing no start, a duty cycle above 1, a one-row
+# fluid.csv
+BAD_VALUES = {
+    "dt-zero": ("fluid", "dt = 0", "dt"),
+    "dt-negative": ("fluid", "dt = -0.01", "dt"),
+    "grid-step-zero": ("threshold", "grid_step = 0", "grid_step"),
+    "n-users-zero": ("vi", "n_users = 0", "n_users"),
+    "n-users-negative": ("compare", "n_users = -2", "n_users"),
+    "rho-list-empty": ("compare", "rho_list =", "rho_list"),
+    "s4-not-a-number": ("fluid", "fluid_policy = s4=abc", "fluid_policy"),
+    "m0-two-entries": ("fluid", "m0 = 0.5, 0.5", "m0"),
+    "vi-tol-zero": ("vi", "vi_tol = 0", "vi_tol"),
+    "n-starts-zero": ("threshold", "n_starts = 0", "n_starts"),
+    "s4-above-one": ("fluid", "fluid_policy = s4=1.5", "fluid_policy"),
+    "horizon-zero": ("fluid", "horizon = 0", "horizon"),
+    "horizon-negative": ("fluid", "horizon = -1", "horizon"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command,line,key", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    def test_refused_value_exits_2_naming_the_key(self, cfg_file, tmp_path, capsys, command,
+                                                   line, key):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main([command, "--config", cfg_file(BASE + line + "\n"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and f" {key} " in err
+        assert list(out.iterdir()) == []
+
     def test_validation_error_names_assumption(self, cfg_file, tmp_path, capsys):
         code = cli.main(
             ["equilibrium", "--config", cfg_file("theta = 1.2\n"), "--out", str(tmp_path)]

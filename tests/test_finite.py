@@ -600,16 +600,32 @@ SIM_CASES = {
     "markov-n10": (policy.make_bench_policy, MARKOV, 10, 20_000, 13, "markov"),
 }
 SIM_RECORDED = {
-    "iid-n10": (3.4041707413333304, 0.05935803064547645,
-                "5bea9059cbd9ce65eca554b7b8b1b6a70e258d7cf956b13d394525e90fc92d1e",
-                "4f7b1bb019d8c7cd40025bb48fdc116b4760e1820bf3ae5b512cad2832bdaaa5"),
-    "iid-n1000": (389.6358952142213, 1.390612380812149,
-                  "93bc9cda8d80f5b56f690aae9c51e84c46db2716105453f71582131e4654a695",
-                  "3732464320d59670139041233b6743a85da347293324cf51c1cb8c21bfbf7bfa"),
-    "markov-n10": (3.169955917717071, 0.050425627021041225,
-                   "7f1bdf0e80e82d12b412e175d656d9f3927070df133a72bcf4973935b9e8ad3c",
-                   "844f33059e300792c29aa2d91769f6c296c438714bea415439eb7632b9c823a0"),
+    "iid-n10": (3.433833544384451, 0.05945185496485637,
+                "d9d40616958890d5614190e99808bc9eb310f11c6da08c8033684573b0e8a291",
+                "906602424187b016fd0ef34d11d2293621c55208cefcfaead7f0e5ee149d3efa"),
+    "iid-n1000": (390.43506415113427, 1.7984981932420263,
+                  "1d7fc02e563c675d69e3b2ae9dfd3bf4b8500473baa52ed8f5c1982d815ab148",
+                  "79cf3b96bce3c2721f994b66325eb2a2d2d0af2a3aa5f7c714e887579a635cda"),
+    "markov-n10": (3.1771493036632883, 0.047548882896629924,
+                   "4154ebc8db840875ce1f6cbf318655d948b44ebd8bb4899ce7a0794ab569de7f",
+                   "98b02d70aaa3ecf509f7d7df40a7f3e2e84c8dcc5cd5acd872390506911e3a94"),
 }
+
+
+def count_code(counts, n_users):
+    """The int code (n1 * (N + 1) + n2) * (N + 1) + n3 of count vectors."""
+    return (counts[0] * (n_users + 1) + counts[1]) * (n_users + 1) + counts[2]
+
+
+def pop_codes(stocks, refill, keys, rounds):
+    """Next-state codes popped from ``_transition_stock`` as ``simulate`` pops
+    them, from each key in turn for the given number of rounds."""
+    codes = []
+    for _ in range(rounds):
+        for key in keys:
+            pending = stocks.get(key)
+            codes.append(pending.pop() if pending else refill(key))
+    return codes
 
 
 class TestSimulate:
@@ -664,9 +680,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", SIM_RECORDED)
     def test_recorded_results(self, name, tmp_path):
-        # recorded from the simulator that serves each Bin(m, p) draw from a per-(m, p)
-        # stock: a change to the draws, the stock's block sizes, the order of the draws
-        # or the stage-cost arithmetic moves some bit here
+        # recorded from the simulator that pops each next state from a stock per
+        # post-decision key (its first 32 composed from per-(m, p) binomial stocks, then
+        # blocks of whole transitions): a change to the draws, either stock's block sizes,
+        # the order of the draws or the stage-cost arithmetic moves some bit here
         make, params, n_users, horizon, seed, channel_model = SIM_CASES[name]
         tp = make(sec4_at(0.1))
         sim = finite.simulate(lambda c: policy.apply_finite(tp, c, n_users), params, n_users,
@@ -733,6 +750,69 @@ class TestSimulate:
         fourth = var * (1 + 3 * (m - 2) * p * (1 - p))  # central fourth moment of Bin(m, p)
         assert abs(x.mean() - mean) <= 4.0 * np.sqrt(var / n_draws)
         assert abs(x.var(ddof=1) - var) <= 4.0 * np.sqrt((fourth - var**2) / n_draws)
+
+    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
+    def test_transition_stock_block_sizes(self, channel_model):
+        # 20,000 next states of one key: 32 composed from scalar binomial draws, then
+        # blocks of whole transitions of 64, 128, ..., 4096 and then 4096 at a time
+        params = sec4_at(0.2) if channel_model == "iid" else MARKOV
+        _, draw_next = finite._channel_step(params, 3, channel_model)
+        made = []
+
+        def recorded(key, draw):
+            codes = draw_next(key, draw)
+            made.append(np.size(codes))
+            return codes
+
+        rng = np.random.default_rng(23)
+        stocks, refill = finite._transition_stock(finite._binomial_stock(rng), rng.binomial,
+                                                  recorded)
+        key = 2 if channel_model == "iid" else count_code((1, 0, 1, 1), 3)  # backlog 2, or counts
+        pop_codes(stocks, refill, [key], 20_000)
+        assert made == [1] * 32 + [2**j for j in range(6, 13)] + [4096] * 3
+
+    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
+    def test_transition_stock_law_per_key(self, channel_model):
+        # two hot keys popped in turn, 20,000 next states each, composed and from
+        # blocks: each key's empirical law against its exact next-state row
+        params = sec4_at(0.2) if channel_model == "iid" else MARKOV
+        n_users = 3
+        space = finite.AggregateSpace(n_users, params)
+        post, draw_next = finite._channel_step(params, n_users, channel_model)
+        rng = np.random.default_rng(24)
+        stocks, refill = finite._transition_stock(finite._binomial_stock(rng), rng.binomial,
+                                                  draw_next)
+        # (counts, k) whose post-decision keys differ: (0, 1, 0, 2) serving 1, (1, 0, 1, 1) idle
+        served = [((0, 1, 0, 2), 1), ((1, 0, 1, 1), 0)]
+        keys = [post(count_code(counts, n_users), counts[1] + counts[3], k) for counts, k in served]
+        assert len(set(keys)) == 2
+        drawn = np.array(pop_codes(stocks, refill, keys, 20_000)).reshape(-1, 2)
+        codes = count_code(space.states.T, n_users)
+        for (counts, k), column in zip(served, drawn.T):
+            if channel_model == "iid":
+                law = finite.transition_distribution(counts, k, params)
+                row = np.array([law.get(tuple(s), 0.0) for s in space.states.tolist()])
+            else:
+                row = full_row(space, counts, k, params, channel_model)
+            freqs = np.array([np.mean(column == c) for c in codes])
+            assert freqs.sum() == 1.0
+            bound = 4.0 * np.sqrt(row * (1.0 - row) / len(column))
+            assert np.all(np.abs(freqs - row) <= bound + 1e-12), (counts, k)
+
+    @pytest.mark.parametrize("n_users", [2**21 - 1, 2**21], ids=["int64-edge", "wide"])
+    def test_codes_at_the_int64_edge(self, n_users):
+        # (N + 1)^3 reaches 2^63 at N = 2^21 - 1, whose codes still fit int64 and are
+        # stocked in blocks; from N = 2^21 on they are Python ints and every draw is
+        # composed. Always-transmit at a tiny arrival rate keeps the backlog at 0, so
+        # that key is hot, and its next states have n1 near 0.6 N, codes near the top
+        params = ModelParams.good_bad(theta=0.2, beta1=0.4, rho=1e-9, lam=1.5, n0=1.0)
+        sim = finite.simulate(lambda c: int(c[3]), params, n_users, 300, seed=25)
+        n1, n2, n3, n4 = sim.measures.T
+        assert (sim.measures >= 0).all() and (sim.measures.sum(axis=1) == n_users).all()
+        assert np.count_nonzero(n2) <= 5
+        good = params.beta[1]
+        assert np.all(np.abs(n3 / n_users - good) <= 5.0 * np.sqrt(good * (1 - good) / n_users))
+        assert n1.max() * (n_users + 1) ** 2 > 2**62
 
     @pytest.mark.parametrize("n0", [1.0, 5.0], ids=["default", "interior"])
     def test_bench_threshold_matches_exact_at_a_thousand_users(self, n0):

@@ -138,6 +138,11 @@ class TestBiasOptimalityCheck:
         assert data["regime"] == "Active"
         assert len(data["thresholds"]) == len(data["costs"][0])
 
+    def test_empty_start_set_refused(self, sec4):
+        # all([]) would read as a pass after auditing nothing
+        with pytest.raises(ValueError, match="m0_set is empty"):
+            policy.bias_optimality_check(sec4, grid_step=0.05, m0_set=[])
+
 
 class TestGridEngineConsistency:
     """The audit grid and ``bias_cost`` run on one exact engine (no dt left)."""
