@@ -82,6 +82,9 @@ _CHECKS = (
     ("dt", _positive, "must be positive and finite"),
     ("fluid_policy", _fluid_policy_ok,
      "must be threshold, passive, active or s4=<v> with v in [0, 1]"),
+    ("pairing", lambda name: name in _PAIRINGS, f"must be one of {sorted(_PAIRINGS)}"),
+    ("bench_policy", lambda name: name == "average_optimal" or name in _PAIRINGS,
+     f"must be average_optimal or one of {sorted(_PAIRINGS)}"),
 )
 
 
@@ -135,22 +138,11 @@ def _params(cfg, rho=None) -> ModelParams:
     )
 
 
-def _pairing(cfg):
-    name = cfg["pairing"]
-    if name not in _PAIRINGS:
-        raise ConfigError(f"pairing must be one of {sorted(_PAIRINGS)}, got {name!r}")
-    return _PAIRINGS[name]
-
-
 def _bench_policy(cfg, params):
     name = cfg["bench_policy"]
     if name == "average_optimal":
         return policy.make_bench_policy(params)
-    if name in _PAIRINGS:
-        return policy.make_policy(params, _PAIRINGS[name])
-    raise ConfigError(
-        f"bench_policy must be average_optimal or one of {sorted(_PAIRINGS)}, got {name!r}"
-    )
+    return policy.make_policy(params, _PAIRINGS[name])
 
 
 def cmd_equilibrium(cfg, out_dir, seed):
@@ -163,7 +155,7 @@ def cmd_equilibrium(cfg, out_dir, seed):
 
 def cmd_threshold(cfg, out_dir, seed):
     params = _params(cfg)
-    pairing = _pairing(cfg)
+    pairing = _PAIRINGS[cfg["pairing"]]
     pol = policy.make_policy(params, pairing)
     rng = np.random.default_rng(seed)
     starts = [rng.dirichlet(np.ones(4)) for _ in range(cfg["n_starts"])]
@@ -184,7 +176,7 @@ def cmd_fluid(cfg, out_dir, seed):
     params = _params(cfg)
     name = cfg["fluid_policy"]
     if name == "threshold":
-        controller = policy.make_policy(params, _pairing(cfg))
+        controller = policy.make_policy(params, _PAIRINGS[cfg["pairing"]])
     elif name == "passive":
         controller = lambda m: 0.0
     elif name == "active":

@@ -22,15 +22,14 @@ from that key's law (D), built from binomial pmfs. Both chains have a single
 recurrent class, proved from the parameters (``_backlog_chain_cost``,
 ``_require_markov_unichain``), so each evaluation is one direct solve.
 The simulator draws each slot's next counts from the law of its post-decision
-key, the same laws: a key's first draws are composed group by group from
-per-(m, p) binomial stocks (``_binomial_stock``, O(1) in N), and later ones are
-popped from a per-key stock of whole transitions drawn ahead in blocks
-(``_transition_stock``). It calls the policy once per distinct count vector.
+key, the same laws: a key's first draws are composed group by group from scalar
+binomials (O(1) in N), and later ones are popped from a per-key stock of whole
+transitions drawn ahead in blocks (``_transition_stock``). It calls the policy
+once per distinct count vector.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import numbers
@@ -458,50 +457,8 @@ def _initial_counts(initial_counts, n_users: int) -> tuple:
     return tuple(int(c) for c in counts)
 
 
-_STOCK_CAP = 4096  # most pending draws one (m, p) stock holds
-
-
-def _binomial_stock(rng):
-    """``draw(m, p)``: one Bin(m, p) draw from ``rng``, served from a stock per (m, p).
-
-    A key's first draw is one scalar ``rng.binomial(m, p)``. Each later draw
-    pops the key's pending draws; an empty stock is refilled by one
-    vectorised ``rng.binomial(m, p, size)`` whose size doubles per refill,
-    from 2 up to ``_STOCK_CAP``. Block sizes depend only on how often the key
-    was refilled, never on the horizon or the slot.
-
-    The law is that of one scalar draw per call. Every ``rng.binomial`` call
-    returns fresh draws, independent of all earlier ones, and no draw is read
-    before it is popped. So each key's stock, in pop order, is an i.i.d.
-    Bin(m, p) sequence, independent of every other key's stock. Which key a
-    call pops from depends only on the values popped before it. Hence each
-    popped value is a fresh Bin(m, p) draw, independent of everything
-    popped before.
-    """
-    binomial = rng.binomial
-    # p -> m -> pending draws, popped from the end; looked up by p, then by the int m,
-    # which is cheaper than hashing (m, p) on every draw
-    stocks = collections.defaultdict(dict)
-    sizes = {}  # (m, p) -> size of the key's last draw or block
-
-    def draw(m, p):
-        pending = stocks[p].get(m)
-        if pending:
-            return pending.pop()
-        key = (m, p)
-        size = sizes.get(key)
-        if size is None:  # the key's first draw
-            sizes[key] = 1
-            return binomial(m, p)
-        size = sizes[key] = min(2 * size, _STOCK_CAP)
-        # int64 draws packed 8 bytes apiece; each pop returns a fresh int
-        pending = stocks[p][m] = array("q", binomial(m, p, size).tobytes())
-        return pending.pop()
-
-    return draw
-
-
-_FIRST_DRAWS = 32  # draws of a post-decision key composed from binomial draws, before blocks
+_FIRST_DRAWS = 32  # draws of a post-decision key composed from scalar binomials, before blocks
+_STOCK_CAP = 4096  # most whole transitions one block of a key draws
 
 
 def _channel_step(params: ModelParams, n_users: int, channel_model: str):
@@ -548,23 +505,22 @@ def _channel_step(params: ModelParams, n_users: int, channel_model: str):
     return (lambda code, full, k: code + k), draw_next
 
 
-def _transition_stock(draw, binomial, draw_next, wide: bool = False):
+def _transition_stock(binomial, draw_next, wide: bool = False):
     """``(stocks, refill)``: a stock of whole next-state draws per post-decision key.
 
     ``stocks`` maps a key to its pending codes, popped from the end, and
     ``refill(key)``, called when they are missing or empty, returns the key's
     next code. A key's first ``_FIRST_DRAWS`` codes are each one ``draw_next``
-    on the scalar ``draw(m, p)`` (``_binomial_stock``). Each later refill is
-    one ``draw_next`` on ``binomial(m, p, size=size)``, a block of whole
-    transitions in one vectorised pass, whose size doubles per refill from
-    2 * ``_FIRST_DRAWS`` up to ``_STOCK_CAP``. The schedule depends only on the
-    key's own refills. When codes can pass int64 (``wide``), every draw is
-    composed and nothing is stocked.
+    on scalar ``binomial(m, p)`` calls. Each later refill is one ``draw_next``
+    on ``binomial(m, p, size=size)``, a block of whole transitions in one
+    vectorised pass, whose size doubles per refill from 2 * ``_FIRST_DRAWS``
+    up to ``_STOCK_CAP``. The schedule depends only on the key's own refills.
+    When codes can pass int64 (``wide``), every draw is composed and nothing
+    is stocked.
 
     Each code is a draw from the key's next-state law, independent of every
-    code returned before it: a composed one by ``_binomial_stock``'s argument,
-    a block's because every ``binomial`` call returns fresh draws and no code
-    is read before it is popped.
+    code returned before it: every ``binomial`` call returns fresh draws,
+    independent of all earlier ones, and no code is read before it is popped.
     """
     stocks = {}  # key -> pending codes, popped from the end
     sizes = {}  # key -> composed draws so far, then the size of its last block
@@ -574,7 +530,7 @@ def _transition_stock(draw, binomial, draw_next, wide: bool = False):
         size = sizes.get(key, 0)
         if size < composed:
             sizes[key] = size + 1
-            return draw_next(key, draw)
+            return draw_next(key, binomial)
         size = sizes[key] = min(2 * size, _STOCK_CAP)
         pending = stocks.setdefault(key, array("q"))
         # int64 codes packed 8 bytes apiece into the key's emptied array, whose buffer
@@ -606,16 +562,15 @@ def simulate(
     under the memoryless channel, (n1, n2, n3 + k, n4 - k) under the Markov one.
 
     Each slot pops one next state from its key's stock (``_transition_stock``):
-    a key's first draws are composed group by group from ``_binomial_stock``,
-    a handful of binomials whatever N is, and later ones come in blocks of
-    whole transitions, so a key seen often costs one pop per slot. The law is
-    that of one fresh draw per slot. Each key's stock, in pop order, is an
-    i.i.d. sequence of draws from the key's next-state law, every value is
-    read once, and which stock a slot pops from depends only on the values
-    popped before it. So each slot's next state is a fresh draw from its key's
-    law, independent of the path so far. Block sizes depend only on each
-    key's own history, never on the horizon, so a run is the prefix of a
-    longer one with the same seed.
+    a key's first draws are composed group by group from scalar binomials, a
+    handful whatever N is, and later ones come in blocks of whole transitions,
+    so a key seen often costs one pop per slot. The law is that of one fresh
+    draw per slot. Each key's stock, in pop order, is an i.i.d. sequence of
+    draws from the key's next-state law, every value is read once, and which
+    stock a slot pops from depends only on the values popped before it. So
+    each slot's next state is a fresh draw from its key's law, independent of
+    the path so far. Block sizes depend only on each key's own history, never
+    on the horizon, so a run is the prefix of a longer one with the same seed.
 
     Without ``initial_counts`` all queues start empty with n3 ~ Bin(N, beta1).
     ``policy_fn`` must be a deterministic function of the counts: it is called
@@ -632,14 +587,13 @@ def simulate(
     n, base, lam = n_users, n_users + 1, params.lam
     wide = base**3 > 2**63  # codes past int64 stay Python ints
     rng = np.random.default_rng(seed)
-    draw = _binomial_stock(rng)
     if initial_counts is not None:
         n1, n2, n3, _ = _initial_counts(initial_counts, n)
     else:
-        n3 = draw(n, params.beta[1])
+        n3 = rng.binomial(n, params.beta[1])
         n1, n2 = n - n3, 0
     post, draw_next = _channel_step(params, n, channel_model)
-    stocks, refill = _transition_stock(draw, rng.binomial, draw_next, wide)
+    stocks, refill = _transition_stock(rng.binomial, draw_next, wide)
     power = {}  # k -> k * p(k), each k priced once by transmit_power
     place = {}  # count code -> its place in order of first visit
     keys, actions, costs = [], [], []  # per count vector, in order of first visit

@@ -239,7 +239,7 @@ def validate_measure(m, tol: float = 1e-9) -> np.ndarray:
     if np.any(m < -tol) or np.any(m > 1.0 + tol):
         raise NotADistribution(f"measure entries outside [0, 1]: {m.tolist()}")
     if abs(float(m.sum()) - 1.0) > tol:
-        raise NotADistribution(f"measure sums to {m.sum()!r}, not 1")
+        raise NotADistribution(f"measure sums to {float(m.sum())!r}, not 1")
     return m
 
 

@@ -175,6 +175,8 @@ BAD_VALUES = {
     "s4-above-one": ("fluid", "fluid_policy = s4=1.5", "fluid_policy"),
     "horizon-zero": ("fluid", "horizon = 0", "horizon"),
     "horizon-negative": ("fluid", "horizon = -1", "horizon"),
+    "pairing-unknown": ("vi", "pairing = foo", "pairing"),
+    "bench-policy-unknown": ("equilibrium", "bench_policy = foo", "bench_policy"),
 }
 
 
@@ -189,6 +191,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and f" {key} " in err
         assert list(out.iterdir()) == []
+
+    def test_measure_off_the_simplex_prints_its_sum(self, cfg_file, tmp_path, capsys):
+        # the sum is printed as a plain float, not as a numpy repr
+        text = BASE + "m0 = 0.5, 0.5, 0.5, 0.5\n"
+        code = cli.main(["fluid", "--config", cfg_file(text), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: measure sums to 2.0, not 1\n"
 
     def test_validation_error_names_assumption(self, cfg_file, tmp_path, capsys):
         code = cli.main(
