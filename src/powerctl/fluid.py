@@ -12,8 +12,11 @@ On every arc dm/dt = A m, so an RK4 step of size h is one matrix,
 m -> m + D(h) m: ``integrate`` advances up to _CHUNK steps at once as R^k m
 and takes a step alone only where it meets an event or is a last, shortened
 one. Every event is bisected on D to 1e-10 and landed on its far side.
-``threshold_bias_batch`` propagates the same arcs exactly, by exp(A h), with
-the same event rule and backs ``bias_cost`` for thresholds; for a callable,
+``threshold_bias_batch`` propagates the same arcs exactly, by exp(A h), and
+backs ``bias_cost`` for thresholds. It brackets an event on the dyadic grid
+h / 2^K of its step, K = ceil(log2(h / 1e-10)), fixing _SEARCH_BITS bits of
+the event time per round from cached tables exp(A j span), and lands the
+path on the bracket's far side, as ``integrate`` does; for a callable,
 ``bias_cost`` prices each RK4 step of ``integrate`` from its stage states.
 The cost c(m, s) = s * theta * n0 / (1 - theta * m4) + lam * (m2 + m4) is
 the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
@@ -33,6 +36,7 @@ from .model import ModelParams, require_good_bad, validate_measure, write_csv
 
 _SIMPLEX_TOL = 1e-9
 _EVENT_TIME_TOL = 1e-10
+_SEARCH_BITS = 4  # event-time bits that ``threshold_bias_batch`` resolves per search round
 _SURFACE_TOL = 1e-9
 _EPS = np.finfo(float).eps
 _CHUNK = 256  # RK4 steps that ``integrate`` advances by one batched product
@@ -363,6 +367,42 @@ def _propagators(gens: bytes, times: tuple) -> np.ndarray:
     return _expm(np.frombuffer(gens).reshape(-1, 4, 4)[:, None] * np.array(times)[:, None, None])
 
 
+@functools.lru_cache(maxsize=128)
+def _grid_tables(gens: bytes, h: float) -> tuple:
+    """The event grid of a step h, h / 2^K with K = ceil(log2(h / _EVENT_TIME_TOL)),
+    in rounds of _SEARCH_BITS bits, the first taking the remainder. Per round its span
+    and exp(A j span), j = 0 .. 2^bits - 1, for each generator A in the buffer ``gens``:
+    powers of exp(A span), doubled by batched products."""
+    k = int(np.ceil(np.log2(h / _EVENT_TIME_TOL)))
+    bits = [k % _SEARCH_BITS] * (k % _SEARCH_BITS > 0) + [_SEARCH_BITS] * (k // _SEARCH_BITS)
+    spans = h / 2.0 ** np.cumsum(bits)
+    base = _expm(np.frombuffer(gens).reshape(-1, 1, 4, 4) * spans[:, None, None])[:, :, None]
+    powers = np.concatenate([np.broadcast_to(np.eye(4), base.shape), base], axis=2)
+    while powers.shape[2] < 2**_SEARCH_BITS:  # E^(n + j) = E^n E^j, j = 1 .. n
+        powers = np.concatenate([powers, powers[:, :, -1:] @ powers[:, :, 1:]], axis=2)
+    return tuple((spans[r], powers[:, r, : 2**b].copy()) for r, b in enumerate(bits))
+
+
+def _event_bracket(gens: bytes, arc, m, h, crossed):
+    """Bracket each path's event on the grid of ``_grid_tables``.
+
+    Path i runs from m[i] on generator arc[i] and has left its arc by time h.
+    ``crossed`` maps a (paths, points, 4) stack of states to (paths, points)
+    flags. Each round propagates the bracket's left end to the round's grid
+    points in one product and moves it to the last point before the first
+    crossed one (to the last point if none is crossed), so the bracket closes
+    on the first crossing the grid resolves. Returns its left end lo, its width
+    delta (the last span, at most _EVENT_TIME_TOL), the state at lo, not
+    crossed, and the state at lo + delta, its far side, from exp(A delta).
+    """
+    lo, rows, last = np.zeros(len(m)), np.arange(len(m)), np.ones((len(m), 1), dtype=bool)
+    for span, table in _grid_tables(gens, h):
+        cand = np.einsum("pjik,pk->pji", table[arc], m)  # cand[:, 0] is m
+        k = np.argmax(np.concatenate([crossed(cand[:, 1:]), last], axis=1), axis=1)
+        lo, m = lo + k * span, cand[rows, k]
+    return lo, span, m, np.einsum("pik,pk->pi", table[arc, 1], m)
+
+
 def threshold_bias_batch(
     m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=1e5, t_hard=5000.0
 ) -> BiasBatch:
@@ -371,8 +411,12 @@ def threshold_bias_batch(
     Paths advance in lockstep by exact propagators exp(A h) of their arcs: U(0),
     U(1), or on m4 = tau the slide U(0) + du[:,3] u0[3] / (beta1 (1 - rho)), whose
     m4 row is zero. Events (m4 crossing tau on a bang arc, the duty cycle leaving
-    [0, 1] on a slide) are bracketed by step ends and bisected on exp(A tau) to
-    _EVENT_TIME_TOL; step costs use Gauss-Legendre. Deviations from an arc's
+    [0, 1] on a slide) are found by step ends and bracketed on the step's grid
+    h / 2^K, K = ceil(log2(h / _EVENT_TIME_TOL)), by ``_event_bracket``: each
+    round propagates the bracket's left end to 2^_SEARCH_BITS - 1 grid points at
+    once and keeps the last before the first crossed, until the bracket is one
+    grid step wide. The path lands on its far side, reached by exp(A h / 2^K)
+    from the left end; step costs use Gauss-Legendre. Deviations from an arc's
     equilibrium shrink in L1, so once one cannot reach the arc's event the rest
     is -grad . A^# x (linearised on active arcs). A path settling away from
     m_star is worth the integral of (cost - E_settled) plus (E_settled - e_star)
@@ -431,18 +475,13 @@ def threshold_bias_batch(
         hit = np.flatnonzero(system.crossed(m_new, arc, tau))
         if hit.size:
             a, th = arc[hit], tau[hit]
-            levels = h / 2.0 ** np.arange(1, np.ceil(np.log2(h / _EVENT_TIME_TOL)) + 1)
-            ladder = _propagators(key, tuple(levels))
-            lo, m_lo = np.zeros(hit.size), m[hit]
-            for k, dk in enumerate(levels):
-                cand = np.einsum("pij,pj->pi", ladder[a, k], m_lo)
-                ok = ~system.crossed(cand, a, th)
-                lo, m_lo = lo + dk * ok, np.where(ok[:, None], cand, m_lo)
-            step[hit] = lo + levels[-1]
+            crossed = lambda x: system.crossed(x, a[:, None], th[:, None])
+            lo, delta, _, far = _event_bracket(key, a, m[hit], h, crossed)
+            step[hit] = lo + delta
             sub = _expm(gens[a, None] * (step[hit, None] * _GAUSS_T[:-1])[..., None, None])
             sub = np.einsum("pkij,pj->pki", sub, m[hit])
             dj[hit] = step[hit] * ((rate(sub, a[:, None], kap[hit, None]) - e_star) @ _GAUSS_W)
-            m_new[hit], arc[hit] = system.land(np.einsum("pij,pj->pi", ladder[a, -1], m_lo), th)
+            m_new[hit], arc[hit] = system.land(far, th)
             for p, when, new in zip(live[hit], t[hit] + step[hit], arc[hit]):
                 switches[p].append((float(when), int(new)))
                 if len(switches[p]) >= _MAX_ARCS:

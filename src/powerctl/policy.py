@@ -125,6 +125,8 @@ class BiasCheckReport:
     converged: list
     tails: list
     argmins: list
+    argmin_first_switch: list
+    pi_first_switch: list
     passed: bool
     pairing_verdict: str | None = None
     pairing_costs: dict = field(default_factory=dict)
@@ -154,8 +156,10 @@ def bias_optimality_check(
     {0, grid_step, ..., beta1 + grid_step} is run to equilibrium and its
     bias integral recorded (with the analytic tail when it settles at the
     wrong operating point). The check passes when each argmin lies within
-    one grid step of the policy's threshold. In the boundary regimes the
-    two pairing candidates are also raced and the winner reported.
+    one grid step of the policy's threshold. Per start it also keeps the first
+    switch (time, arc entered) of the argmin's path and of the policy's, None
+    for a path that never switches. In the boundary regimes the two pairing
+    candidates are also raced and the winner reported.
     ValueError on an empty ``m0_set``, which would pass without a check.
     """
     require_good_bad(params)
@@ -171,8 +175,9 @@ def bias_optimality_check(
     pi_p3c = make_policy(params, PROP3_CONSISTENT).pi
     pi_lit = make_policy(params, PAPER_LITERAL).pi
     taus = np.concatenate([grid, [pi_p3c, pi_lit]])
+    at_pi = n_grid if pairing == PROP3_CONSISTENT else n_grid + 1
 
-    costs, flags, tails, argmins = [], [], [], []
+    costs, flags, tails, argmins, argmin_first, pi_first = [], [], [], [], [], []
     p3c_costs, lit_costs = [], []
     for m0 in m0_set:
         batch = threshold_bias_batch(m0, taus, report.E_star, report.m_star, params, t_max=t_max)
@@ -180,7 +185,10 @@ def bias_optimality_check(
         costs.append(values[:n_grid].tolist())
         flags.append(batch.converged[:n_grid].tolist())
         tails.append(batch.tails[:n_grid].tolist())
-        argmins.append(float(grid[_argmin_toward(values[:n_grid], grid, policy.pi)]))
+        best = _argmin_toward(values[:n_grid], grid, policy.pi)
+        argmins.append(float(grid[best]))
+        argmin_first.append(next(iter(batch.switches[best]), None))
+        pi_first.append(next(iter(batch.switches[at_pi]), None))
         p3c_costs.append(float(values[n_grid]))
         lit_costs.append(float(values[n_grid + 1]))
 
@@ -201,6 +209,8 @@ def bias_optimality_check(
         converged=flags,
         tails=tails,
         argmins=argmins,
+        argmin_first_switch=argmin_first,
+        pi_first_switch=pi_first,
         passed=passed,
         pairing_verdict=verdict,
         pairing_costs={PROP3_CONSISTENT: p3c_costs, PAPER_LITERAL: lit_costs},

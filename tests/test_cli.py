@@ -101,6 +101,10 @@ class TestCommands:
         data = json.loads((tmp_path / "threshold.json").read_text())
         assert data["regime"] == "Interior"
         assert data["passed"] is True
+        # per start, [time, arc entered] of the first switch, or null
+        for key in ("argmin_first_switch", "pi_first_switch"):
+            (first,) = data[key]
+            assert first is None or (first[0] > 0.0 and first[1] in (0, 1, 2))
 
 
     def test_threshold_default_config(self, cfg_file, tmp_path):

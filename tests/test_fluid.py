@@ -333,6 +333,71 @@ class TestExactEngine:
             fluid.threshold_bias_batch(m0, [0.08], rep.E_star, rep.m_star, sec4)
 
 
+def _ladder_bracket(gens, arc, m, h, crossed):
+    """The bisection ladder on the engine's event grid: one level per bit, each
+    moving the bracket's left end to its midpoint when that is not crossed.
+    The oracle of ``fluid._event_bracket``, with the same signature."""
+    levels = h / 2.0 ** np.arange(1, np.ceil(np.log2(h / fluid._EVENT_TIME_TOL)) + 1)
+    ladder = fluid._propagators(gens, tuple(levels))
+    lo = np.zeros(len(m))
+    for k, dk in enumerate(levels):
+        cand = np.einsum("pij,pj->pi", ladder[arc, k], m)
+        ok = ~crossed(cand[:, None])[:, 0]
+        lo, m = lo + dk * ok, np.where(ok[:, None], cand, m)
+    return lo, levels[-1], m, np.einsum("pij,pj->pi", ladder[arc, -1], m)
+
+
+class TestEventSearch:
+    @pytest.mark.parametrize("n0", [1.0, 5.0])  # Active, Interior
+    def test_matches_the_bisection_ladder_on_the_audit_grid(self, n0, monkeypatch):
+        params = sec4_at(0.1, n0=n0)
+        rep = equilibrium.optimal_equilibrium(params)
+        grid = np.arange(int(np.floor(params.beta1 / 0.005)) + 2) * 0.005
+        pis = [policy.make_policy(params, pairing).pi
+               for pairing in (policy.PROP3_CONSISTENT, policy.PAPER_LITERAL)]
+        taus = np.concatenate([grid, pis])
+        assert len(taus) == 84
+        events = 0
+        for m0 in np.random.default_rng(14).dirichlet(np.ones(4), size=40):
+            new = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(fluid, "_event_bracket", _ladder_bracket)
+                old = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
+            for ours, theirs in zip(new.switches, old.switches):
+                assert [arc for _, arc in ours] == [arc for _, arc in theirs]
+                times = np.array([when for when, _ in ours]) - [when for when, _ in theirs]
+                assert np.all(np.abs(times) <= 1e-10)
+                events += len(ours)
+            np.testing.assert_allclose(new.values, old.values, rtol=1e-9, atol=0.0)
+            assert list(new.converged) == list(old.converged)
+        assert events > 1000
+
+    def test_bracket_closes_on_the_first_crossing(self):
+        # a clock: exp(A t) (1, 0, 0, 0) = (1, 0, 0, t) exactly, as A A = 0
+        clock = np.zeros((1, 4, 4))
+        clock[0, 3, 0] = 1.0
+        gens, h = clock.tobytes(), 1.0
+        first = fluid._grid_tables(gens, h)[0][0]  # the first round's span
+        # per path, two windows of t in which it is crossed; the first crossing is at [:, 0, 0]
+        windows = np.array([
+            [[0.3, 2.0], [3.0, 3.0]],  # one crossing, then crossed to the step's end
+            [[0.5 * first, 1.5 * first], [0.9, 2.0]],  # crossed, clear again, crossed
+            [[1e-11, 2.0], [3.0, 3.0]],  # in the first grid cell
+            [[1.0 - 1e-11, 2.0], [3.0, 3.0]],  # in the last grid cell
+        ])
+
+        def crossed(x):
+            t = x[..., 3, None]
+            return ((t > windows[:, None, :, 0]) & (t < windows[:, None, :, 1])).any(axis=-1)
+
+        m = np.tile([1.0, 0.0, 0.0, 0.0], (len(windows), 1))
+        lo, delta, m_lo, m_far = fluid._event_bracket(gens, np.zeros(len(m), int), m, h, crossed)
+        assert 0.0 < delta <= fluid._EVENT_TIME_TOL
+        assert np.array_equal(m_lo[:, 3], lo) and np.array_equal(m_far[:, 3], lo + delta)
+        assert not crossed(m_lo[:, None]).any() and crossed(m_far[:, None]).all()
+        assert np.all((lo <= windows[:, 0, 0]) & (windows[:, 0, 0] < lo + delta))
+
+
 def _stagewise(m0, control_of, horizon, params, dt):
     """The plain loop ``integrate`` batches: one stage-wise RK4 step at a time on
     dm/dt = U(s) m, with s = control_of(stage state)."""

@@ -124,9 +124,28 @@ class TestBiasOptimalityCheck:
         )
         assert report.passed
         assert report.argmins[0] == pytest.approx(0.4)
+        assert report.argmin_first_switch == report.pi_first_switch == [None]  # both stay put
         costs = np.array(report.costs[0])
         taus = np.array(report.thresholds)
         assert np.all(np.abs(costs[taus >= 0.4]) < 1e-9)
+
+    def test_first_switches_are_the_engines(self, sec4):
+        rep = equilibrium.optimal_equilibrium(sec4)
+        starts = [np.array([0.25] * 4), np.array([0.1, 0.4, 0.45, 0.05])]
+        report = policy.bias_optimality_check(sec4, grid_step=0.01, m0_set=starts)
+        for i, start in enumerate(starts):
+            for tau, first in (
+                (report.argmins[i], report.argmin_first_switch[i]),
+                (report.policy_pi, report.pi_first_switch[i]),
+            ):
+                batch = fluid.threshold_bias_batch(start, [tau], rep.E_star, rep.m_star, sec4)
+                assert first == (batch.switches[0][0] if batch.switches[0] else None)
+        # from the uniform start the argmin path never switches; from the second both
+        # paths are passive, then switch to active, the argmin's first
+        assert report.argmin_first_switch[0] is None
+        (t_argmin, arc_argmin) = report.argmin_first_switch[1]
+        (t_pi, arc_pi) = report.pi_first_switch[1]
+        assert arc_argmin == arc_pi == 1 and t_argmin < t_pi
 
     def test_report_serializes(self, sec4, tmp_path):
         report = policy.bias_optimality_check(
