@@ -156,7 +156,6 @@ def cmd_equilibrium(cfg, out_dir, seed):
 def cmd_threshold(cfg, out_dir, seed):
     params = _params(cfg)
     pairing = _PAIRINGS[cfg["pairing"]]
-    pol = policy.make_policy(params, pairing)
     rng = np.random.default_rng(seed)
     starts = [rng.dirichlet(np.ones(4)) for _ in range(cfg["n_starts"])]
     report = policy.bias_optimality_check(
@@ -166,7 +165,7 @@ def cmd_threshold(cfg, out_dir, seed):
     report.to_json(path)
     verdict = report.pairing_verdict or "n/a (interior)"
     print(
-        f"{pol.regime}: pi={pol.pi:.12g} grid check "
+        f"{report.regime}: pi={report.policy_pi:.12g} grid check "
         f"{'PASS' if report.passed else 'FAIL'}, pairing verdict: {verdict} -> {path}"
     )
     return EXIT_OK

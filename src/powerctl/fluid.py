@@ -341,7 +341,7 @@ _GAUSS_W = 0.5 * np.concatenate([_GL_W[::-1], _GL_W])
 
 @dataclass
 class BiasBatch:
-    """Per threshold: value, converged flag, its (E_settled - e_star) * t_max part (0
+    """Per path: value, converged flag, its (E_settled - e_star) * t_max part (0
     if converged), events (time, arc entered: 0 passive, 1 active, 2 sliding)."""
 
     values: np.ndarray
@@ -406,7 +406,8 @@ def _event_bracket(gens: bytes, arc, m, h, crossed):
 def threshold_bias_batch(
     m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=1e5, t_hard=5000.0
 ) -> BiasBatch:
-    """Bias integrals of many threshold controllers from one start m0.
+    """Bias integrals of threshold controllers, one path per threshold: all from
+    one start m0 of shape (4,), or path i from row i of an (n, 4) m0.
 
     Paths advance in lockstep by exact propagators exp(A h) of their arcs: U(0),
     U(1), or on m4 = tau the slide U(0) + du[:,3] u0[3] / (beta1 (1 - rho)), whose
@@ -441,7 +442,7 @@ def threshold_bias_batch(
         power = np.where(arc == 1, theta * n0 / (1.0 - theta * m[..., 3]), 0.0)
         return m @ hold + power + kap * (arc == 2) * (m @ u0[3])
 
-    m = np.tile(validate_measure(m0), (n, 1))
+    m = np.broadcast_to(validate_measure(m0), (n, 4)).copy()
     arc = (m[:, 3] > tau).astype(int)
     on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
     m[on], arc[on] = system.land(m[on], tau[on])

@@ -78,10 +78,6 @@ class ModelParams:
         """Probability of the best channel level."""
         return self.beta[-1]
 
-    def is_good_bad(self) -> bool:
-        """True for the analyzed case: two levels with gains {0, 1}, unit buffer."""
-        return self.k == 2 and self.q_max == 1 and tuple(self.gains) == (0.0, 1.0)
-
     @classmethod
     def good_bad(cls, theta, beta1, rho, lam, n0, p_max=10.0):
         """Validated parameters for the GOOD/BAD channel with a one-packet buffer."""
@@ -101,6 +97,8 @@ class ModelParams:
 
 def _check_distribution(vec, what):
     arr = np.asarray(vec, dtype=float)
+    if not np.isfinite(arr).all():
+        raise NotADistribution(f"{what} has non-finite entries: {arr.tolist()}")
     if np.any(arr < 0.0):
         raise NotADistribution(f"{what} has negative entries: {arr.tolist()}")
     total = float(arr.sum())
@@ -119,6 +117,10 @@ def validate_params(raw: ModelParams) -> ModelParams:
             f"need k gains and k level probabilities, got k={raw.k}, "
             f"{len(raw.gains)} gains, {len(raw.beta)} probabilities"
         )
+    for name in ("gains", "rho", "theta", "n0", "lam", "p_max"):
+        value = getattr(raw, name)
+        if not np.isfinite(value).all():
+            raise AssumptionViolation(f"{name} must be finite, got {value}")
     if any(g < 0 for g in raw.gains):
         raise AssumptionViolation(f"gains must be nonnegative: {raw.gains}")
     if list(raw.gains) != sorted(raw.gains):
@@ -132,9 +134,9 @@ def validate_params(raw: ModelParams) -> ModelParams:
             )
         for i in range(raw.k):
             _check_distribution(mat[i], f"channel matrix row {i}")
-    if not raw.theta < 1.0:
+    if not 0.0 < raw.theta < 1.0:
         raise AssumptionViolation(
-            f"Assumption 1 violated: need theta < 1, got theta={raw.theta}"
+            f"Assumption 1 violated: need 0 < theta < 1, got theta={raw.theta}"
         )
     if raw.n0 <= 0.0:
         raise AssumptionViolation(f"noise power must be positive, got {raw.n0}")
@@ -234,12 +236,19 @@ def control_support_ok(s, params: ModelParams) -> bool:
 
 
 def validate_measure(m, tol: float = 1e-9) -> np.ndarray:
-    """Check a population measure lies on the probability simplex."""
+    """Check a population measure, or each row of a stack of them, lies on the
+    probability simplex; a NaN entry fails the range check. The error shows the
+    first row that fails."""
     m = np.asarray(m, dtype=float)
-    if np.any(m < -tol) or np.any(m > 1.0 + tol):
-        raise NotADistribution(f"measure entries outside [0, 1]: {m.tolist()}")
-    if abs(float(m.sum()) - 1.0) > tol:
-        raise NotADistribution(f"measure sums to {float(m.sum())!r}, not 1")
+    rows = np.atleast_2d(m)
+    inside = ((rows >= -tol) & (rows <= 1.0 + tol)).all(axis=1)
+    if not inside.all():
+        bad = rows[np.argmin(inside)].tolist()
+        raise NotADistribution(f"measure entries outside [0, 1]: {bad}")
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0) > tol
+    if off.any():
+        raise NotADistribution(f"measure sums to {float(sums[np.argmax(off)])!r}, not 1")
     return m
 
 

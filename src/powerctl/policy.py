@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .equilibrium import INTERIOR, PASSIVE, EquilibriumReport, optimal_equilibrium
+from .equilibrium import INTERIOR, PASSIVE, optimal_equilibrium
 from .fluid import threshold_bias_batch
 from .model import ModelParams, require_good_bad, write_json
 
@@ -52,18 +52,25 @@ class ThresholdPolicy:
     pairing: str
 
 
-def make_policy(params: ModelParams, pairing: str = PROP3_CONSISTENT) -> ThresholdPolicy:
-    """Build the threshold controller for the parameters' noise regime."""
+def _pairing_thresholds(params: ModelParams, pairing: str):
+    """The optimal equilibrium, and the threshold of each pairing in its regime,
+    ``PROP3_CONSISTENT``'s first. ValueError if ``pairing`` is neither."""
     if pairing not in (PROP3_CONSISTENT, PAPER_LITERAL):
         raise ValueError(f"unknown pairing {pairing!r}")
     report = optimal_equilibrium(params)
     if report.regime == INTERIOR:
-        pi = report.m_star[3]
+        pis = (report.m_star[3],) * 2
     elif report.regime == PASSIVE:
-        pi = m4_passive(params) if pairing == PROP3_CONSISTENT else m4_active(params)
+        pis = (m4_passive(params), m4_active(params))
     else:
-        pi = m4_active(params) if pairing == PROP3_CONSISTENT else m4_passive(params)
-    return ThresholdPolicy(pi=pi, regime=report.regime, pairing=pairing)
+        pis = (m4_active(params), m4_passive(params))
+    return report, dict(zip((PROP3_CONSISTENT, PAPER_LITERAL), pis))
+
+
+def make_policy(params: ModelParams, pairing: str = PROP3_CONSISTENT) -> ThresholdPolicy:
+    """Build the threshold controller for the parameters' noise regime."""
+    report, pis = _pairing_thresholds(params, pairing)
+    return ThresholdPolicy(pi=pis[pairing], regime=report.regime, pairing=pairing)
 
 
 AVERAGE_OPTIMAL = "AverageOptimal"
@@ -143,19 +150,15 @@ def _argmin_toward(costs, thresholds, target):
 
 
 def bias_optimality_check(
-    params: ModelParams,
-    m0_set=None,
-    grid_step: float = 0.005,
-    pairing: str = PROP3_CONSISTENT,
-    t_max: float = 1e5,
-    seed: int = 0,
+    params: ModelParams, m0_set, grid_step: float = 0.005, pairing: str = PROP3_CONSISTENT
 ) -> BiasCheckReport:
     """Compare the policy threshold against a brute-force threshold grid.
 
     For every start, every candidate threshold on the grid
     {0, grid_step, ..., beta1 + grid_step} is run to equilibrium and its
     bias integral recorded (with the analytic tail when it settles at the
-    wrong operating point). The check passes when each argmin lies within
+    wrong operating point), in one ``threshold_bias_batch`` over all (start,
+    threshold) pairs. The check passes when each argmin lies within
     one grid step of the policy's threshold. Per start it also keeps the first
     switch (time, arc entered) of the argmin's path and of the policy's, None
     for a path that never switches. In the boundary regimes the two pairing
@@ -163,55 +166,41 @@ def bias_optimality_check(
     ValueError on an empty ``m0_set``, which would pass without a check.
     """
     require_good_bad(params)
-    report: EquilibriumReport = optimal_equilibrium(params)
-    policy = make_policy(params, pairing)
-    if m0_set is None:
-        rng = np.random.default_rng(seed)
-        m0_set = [rng.dirichlet(np.ones(4)) for _ in range(5)]
+    report, pis = _pairing_thresholds(params, pairing)
     if len(m0_set) == 0:
         raise ValueError("m0_set is empty: the check would pass without auditing a start")
+    starts = np.asarray(m0_set, dtype=float)
     n_grid = int(np.floor(params.beta1 / grid_step)) + 2
     grid = np.arange(n_grid) * grid_step
-    pi_p3c = make_policy(params, PROP3_CONSISTENT).pi
-    pi_lit = make_policy(params, PAPER_LITERAL).pi
-    taus = np.concatenate([grid, [pi_p3c, pi_lit]])
-    at_pi = n_grid if pairing == PROP3_CONSISTENT else n_grid + 1
-
-    costs, flags, tails, argmins, argmin_first, pi_first = [], [], [], [], [], []
-    p3c_costs, lit_costs = [], []
-    for m0 in m0_set:
-        batch = threshold_bias_batch(m0, taus, report.E_star, report.m_star, params, t_max=t_max)
-        values = batch.values
-        costs.append(values[:n_grid].tolist())
-        flags.append(batch.converged[:n_grid].tolist())
-        tails.append(batch.tails[:n_grid].tolist())
-        best = _argmin_toward(values[:n_grid], grid, policy.pi)
-        argmins.append(float(grid[best]))
-        argmin_first.append(next(iter(batch.switches[best]), None))
-        pi_first.append(next(iter(batch.switches[at_pi]), None))
-        p3c_costs.append(float(values[n_grid]))
-        lit_costs.append(float(values[n_grid + 1]))
-
-    passed = all(abs(a - policy.pi) <= grid_step + 1e-12 for a in argmins)
+    taus = np.concatenate([grid, list(pis.values())])
+    at_pi = n_grid + list(pis).index(pairing)
+    batch = threshold_bias_batch(
+        np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts)),
+        report.E_star, report.m_star, params,
+    )
+    values, flags, tails = (
+        a.reshape(len(starts), -1) for a in (batch.values, batch.converged, batch.tails)
+    )
+    best = [_argmin_toward(row[:n_grid], grid, pis[pairing]) for row in values]
+    first = [next(iter(path), None) for path in batch.switches]  # per pair, start-major
+    p3c_costs, lit_costs = values[:, n_grid].tolist(), values[:, n_grid + 1].tolist()
     verdict = None
     if report.regime != INTERIOR:
-        p3c_total = float(np.sum(p3c_costs))
-        lit_total = float(np.sum(lit_costs))
-        verdict = PROP3_CONSISTENT if p3c_total <= lit_total else PAPER_LITERAL
+        verdict = PROP3_CONSISTENT if np.sum(p3c_costs) <= np.sum(lit_costs) else PAPER_LITERAL
     return BiasCheckReport(
         regime=report.regime,
         pairing=pairing,
-        policy_pi=policy.pi,
+        policy_pi=pis[pairing],
         grid_step=grid_step,
         thresholds=grid.tolist(),
-        starts=[np.asarray(m0).tolist() for m0 in m0_set],
-        costs=costs,
-        converged=flags,
-        tails=tails,
-        argmins=argmins,
-        argmin_first_switch=argmin_first,
-        pi_first_switch=pi_first,
-        passed=passed,
+        starts=starts.tolist(),
+        costs=values[:, :n_grid].tolist(),
+        converged=flags[:, :n_grid].tolist(),
+        tails=tails[:, :n_grid].tolist(),
+        argmins=grid[best].tolist(),
+        argmin_first_switch=[first[i * len(taus) + k] for i, k in enumerate(best)],
+        pi_first_switch=first[at_pi :: len(taus)],
+        passed=all(abs(a - pis[pairing]) <= grid_step + 1e-12 for a in grid[best]),
         pairing_verdict=verdict,
         pairing_costs={PROP3_CONSISTENT: p3c_costs, PAPER_LITERAL: lit_costs},
     )

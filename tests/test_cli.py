@@ -184,7 +184,32 @@ BAD_VALUES = {
 }
 
 
+# model values that validate_params refuses: (command, config line). Before, theta = 0
+# crashed fluid and compare with a ZeroDivisionError (exit 1); theta = -0.5 and p_max = nan
+# ran vi to exit 0; beta1, n0 and lambda = nan ran vi 10^6 sweeps before exit 3; a NaN
+# entry of m0 passed the simplex check, and fluid wrote rows of nan
+MODEL_REFUSED = {
+    "theta-zero-fluid": ("fluid", "theta = 0"),
+    "theta-zero-compare": ("compare", "theta = 0"),
+    "theta-negative": ("vi", "theta = -0.5"),
+    "beta1-nan": ("vi", "beta1 = nan"),
+    "n0-nan": ("vi", "n0 = nan"),
+    "lambda-nan": ("vi", "lambda = nan"),
+    "p-max-nan": ("vi", "p_max = nan"),
+    "m0-nan": ("fluid", "m0 = nan, 0.5, 0.25, 0.25"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command,line", MODEL_REFUSED.values(), ids=MODEL_REFUSED.keys())
+    def test_refused_model_value_exits_2(self, cfg_file, tmp_path, capsys, command, line):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main([command, "--config", cfg_file(BASE + line + "\n"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command,line,key", BAD_VALUES.values(), ids=BAD_VALUES.keys())
     def test_refused_value_exits_2_naming_the_key(self, cfg_file, tmp_path, capsys, command,
                                                    line, key):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_simplex, sec4_at
 from powerctl import equilibrium, finite, fluid, kernel, policy
-from powerctl.errors import NonConvergent, StepTooLarge
+from powerctl.errors import NonConvergent, NotADistribution, StepTooLarge
 
 
 class TestDiscreteStep:
@@ -206,11 +206,14 @@ class TestBiasCost:
             assert len(builds) <= 40
 
     def test_dt_invariance(self, sec4):
+        # dt sets the RK4 step of a callable (a threshold runs on the exact engine,
+        # which has none); from this start the path switches from passive to active
         rep = equilibrium.optimal_equilibrium(sec4)
         tp = policy.make_policy(sec4)
-        m0 = np.array([0.55, 0.15, 0.2, 0.1])
-        coarse = fluid.bias_cost(m0, tp, rep.E_star, sec4, dt=0.01)
-        fine = fluid.bias_cost(m0, tp, rep.E_star, sec4, dt=0.005)
+        pick = lambda m: policy.apply_fluid(tp, m)
+        m0 = np.array([0.1, 0.4, 0.45, 0.05])
+        coarse = fluid.bias_cost(m0, pick, rep.E_star, sec4, dt=0.01)
+        fine = fluid.bias_cost(m0, pick, rep.E_star, sec4, dt=0.005)
         assert abs(coarse - fine) < 1e-6
 
     def test_wrong_threshold_diverges(self, sec4):
@@ -332,6 +335,28 @@ class TestExactEngine:
         with pytest.raises(NonConvergent):
             fluid.threshold_bias_batch(m0, [0.08], rep.E_star, rep.m_star, sec4)
 
+    def test_pair_batch_matches_single_start_batches(self, sec4):
+        # one path per (start, threshold) pair against one batch per start
+        rep = equilibrium.optimal_equilibrium(sec4)
+        starts = np.random.default_rng(16).dirichlet(np.ones(4), size=6)
+        taus = np.linspace(0.0, 0.42, 30)
+        batch = fluid.threshold_bias_batch(
+            np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts)),
+            rep.E_star, rep.m_star, sec4,
+        )
+        for i, m0 in enumerate(starts):
+            single = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, sec4)
+            rows = slice(i * len(taus), (i + 1) * len(taus))
+            np.testing.assert_allclose(batch.values[rows], single.values, rtol=1e-13, atol=0.0)
+            assert batch.switches[rows] == single.switches
+            assert list(batch.converged[rows]) == list(single.converged)
+
+    def test_pair_batch_refuses_a_nan_start(self, sec4):
+        rep = equilibrium.optimal_equilibrium(sec4)
+        starts = np.array([[0.25, 0.25, 0.25, 0.25], [np.nan, 0.5, 0.25, 0.25]])
+        with pytest.raises(NotADistribution, match="outside"):
+            fluid.threshold_bias_batch(starts, [0.05, 0.1], rep.E_star, rep.m_star, sec4)
+
 
 def _ladder_bracket(gens, arc, m, h, crossed):
     """The bisection ladder on the engine's event grid: one level per bit, each
@@ -357,19 +382,20 @@ class TestEventSearch:
                for pairing in (policy.PROP3_CONSISTENT, policy.PAPER_LITERAL)]
         taus = np.concatenate([grid, pis])
         assert len(taus) == 84
+        # one pair batch per side: each of 40 seeded starts with each threshold
+        starts = np.random.default_rng(14).dirichlet(np.ones(4), size=40)
+        pairs = (np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts)))
+        new = fluid.threshold_bias_batch(*pairs, rep.E_star, rep.m_star, params)
+        monkeypatch.setattr(fluid, "_event_bracket", _ladder_bracket)
+        old = fluid.threshold_bias_batch(*pairs, rep.E_star, rep.m_star, params)
         events = 0
-        for m0 in np.random.default_rng(14).dirichlet(np.ones(4), size=40):
-            new = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
-            with monkeypatch.context() as patch:
-                patch.setattr(fluid, "_event_bracket", _ladder_bracket)
-                old = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
-            for ours, theirs in zip(new.switches, old.switches):
-                assert [arc for _, arc in ours] == [arc for _, arc in theirs]
-                times = np.array([when for when, _ in ours]) - [when for when, _ in theirs]
-                assert np.all(np.abs(times) <= 1e-10)
-                events += len(ours)
-            np.testing.assert_allclose(new.values, old.values, rtol=1e-9, atol=0.0)
-            assert list(new.converged) == list(old.converged)
+        for ours, theirs in zip(new.switches, old.switches, strict=True):
+            assert [arc for _, arc in ours] == [arc for _, arc in theirs]
+            times = np.array([when for when, _ in ours]) - [when for when, _ in theirs]
+            assert np.all(np.abs(times) <= 1e-10)
+            events += len(ours)
+        np.testing.assert_allclose(new.values, old.values, rtol=1e-9, atol=0.0)
+        assert list(new.converged) == list(old.converged)
         assert events > 1000
 
     def test_bracket_closes_on_the_first_crossing(self):

@@ -33,6 +33,26 @@ class TestValidation:
         with pytest.raises(NotADistribution):
             model.validate_params(raw)
 
+    # each used to pass: theta <= 0 divides by zero in the fluid, or prices power below
+    # zero; a NaN compares False with every bound
+    @pytest.mark.parametrize("field, value", [
+        ("theta", 0.0), ("theta", -0.5), ("theta", np.nan), ("beta1", np.nan),
+        ("n0", np.nan), ("n0", np.inf), ("lam", np.nan), ("lam", np.inf), ("p_max", np.nan),
+        ("p_max", np.inf), ("rho", np.nan),
+    ])
+    def test_nonpositive_theta_and_nonfinite_values_rejected(self, field, value):
+        kwargs = dict(theta=0.2, beta1=0.4, rho=0.1, lam=1.5, n0=1.0, p_max=10.0)
+        kwargs[field] = value
+        with pytest.raises((AssumptionViolation, NotADistribution)):
+            ModelParams.good_bad(**kwargs)
+
+    def test_nonfinite_channel_matrix_rejected(self):
+        raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1,
+                          theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1,
+                          channel_matrix=((0.7, 0.3), (np.nan, 0.8)))
+        with pytest.raises(NotADistribution, match="non-finite"):
+            model.validate_params(raw)
+
     def test_rho_bounds(self):
         for rho in (0.0, 1.0, -0.1):
             with pytest.raises(AssumptionViolation):
@@ -171,6 +191,19 @@ class TestTypeInvariants:
             model.validate_measure([0.5, 0.5, 0.5, -0.5])
         with pytest.raises(NotADistribution):
             model.validate_measure([0.5, 0.5, 0.5, 0.5])
+        # every comparison with NaN is False: the range check must fail, not pass
+        with pytest.raises(NotADistribution, match="outside"):
+            model.validate_measure([np.nan, 0.5, 0.25, 0.25])
+
+    def test_measure_rows_validated_at_once(self):
+        rows = np.full((3, 4), 0.25)
+        np.testing.assert_array_equal(model.validate_measure(rows), rows)
+        rows[1] = [0.5, 0.5, 0.5, 0.5]
+        with pytest.raises(NotADistribution, match="sums to 2.0"):
+            model.validate_measure(rows)
+        rows[2, 0] = np.nan
+        with pytest.raises(NotADistribution, match=r"outside \[0, 1\]: \[nan"):
+            model.validate_measure(rows)
 
 
 def _rows_oracle(header, row_format, columns):

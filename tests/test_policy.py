@@ -98,8 +98,7 @@ class TestBiasOptimalityCheck:
     def test_interior_grid(self):
         p = sec4_at(0.05)
         report = policy.bias_optimality_check(
-            p, grid_step=0.01, seed=5, m0_set=[np.array([0.25] * 4),
-                                              np.array([0.5, 0.2, 0.2, 0.1])]
+            p, grid_step=0.01, m0_set=[np.array([0.25] * 4), np.array([0.5, 0.2, 0.2, 0.1])]
         )
         assert report.passed
         for argmin in report.argmins:
@@ -108,7 +107,7 @@ class TestBiasOptimalityCheck:
 
     def test_active_regime_verdict(self, sec4):
         report = policy.bias_optimality_check(
-            sec4, grid_step=0.02, seed=5, m0_set=[np.array([0.25] * 4)]
+            sec4, grid_step=0.02, m0_set=[np.array([0.25] * 4)]
         )
         assert report.pairing_verdict == policy.PROP3_CONSISTENT
         p3c = report.pairing_costs[policy.PROP3_CONSISTENT][0]
@@ -149,13 +148,27 @@ class TestBiasOptimalityCheck:
 
     def test_report_serializes(self, sec4, tmp_path):
         report = policy.bias_optimality_check(
-            sec4, grid_step=0.05, seed=1, m0_set=[np.array([0.25] * 4)]
+            sec4, grid_step=0.05, m0_set=[np.array([0.25] * 4)]
         )
         path = tmp_path / "check.json"
         report.to_json(path)
         data = json.loads(path.read_text())
         assert data["regime"] == "Active"
         assert len(data["thresholds"]) == len(data["costs"][0])
+
+    def test_one_engine_call_per_audit(self, sec4, monkeypatch):
+        calls = []
+
+        def counted(m0, thresholds, *args, **kwargs):
+            calls.append((np.shape(m0), len(thresholds)))
+            return fluid.threshold_bias_batch(m0, thresholds, *args, **kwargs)
+
+        monkeypatch.setattr(policy, "threshold_bias_batch", counted)
+        starts = np.random.default_rng(3).dirichlet(np.ones(4), size=5)
+        report = policy.bias_optimality_check(sec4, starts, grid_step=0.05)
+        n_taus = len(report.thresholds) + 2  # the grid and the two pairing thresholds
+        assert calls == [((5 * n_taus, 4), 5 * n_taus)]
+        assert np.shape(report.costs) == (5, len(report.thresholds))
 
     def test_empty_start_set_refused(self, sec4):
         # all([]) would read as a pass after auditing nothing
