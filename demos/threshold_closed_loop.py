@@ -42,7 +42,7 @@ def main():
     print(f"final control vs optimal duty cycle: {traj.s4[-1]:.9f} vs {rep.s4_star:.9f}")
 
     # integrator accuracy on an uncontrolled stretch
-    passive = fluid.integrate(m0, lambda m: 0.0, 5.0, params, dt=0.01)
+    passive = fluid.integrate(m0, 0.0, 5.0, params, dt=0.01)
     worst = 0.0
     for t_ref in (0.5, 1.0, 2.0, 5.0):
         i = int(np.argmin(np.abs(passive.t - t_ref)))

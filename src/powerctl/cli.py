@@ -17,7 +17,7 @@ import numpy as np
 
 from . import equilibrium, finite, fluid, policy
 from .errors import AssumptionViolation, NotADistribution, PowerCtlError
-from .model import ModelParams, write_csv
+from .model import ModelParams, validate_measure, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,7 +92,8 @@ def load_config(path) -> dict:
     """Parse the flat key = value config file; '#' starts a comment.
 
     ConfigError on an unreadable file, an unknown key, a value that does not
-    parse, or one that breaks a rule of ``_CHECKS``.
+    parse, or one that breaks a rule of ``_CHECKS``; NotADistribution on an
+    ``m0`` off the probability simplex, whichever command reads the config.
     """
     cfg = dict(_DEFAULTS)
     try:
@@ -124,6 +125,7 @@ def load_config(path) -> dict:
     for key, ok, rule in _CHECKS:
         if not ok(cfg[key]):
             raise ConfigError(f"{path}: {key} {rule}, got {cfg[key]!r}")
+    validate_measure(cfg["m0"])
     return cfg
 
 
@@ -177,12 +179,11 @@ def cmd_fluid(cfg, out_dir, seed):
     if name == "threshold":
         controller = policy.make_policy(params, _PAIRINGS[cfg["pairing"]])
     elif name == "passive":
-        controller = lambda m: 0.0
+        controller = 0.0
     elif name == "active":
-        controller = lambda m: 1.0
+        controller = 1.0
     else:  # s4=<v>, v in [0, 1] (load_config)
-        level = float(name[3:])
-        controller = lambda m: level
+        controller = float(name[3:])
     traj = fluid.integrate(cfg["m0"], controller, cfg["horizon"], params, dt=cfg["dt"])
     path = f"{out_dir}/fluid.csv"
     traj.to_csv(path)

@@ -26,15 +26,14 @@ class StepTooLarge(PowerCtlError, RuntimeError):
 
 
 class NonConvergent(PowerCtlError, RuntimeError):
-    """A run hit its time cap before meeting the convergence criterion.
+    """A path settled away from its target, or exceeded its arc cap.
 
-    Carries the value accumulated up to the cap in ``value``.
+    A settled path carries its value (tail priced to the time cap) in ``value``.
     """
 
-    def __init__(self, message, value=None, t_end=None):
+    def __init__(self, message, value=None):
         super().__init__(message)
         self.value = value
-        self.t_end = t_end
 
 
 class DegenerateRegime(PowerCtlError, ValueError):

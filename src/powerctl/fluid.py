@@ -7,17 +7,17 @@ surface the slide of the equivalent control (Filippov/Utkin)
 s = phi0(m) / (beta1 (1 - rho) m4), phi0 being the passive field's
 m4-component, until s leaves [0, 1]. ``_FluidSystem`` is that arc model:
 the generators, when a state has left its arc (``crossed``) and where it
-goes next (``land``). A callable policy's arcs are its values s, on U(s).
+goes next (``land``). A constant activation s is one arc, U(s), that no
+state leaves: its threshold sits at +inf.
 On every arc dm/dt = A m, so an RK4 step of size h is one matrix,
 m -> m + D(h) m: ``integrate`` advances up to _CHUNK steps at once as R^k m
 and takes a step alone only where it meets an event or is a last, shortened
 one. Every event is bisected on D to 1e-10 and landed on its far side.
 ``threshold_bias_batch`` propagates the same arcs exactly, by exp(A h), and
-backs ``bias_cost`` for thresholds. It brackets an event on the dyadic grid
-h / 2^K of its step, K = ceil(log2(h / 1e-10)), fixing _SEARCH_BITS bits of
-the event time per round from cached tables exp(A j span), and lands the
-path on the bracket's far side, as ``integrate`` does; for a callable,
-``bias_cost`` prices each RK4 step of ``integrate`` from its stage states.
+backs ``bias_cost``. It brackets an event on the dyadic grid h / 2^K of
+its step, K = ceil(log2(h / 1e-10)), fixing _SEARCH_BITS bits of the event
+time per round from cached tables exp(A j span), and lands the path on the
+bracket's far side, as ``integrate`` does.
 The cost c(m, s) = s * theta * n0 / (1 - theta * m4) + lam * (m2 + m4) is
 the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
@@ -25,7 +25,6 @@ the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,6 @@ _SEARCH_BITS = 4  # event-time bits that ``threshold_bias_batch`` resolves per s
 _SURFACE_TOL = 1e-9
 _EPS = np.finfo(float).eps
 _CHUNK = 256  # RK4 steps that ``integrate`` advances by one batched product
-_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])  # of the stage states, times h / 6
-_OFF_TARGET = "settled at a non-target equilibrium (cost {:.6g}, target {:.6g})"
 
 
 @dataclass
@@ -121,9 +118,6 @@ class _FluidSystem:
         self.exits = np.stack([-self.u0[3], self.u1[3]], axis=1)
         self.exit_slack = 4.0 * _EPS * np.abs(self.exits)
 
-    def generator(self, arc):
-        return self.gens[arc]
-
     def clipped_equivalent_control(self, m):
         """Duty cycle freezing m4 (per row of m), saturated to the escaping pure control."""
         phi0, phi1 = m @ self.u0[3], m @ self.u1[3]
@@ -149,9 +143,9 @@ class _FluidSystem:
 
     @staticmethod
     def step_matrices(a, h, k=1):
-        """An RK4 step of size h on dm/dt = A m is m -> R m, R = I + D. Returns the
-        stage maps Q2, Q3, Q4 (stage state Q m) and R^j - I for j = 1 .. k, built
-        from the small D so no digit is lost."""
+        """An RK4 step of size h on dm/dt = A m is m -> R m, R = I + D, D built from
+        the stage maps Q2, Q3, Q4 (stage state Q m). Returns R^j - I for j = 1 .. k,
+        built from the small D so no digit is lost."""
         eye = np.eye(4)
         q2 = eye + 0.5 * h * a
         q3 = eye + 0.5 * h * a @ q2
@@ -161,7 +155,7 @@ class _FluidSystem:
             d = np.concatenate([d, d + d[-1] + d @ d[-1]])
         # R^j conserves mass: m2 takes the columns' rounding, as ``land`` does
         d[:, 1] = -(d[:, 0] + d[:, 2] + d[:, 3])
-        return np.array([q2, q3, q4]), d
+        return d
 
     def check_simplex(self, m):
         err = abs(float(m.sum()) - 1.0)
@@ -170,26 +164,6 @@ class _FluidSystem:
                 f"simplex violated: sum error {err:.3e}, min entry {m.min():.3e}"
             )
         return m / m.sum()
-
-
-class _CallableDriver:
-    """The arc model of an arbitrary policy function: its arcs are the values s
-    of the policy, each on U(s), and it has no sliding mode."""
-
-    def __init__(self, system: _FluidSystem, policy):
-        self.sys = system
-        self.policy = policy
-
-    def generator(self, s):
-        return self.sys.u0 + s * self.sys.du
-
-    def crossed(self, ms, s, tau=None):
-        # stop at the first change: later states are off the path, and a policy may keep state
-        kept = sum(1 for _ in itertools.takewhile(lambda x: float(self.policy(x)) == s, ms))
-        return np.arange(len(ms)) >= kept
-
-    def land(self, m, tau=None):
-        return m, float(self.policy(m))
 
 
 def _bisect_time(step_fn, predicate, h):
@@ -204,38 +178,31 @@ def _bisect_time(step_fn, predicate, h):
     return lo
 
 
-def _event_step(model, m, arc, tau, h, switched, matrices=None):
-    """One RK4 step of size h from m on ``arc`` that may meet an event.
-
-    An event is bisected on the step matrix to _EVENT_TIME_TOL and landed on
-    its far side, within the step, so it takes one step. For a callable, a second switch within
-    _EVENT_TIME_TOL of a first (``switched``: the last step ended on one) is
-    chattering, or a policy that changes continuously, and raises NonConvergent.
-    ``matrices``, if given, are ``step_matrices`` of the arc's generator for h.
-    Returns (state, arc, step taken, its stage maps, whether it switched).
+def _event_step(system, gens, m, arc, tau, h):
+    """One RK4 step of size h from m on ``arc`` (generator gens[arc]) that may meet
+    an event. An event is bisected on the step matrix to _EVENT_TIME_TOL and landed
+    on its far side, within the step, so it takes one step. Returns (state, arc,
+    step taken).
     """
-    a = model.generator(arc)
-    stage_maps, d = matrices or _FluidSystem.step_matrices(a, h)
-    end = m + d[0] @ m
-    if not model.crossed(end[None], arc, tau)[0]:
-        return end, arc, h, stage_maps, False
-    step = lambda x: m + _FluidSystem.step_matrices(a, x)[1][0] @ m
-    lo = _bisect_time(step, lambda x: model.crossed(x[None], arc, tau)[0], h)
-    if switched and lo < _EVENT_TIME_TOL and isinstance(model, _CallableDriver):
-        raise NonConvergent(f"policy switched again within {_EVENT_TIME_TOL:g} of its last switch")
+    a = gens[arc]
+    end = m + _FluidSystem.step_matrices(a, h)[0] @ m
+    if not system.crossed(end[None], arc, tau)[0]:
+        return end, arc, h
+    step = lambda x: m + _FluidSystem.step_matrices(a, x)[0] @ m
+    lo = _bisect_time(step, lambda x: system.crossed(x[None], arc, tau)[0], h)
     h = min(lo + _EVENT_TIME_TOL, h)
-    stage_maps, d = _FluidSystem.step_matrices(a, h)
-    end, arc = model.land(m + d[0] @ m, tau)
-    return end, arc, h, stage_maps, True
+    end, arc = system.land(step(h), tau)
+    return end, arc, h
 
 
 def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01) -> Trajectory:
     """Integrate the controlled fluid from m0 for the given horizon.
 
     ``policy`` is either a threshold policy object (attribute ``pi``) or a
-    callable m -> s4. Classic RK4 with step dt; control switches are
-    located by bisection and treated as arc boundaries, so the control is
-    piecewise constant (or the sliding duty cycle) between events.
+    constant activation s4, a float in [0, 1]. Classic RK4 with step dt; threshold
+    events are located by bisection and treated as arc boundaries, so the
+    control is piecewise constant (or the sliding duty cycle) between events.
+    A constant runs as one arc, U(s4), with its threshold at +inf.
 
     Steps come in chunks of up to _CHUNK: the states R^k m of the current
     arc's step matrix, each divided by its sum. A chunk is kept up to its
@@ -248,84 +215,56 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
         raise ValueError("dt must be positive")
     system = _FluidSystem(params)
     m = validate_measure(m0).copy()
-    if hasattr(policy, "pi"):
-        model, tau = system, float(policy.pi)
+    if hasattr(policy, "pi"):  # the control of each arc; the slide's is its duty cycle
+        tau, gens, controls = float(policy.pi), system.gens, np.array([0.0, 1.0, np.nan])
         m, arc = system.land(m, tau) if abs(m[3] - tau) <= _SURFACE_TOL else (m, int(m[3] > tau))
     else:
-        model, tau = _CallableDriver(system, policy), None
-        m, arc = model.land(m)
-    t, switched, matrices = 0.0, False, {}
+        s = float(policy)
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"a constant activation s4 must lie in [0, 1], got {s!r}")
+        tau, gens, controls, arc = np.inf, (system.u0 + s * system.du)[None], np.array([s]), 0
+    t, matrices = 0.0, {}
     blocks = [([t], m[None], [arc])]  # t, m, arc
     while t < horizon - 1e-15:
         clock = np.cumsum(np.concatenate(([t], np.full(_CHUNK, dt))))  # the sequential t += dt
         n = np.count_nonzero((clock[:-1] < horizon - 1e-15) & (dt <= horizon - clock[:-1]))
         if n:
             if arc not in matrices:
-                matrices = {arc: system.step_matrices(model.generator(arc), dt, _CHUNK)[1]}
+                matrices = {arc: system.step_matrices(gens[arc], dt, _CHUNK)}
             ends = m + matrices[arc][:n] @ m  # R^k m
             sums = ends.sum(axis=1)
             states = ends / sums[:, None]
             ok = (np.abs(sums - 1.0) <= _SIMPLEX_TOL) & (ends.min(axis=1) >= -_SIMPLEX_TOL)
-            ok &= ~model.crossed(ends, arc, tau)
+            ok &= ~system.crossed(ends, arc, tau)
             k = n if ok.all() else int(np.argmin(ok))
             if k:
-                m, t, switched = states[k - 1], clock[k], False
+                m, t = states[k - 1], clock[k]
                 blocks.append((clock[1 : k + 1], states[:k], np.full(k, arc)))
             if k == n:
                 continue
-        m, arc, done, _, switched = _event_step(model, m, arc, tau, min(dt, horizon - t), switched)
+        m, arc, done = _event_step(system, gens, m, arc, tau, min(dt, horizon - t))
         m = system.check_simplex(m)
         t += done
         blocks.append(([t], m[None], [arc]))
-    t, m, s = (np.concatenate(column) for column in zip(*blocks))
-    if model is system:  # arc 0 or 1 is its control; on the slide, the duty cycle
-        s = np.where(s == 2, system.clipped_equivalent_control(m), s)
-    s4 = s.astype(float)
+    t, m, arc = (np.concatenate(column) for column in zip(*blocks))
+    s4 = np.where(arc == 2, system.clipped_equivalent_control(m), controls[arc])
     return Trajectory(t=t, m=m, s4=s4, inst_cost=instantaneous_cost(m.T, s4, params))
 
 
-def bias_cost(
-    m0, policy, e_star: float, params: ModelParams, dt=0.01, t_max=1e5, m_star=None
-) -> float:
-    """Integral of (cost - e_star) along the closed-loop path from m0.
-
-    Threshold policies (attribute ``pi``) run on ``threshold_bias_batch``;
-    callable ones on the RK4 steps of ``integrate`` with step dt, each
-    priced from its stage states, stopping within 1e-9 (L1) of the target
-    with the cost rate within 1e-10 of e_star. A path that settles
+def bias_cost(m0, policy, e_star: float, params: ModelParams, t_max=1e5, m_star=None) -> float:
+    """Integral of (cost - e_star) along the path of the threshold policy ``policy``
+    (attribute ``pi``) from m0, by ``threshold_bias_batch``. A path that settles
     elsewhere raises NonConvergent carrying its value (tail priced to t_max).
     """
     from .equilibrium import optimal_equilibrium
 
     m_star = np.asarray(optimal_equilibrium(params).m_star if m_star is None else m_star)
-    m = validate_measure(m0).copy()
-    if hasattr(policy, "pi"):
-        batch = threshold_bias_batch(m, [policy.pi], e_star, m_star, params, t_max)
-        if batch.converged[0]:
-            return float(batch.values[0])
-        cost = e_star + batch.tails[0] / t_max
-        raise NonConvergent(_OFF_TARGET.format(cost, e_star), value=float(batch.values[0]))
-    system = _FluidSystem(params)
-    model = _CallableDriver(system, policy)
-    m, s = model.land(m)
-    t, j, switched = 0.0, 0.0, False
-    full = {}  # s -> step matrices of U(s) for a full step dt
-    while t < t_max:
-        cost_now = instantaneous_cost(m, s, params)
-        if np.abs(m - m_star).sum() < 1e-9 and abs(cost_now - e_star) < 1e-10:
-            return j
-        if np.abs(model.generator(s) @ m).sum() < 1e-13:
-            j += (cost_now - e_star) * (t_max - t)
-            raise NonConvergent(_OFF_TARGET.format(cost_now, e_star), value=j, t_end=t)
-        if s not in full:
-            full[s] = _FluidSystem.step_matrices(model.generator(s), dt)
-        m_new, s_new, done, stage_maps, switched = _event_step(
-            model, m, s, None, dt, switched, full[s]
-        )
-        stages = np.concatenate([m[None], stage_maps @ m])  # m, Q2 m, Q3 m, Q4 m
-        j += (done / 6.0) * ((instantaneous_cost(stages.T, s, params) - e_star) @ _RK4_WEIGHTS)
-        m, s, t = system.check_simplex(m_new), s_new, t + done
-    raise NonConvergent("time cap hit before convergence", value=j, t_end=t)
+    batch = threshold_bias_batch(m0, [policy.pi], e_star, m_star, params, t_max)
+    if batch.converged[0]:
+        return float(batch.values[0])
+    cost = e_star + batch.tails[0] / t_max
+    message = f"settled at a non-target equilibrium (cost {cost:.6g}, target {e_star:.6g})"
+    raise NonConvergent(message, value=float(batch.values[0]))
 
 
 _STEP_MIN, _STEP_MAX = 0.25, 4.0  # exact steps grow as clock / 8 between these

@@ -119,7 +119,7 @@ def test_criterion_5_fluid_integrator_oracle():
     worst = 0.0
     for _ in range(50):
         m0 = rng.dirichlet(np.ones(4))
-        traj = fluid.integrate(m0, lambda m: 0.0, 5.0, params, dt=0.01)
+        traj = fluid.integrate(m0, 0.0, 5.0, params, dt=0.01)
         for t_ref in (0.5, 1.0, 2.0, 5.0):
             i = int(np.argmin(np.abs(traj.t - t_ref)))
             ref = fluid.passive_trajectory_closed_form(m0, traj.t[i], params)
@@ -127,7 +127,7 @@ def test_criterion_5_fluid_integrator_oracle():
     m0 = np.array([0.4, 0.3, 0.2, 0.1])
     ref = fluid.passive_trajectory_closed_form(m0, 2.0, params)
     errs = [
-        np.abs(fluid.integrate(m0, lambda m: 0.0, 2.0, params, dt=dt).m[-1] - ref).max()
+        np.abs(fluid.integrate(m0, 0.0, 2.0, params, dt=dt).m[-1] - ref).max()
         for dt in (0.2, 0.1, 0.05)
     ]
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]

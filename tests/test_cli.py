@@ -187,7 +187,8 @@ BAD_VALUES = {
 # model values that validate_params refuses: (command, config line). Before, theta = 0
 # crashed fluid and compare with a ZeroDivisionError (exit 1); theta = -0.5 and p_max = nan
 # ran vi to exit 0; beta1, n0 and lambda = nan ran vi 10^6 sweeps before exit 3; a NaN
-# entry of m0 passed the simplex check, and fluid wrote rows of nan
+# entry of m0 passed the simplex check, and fluid wrote rows of nan; vi, equilibrium,
+# threshold and compare, which do not read m0, ran to exit 0 with an m0 off the simplex
 MODEL_REFUSED = {
     "theta-zero-fluid": ("fluid", "theta = 0"),
     "theta-zero-compare": ("compare", "theta = 0"),
@@ -197,6 +198,11 @@ MODEL_REFUSED = {
     "lambda-nan": ("vi", "lambda = nan"),
     "p-max-nan": ("vi", "p_max = nan"),
     "m0-nan": ("fluid", "m0 = nan, 0.5, 0.25, 0.25"),
+    "m0-nan-vi": ("vi", "m0 = nan, 0.5, 0.25, 0.25"),
+    "m0-nan-equilibrium": ("equilibrium", "m0 = nan, 0.5, 0.25, 0.25"),
+    "m0-nan-threshold": ("threshold", "m0 = nan, 0.5, 0.25, 0.25"),
+    "m0-nan-compare": ("compare", "m0 = nan, 0.5, 0.25, 0.25"),
+    "m0-sum-two-vi": ("vi", "m0 = 0.5, 0.5, 0.5, 0.5"),
 }
 
 

@@ -56,7 +56,7 @@ class TestEquilibriumCost:
 
     def test_cost_matches_long_run_fluid(self, sec4):
         # constant control: integrate far out and compare the settled rate
-        traj = fluid.integrate([0.25] * 4, lambda m: 1.0, 200.0, sec4)
+        traj = fluid.integrate([0.25] * 4, 1.0, 200.0, sec4)
         assert traj.inst_cost[-1] == pytest.approx(
             equilibrium.equilibrium_cost(1.0, sec4), abs=1e-9
         )

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -65,7 +63,7 @@ class TestPassiveClosedForm:
 
 class TestIntegrate:
     def test_constant_at_passive_equilibrium(self, sec4):
-        traj = fluid.integrate([0.0, 0.6, 0.0, 0.4], lambda m: 0.0, 3.0, sec4)
+        traj = fluid.integrate([0.0, 0.6, 0.0, 0.4], 0.0, 3.0, sec4)
         assert np.abs(traj.m - traj.m[0]).max() < 1e-12
         assert np.all(traj.s4 == 0.0)
 
@@ -73,7 +71,7 @@ class TestIntegrate:
         rng = np.random.default_rng(6)
         for _ in range(10):
             m0 = random_simplex(rng)
-            traj = fluid.integrate(m0, lambda m: 0.0, 5.0, sec4, dt=0.01)
+            traj = fluid.integrate(m0, 0.0, 5.0, sec4, dt=0.01)
             for t_ref in (0.5, 1.0, 2.0, 5.0):
                 i = int(np.argmin(np.abs(traj.t - t_ref)))
                 assert abs(traj.t[i] - t_ref) < 1e-9
@@ -85,7 +83,7 @@ class TestIntegrate:
         ref = fluid.passive_trajectory_closed_form(m0, 2.0, sec4)
         errs = []
         for dt in (0.2, 0.1, 0.05):
-            traj = fluid.integrate(m0, lambda m: 0.0, 2.0, sec4, dt=dt)
+            traj = fluid.integrate(m0, 0.0, 2.0, sec4, dt=dt)
             errs.append(np.abs(traj.m[-1] - ref).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.5
@@ -109,29 +107,15 @@ class TestIntegrate:
         assert len(crossings) > 0
         assert traj.s4[-1] > 0.0
 
-    @pytest.mark.parametrize(
-        "pick",
-        [lambda m: 1.0 if m[3] > 0.2 else 0.0, lambda m: min(1.0, 5.0 * m[3])],
-        ids=["attracting-switch", "continuous"],
-    )
-    def test_callable_without_sliding_mode_raises(self, sec4, pick):
-        # the flow pushes m4 back across the switch at once, or the value changes
-        # on every step: a callable has no sliding mode, so each must fail fast
-        calls = []
-
-        def budgeted(m):
-            calls.append(1)
-            assert len(calls) < 10_000, "still stepping after 10,000 policy calls"
-            return pick(m)
-
-        start = time.perf_counter()
-        with pytest.raises(NonConvergent):
-            fluid.integrate([0.5, 0.3, 0.15, 0.05], budgeted, 10.0, sec4)
-        assert time.perf_counter() - start < 1.0
+    @pytest.mark.parametrize("s4", [np.nan, -0.5, 1.5])
+    def test_constant_outside_the_unit_interval_refused(self, sec4, s4):
+        # s4 is the fraction of class-4 users that transmit; NaN would run to rows of nan
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            fluid.integrate([0.25] * 4, s4, 1.0, sec4)
 
     def test_switch_at_the_horizon_ends_on_it(self, sec4):
         # a switch bisected within 1e-10 of the horizon lands inside the last step
-        pick = lambda m: 1.0 if m[3] > 0.06 else 0.0
+        pick = policy.ThresholdPolicy(pi=0.06, regime="test", pairing="test")
         m0 = [0.5, 0.3, 0.18, 0.02]
         traj = fluid.integrate(m0, pick, 1.0, sec4)
         landing = traj.t[np.argmax(traj.s4 == 1.0)]  # within 1e-10 past the crossing
@@ -139,7 +123,7 @@ class TestIntegrate:
             assert fluid.integrate(m0, pick, horizon, sec4).t[-1] == horizon
 
     def test_csv_round_trip(self, sec4, tmp_path):
-        traj = fluid.integrate([0.25] * 4, lambda m: 1.0, 1.0, sec4)
+        traj = fluid.integrate([0.25] * 4, 1.0, 1.0, sec4)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         data = np.genfromtxt(path, delimiter=",", names=True)
@@ -154,67 +138,15 @@ class TestBiasCost:
         val = fluid.bias_cost(np.array(rep.m_star), tp, rep.E_star, sec4)
         assert val == 0.0
 
-    def test_detour_costs(self, sec4):
-        # start at the optimal point but force a passive excursion first;
-        # queues overfill and the return trip costs extra
-        rep = equilibrium.optimal_equilibrium(sec4)
-        tp = policy.make_policy(sec4)
-        switched = {"done": False}
-
-        def detour(m):
-            if not switched["done"]:
-                if m[3] <= 0.2:
-                    return 0.0
-                switched["done"] = True
-            return policy.apply_fluid(tp, m)
-
-        val = fluid.bias_cost(np.array(rep.m_star), detour, rep.E_star, sec4)
-        assert val > 0.0
-
-    def test_callable_matches_exact_engine(self, sec4):
-        # the threshold as a callable: passive, then one switch to active, no slide. Its
-        # RK4 steps are priced from their stage states; the exact engine has no step
+    def test_rk4_stage_pricing_matches_exact_engine(self, sec4):
+        # passive, then one switch to active, no slide: RK4 steps priced from their
+        # stage states against the exact engine, which has no step
         rep = equilibrium.optimal_equilibrium(sec4)
         tp = policy.make_policy(sec4)
         for m0 in ([0.1, 0.4, 0.45, 0.05], [0.7, 0.1, 0.15, 0.05]):
             exact = fluid.bias_cost(np.array(m0), tp, rep.E_star, sec4)
-            pick = lambda m: policy.apply_fluid(tp, m)
-            assert abs(fluid.bias_cost(np.array(m0), pick, rep.E_star, sec4) - exact) < 1e-8
-
-    def test_callable_reuses_full_step_matrices(self, sec4, monkeypatch):
-        # the values recorded when every step rebuilt its step matrices, bit for bit:
-        # reusing the full-dt matrices of U(s) changes no digit. A path with one
-        # switch builds them once per value of s, plus those of its bisection
-        rep = equilibrium.optimal_equilibrium(sec4)
-        tp = policy.make_policy(sec4)
-        pick = lambda m: policy.apply_fluid(tp, m)
-        build = fluid._FluidSystem.step_matrices
-        builds = []
-
-        def counted(*args, **kwargs):
-            builds.append(args[1])
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(fluid._FluidSystem, "step_matrices", staticmethod(counted))
-        for m0, recorded in (
-            ([0.1, 0.4, 0.45, 0.05], 1.1479736450678613),  # 4,932 steps
-            ([0.7, 0.1, 0.15, 0.05], -0.1905208029331337),
-        ):
-            builds.clear()
-            assert fluid.bias_cost(np.array(m0), pick, rep.E_star, sec4) == recorded
-            assert builds.count(0.01) == 2
-            assert len(builds) <= 40
-
-    def test_dt_invariance(self, sec4):
-        # dt sets the RK4 step of a callable (a threshold runs on the exact engine,
-        # which has none); from this start the path switches from passive to active
-        rep = equilibrium.optimal_equilibrium(sec4)
-        tp = policy.make_policy(sec4)
-        pick = lambda m: policy.apply_fluid(tp, m)
-        m0 = np.array([0.1, 0.4, 0.45, 0.05])
-        coarse = fluid.bias_cost(m0, pick, rep.E_star, sec4, dt=0.01)
-        fine = fluid.bias_cost(m0, pick, rep.E_star, sec4, dt=0.005)
-        assert abs(coarse - fine) < 1e-6
+            traj = fluid.integrate(m0, tp, ORACLE_T, sec4, dt=0.01)
+            assert abs(_rk4_stage_bias(traj, sec4, rep.E_star) - exact) < 1e-8
 
     def test_wrong_threshold_diverges(self, sec4):
         rep = equilibrium.optimal_equilibrium(sec4)
@@ -270,6 +202,20 @@ ORACLE_CASES = [
     (0.05, [0.7, 0.1, 0.15, 0.05], 0.0, True),  # passive, active, then slides to the optimum
     (0.05, [0.25, 0.25, 0.25, 0.25], 0.01, False),  # active, then slides off the optimum
 ]
+
+
+def _rk4_stage_bias(traj, params, e_star):
+    """Bias integral of an RK4 path to its last time: each step is priced as
+    (h/6)(c(m) + 2c(Q2 m) + 2c(Q3 m) + c(Q4 m)), its stage states computed
+    stage-wise on U(s) at the s4 in effect at its start, less e_star per unit time."""
+    u0 = kernel.drift_matrix_4state(0.0, params)
+    a = u0 + traj.s4[:-1, None, None] * (kernel.drift_matrix_4state(1.0, params) - u0)
+    h, s, m = np.diff(traj.t), traj.s4[:-1], traj.m[:-1]
+    stages = [m]
+    for frac in (0.5, 0.5, 1.0):
+        stages.append(m + frac * h[:, None] * np.einsum("pij,pj->pi", a, stages[-1]))
+    c = [fluid.instantaneous_cost(x.T, s, params) for x in stages]
+    return float(np.sum(h / 6.0 * (c[0] + 2.0 * c[1] + 2.0 * c[2] + c[3])) - e_star * traj.t[-1])
 
 
 def _rk4_oracle(traj, params, dt):
@@ -454,7 +400,7 @@ class TestStepMatrices:
     def test_constant_arcs_match_stagewise_loop(self, sec4, s4):
         assert self.HORIZON > 2 * fluid._CHUNK * 0.01
         m0 = np.array([0.4, 0.3, 0.2, 0.1])
-        traj = fluid.integrate(m0, lambda m: s4, self.HORIZON, sec4, dt=0.01)
+        traj = fluid.integrate(m0, s4, self.HORIZON, sec4, dt=0.01)
         t, m = _stagewise(m0, lambda m: s4, self.HORIZON, sec4, 0.01)
         assert np.array_equal(traj.t, t)
         assert np.abs(traj.m - m).max() < 1e-13
@@ -521,19 +467,20 @@ class TestStepMatrices:
     def test_large_steps_fail_loudly(self, sec4, name, entry):
         # at dt = 3 the first RK4 step, inside the first chunk, leaves the simplex
         controller = {
-            "passive": lambda m: 0.0,
-            "active": lambda m: 1.0,
+            "passive": 0.0,
+            "active": 1.0,
             "threshold": policy.make_policy(sec4),
         }[name]
         with pytest.raises(StepTooLarge, match=f"min entry {entry}"):
             fluid.integrate([0.25] * 4, controller, 50.0, sec4, dt=3.0)
 
     def test_callable_switch_inside_chunk(self, sec4):
-        # passive below the level, active above it; the active flow then settles at
-        # m4 = 0.087 > level, so the path switches once
+        # a threshold: passive below the level, active above it; the active flow then
+        # settles at m4 = 0.087 > level, so the path switches once
         level = 0.06
         m0 = np.array([0.5, 0.3, 0.18, 0.02])
-        traj = fluid.integrate(m0, lambda m: 1.0 if m[3] > level else 0.0, 10.0, sec4)
+        tp = policy.ThresholdPolicy(pi=level, regime="test", pairing="test")
+        traj = fluid.integrate(m0, tp, 10.0, sec4)
         first = int(np.argmax(traj.s4 == 1.0))
         assert 10 < first < fluid._CHUNK and np.all(traj.s4[:first] == 0.0)
         lo, hi = 0.0, traj.t[first] + 1.0  # passive closed form: m4 crosses the level once
