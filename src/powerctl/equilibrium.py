@@ -10,7 +10,7 @@ separated by two explicit noise constants.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class EquilibriumReport:
     convexity_ok: bool
 
     def to_json(self, path=None) -> str:
-        return write_json(asdict(self), path)
+        return write_json({f.name: getattr(self, f.name) for f in fields(self)}, path)
 
 
 def optimal_equilibrium(params: ModelParams) -> EquilibriumReport:

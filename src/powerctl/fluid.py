@@ -131,8 +131,11 @@ class _FluidSystem:
         duty cycle phi0 / (phi0 - phi1) left [0, 1] by more than the rounding of phi0
         and phi1: at an optimum on the surface with duty cycle 0 or 1, phi0 or phi1
         is rounding noise of either sign."""
+        bang = (m[..., 3] > tau) != (arc == 1)
+        if not np.any(arc == 2):
+            return bang
         off = (m @ self.exits > np.abs(m) @ self.exit_slack).any(axis=-1)
-        return np.where(arc == 2, off, (m[..., 3] > tau) != (arc == 1))
+        return np.where(arc == 2, off, bang)
 
     def land(self, m, tau):
         """Snap m onto m4 = tau (m2 absorbs the change) and take the arc whose
@@ -223,23 +226,24 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"a constant activation s4 must lie in [0, 1], got {s!r}")
         tau, gens, controls, arc = np.inf, (system.u0 + s * system.du)[None], np.array([s]), 0
-    t, matrices = 0.0, {}
+    t, matrices, steps = 0.0, {}, np.full(_CHUNK + 1, dt)
     blocks = [([t], m[None], [arc])]  # t, m, arc
     while t < horizon - 1e-15:
-        clock = np.cumsum(np.concatenate(([t], np.full(_CHUNK, dt))))  # the sequential t += dt
+        steps[0] = t
+        clock = np.cumsum(steps)  # the sequential t += dt
         n = np.count_nonzero((clock[:-1] < horizon - 1e-15) & (dt <= horizon - clock[:-1]))
         if n:
             if arc not in matrices:
                 matrices = {arc: system.step_matrices(gens[arc], dt, _CHUNK)}
-            ends = m + matrices[arc][:n] @ m  # R^k m
+            ends = m + (matrices[arc][:n].reshape(-1, 4) @ m).reshape(n, 4)  # R^k m, one GEMV
             sums = ends.sum(axis=1)
-            states = ends / sums[:, None]
             ok = (np.abs(sums - 1.0) <= _SIMPLEX_TOL) & (ends.min(axis=1) >= -_SIMPLEX_TOL)
             ok &= ~system.crossed(ends, arc, tau)
             k = n if ok.all() else int(np.argmin(ok))
             if k:
-                m, t = states[k - 1], clock[k]
-                blocks.append((clock[1 : k + 1], states[:k], np.full(k, arc)))
+                states = ends[:k] / sums[:k, None]
+                m, t = states[-1], clock[k]
+                blocks.append((clock[1 : k + 1], states, np.full(k, arc)))
             if k == n:
                 continue
         m, arc, done = _event_step(system, gens, m, arc, tau, min(dt, horizon - t))
@@ -271,6 +275,7 @@ _STEP_MIN, _STEP_MAX = 0.25, 4.0  # exact steps grow as clock / 8 between these
 _SETTLE_TOL = 1e-12  # L1 distance at which a path sits at its arc's equilibrium
 _LINEAR_TAIL_TOL = 1e-7  # active arcs settle closer: the linearised power tail is then exact
 _MAX_ARCS = 64
+_GATHER_BYTES = 2**20  # per-path propagator copies that ``_per_arc`` may make at once
 # 8-point Gauss-Legendre rule moved to [0, 1] (symmetric about 1/2), then the step end
 _GL_X = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
 _GL_W = np.array([0.3626837833783617, 0.3137066458778869, 0.2223810344533744, 0.10122853629037706])
@@ -292,9 +297,10 @@ class BiasBatch:
 def _expm(a):
     """exp of each matrix in a stack: per-matrix scaling and squaring, Taylor degree 12."""
     s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 2, 0)
-    a, e = a / np.ldexp(1.0, s)[..., None, None], np.eye(4)  # 1-norms now at most 1/4
+    a = a / np.ldexp(1.0, s)[..., None, None]  # 1-norms now at most 1/4
+    e = eye = np.eye(4)
     for k in range(12, 0, -1):
-        e = np.eye(4) + (a @ e) / k
+        e = eye + (a @ e) / k
     for i in range(int(s.max(initial=0))):
         e = np.where((s > i)[..., None, None], e @ e, e)
     return e
@@ -322,6 +328,21 @@ def _grid_tables(gens: bytes, h: float) -> tuple:
     return tuple((spans[r], powers[:, r, : 2**b].copy()) for r, b in enumerate(bits))
 
 
+def _per_arc(tables, arc, m):
+    """Row i is tables[arc[i]] applied to m[i]: (paths, k, 4) from (arcs, k, 4, 4)
+    tables. While per-path copies of the tables take at most _GATHER_BYTES, one
+    product on those copies (the fastest for few paths); above that, one product
+    per arc present, with no copies. Each row's arithmetic is the same either way."""
+    if len(m) * tables[0].nbytes <= _GATHER_BYTES:
+        return np.einsum("pkij,pj->pki", tables[arc], m)
+    out = np.empty((len(m), tables.shape[1], 4))
+    for a, table in enumerate(tables):
+        on = arc == a
+        if on.any():
+            out[on] = np.einsum("kij,pj->pki", table, m[on])
+    return out
+
+
 def _event_bracket(gens: bytes, arc, m, h, crossed):
     """Bracket each path's event on the grid of ``_grid_tables``.
 
@@ -336,10 +357,10 @@ def _event_bracket(gens: bytes, arc, m, h, crossed):
     """
     lo, rows, last = np.zeros(len(m)), np.arange(len(m)), np.ones((len(m), 1), dtype=bool)
     for span, table in _grid_tables(gens, h):
-        cand = np.einsum("pjik,pk->pji", table[arc], m)  # cand[:, 0] is m
+        cand = _per_arc(table, arc, m)  # cand[:, 0] is m
         k = np.argmax(np.concatenate([crossed(cand[:, 1:]), last], axis=1), axis=1)
         lo, m = lo + k * span, cand[rows, k]
-    return lo, span, m, np.einsum("pik,pk->pi", table[arc, 1], m)
+    return lo, span, m, _per_arc(table[:, 1:2], arc, m)[:, 0]
 
 
 def threshold_bias_batch(
@@ -358,7 +379,11 @@ def threshold_bias_batch(
     grid step wide. The path lands on its far side, reached by exp(A h / 2^K)
     from the left end; step costs use Gauss-Legendre. Deviations from an arc's
     equilibrium shrink in L1, so once one cannot reach the arc's event the rest
-    is -grad . A^# x (linearised on active arcs). A path settling away from
+    is -grad . A^# x (linearised on active arcs). At tau >= beta1 a passive path
+    (m4 <= tau) takes that rest at once: by ``passive_trajectory_closed_form``,
+    m4(t) - beta1 = e^(-rho t) (alpha e^(-(1 - rho) t) + beta), beta = -beta1 (m1 + m3)
+    <= 0, is at most max(m4(0) - beta1, 0) <= tau - beta1, so m4 never passes tau,
+    and the passive cost is linear, so the rest is exact. A path settling away from
     m_star is worth the integral of (cost - E_settled) plus (E_settled - e_star)
     * t_max; one still moving at clock t_hard is valued as if it stayed on its
     arc, and is not converged.
@@ -370,12 +395,14 @@ def threshold_bias_batch(
     key, m4_act = gens.tobytes(), b1 * rho / (rho + c)
     hold = params.lam * np.array([0.0, 1.0, 0.0, 1.0])
     grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])
-    # per path: slide power per unit phi0; per arc: equilibrium m4, margin to the arc's event
+    # per path: slide power per unit phi0; per arc: equilibrium, margin to the arc's event
     kap = np.divide(theta * n0, c * tau * (1.0 - theta * tau), out=np.zeros(n), where=tau > 0)
-    m4_eq = np.stack([np.full(n, b1), np.full(n, m4_act), tau], axis=1)
+    m4 = np.stack([np.full(n, b1), np.full(n, m4_act), tau], axis=1)
+    eq = np.stack([b0 * (b1 - m4) / b1, b0 * m4 / b1, b1 - m4, m4], axis=2)  # (n, arc, 4)
+    passive = np.where(tau >= b1, np.inf, tau - b1)  # at tau >= beta1 it settles at once
     slack = rho * (b1 - tau) / c  # tau times the duty cycle at the slide's equilibrium
     act = np.minimum(m4_act - tau, 0.5 * _LINEAR_TAIL_TOL)
-    margin = np.stack([tau - b1, act, np.minimum(slack, tau - slack)], axis=1)
+    margin = np.stack([passive, act, np.minimum(slack, tau - slack)], axis=1)
 
     def rate(m, arc, kap):
         power = np.where(arc == 1, theta * n0 / (1.0 - theta * m[..., 3]), 0.0)
@@ -388,13 +415,13 @@ def threshold_bias_batch(
     values, tails, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     live, j, t, clock, switches = np.arange(n), np.zeros(n), np.zeros(n), 0.0, [[] for _ in tau]
     while live.size:
-        m4 = np.choose(arc, m4_eq.T)
-        x = m - np.stack([b0 * (b1 - m4) / b1, b0 * m4 / b1, b1 - m4, m4], axis=1)
+        rows = np.arange(live.size)
+        x = m - eq[rows, arc]
         near = (dist := np.abs(x).sum(axis=1)) <= _SETTLE_TOL
-        done = near | (0.5 * dist < np.choose(arc, margin.T)) | (clock >= t_hard)
+        done = near | (0.5 * dist < margin[rows, arc]) | (clock >= t_hard)
         if done.any():
             d, a = np.flatnonzero(done), arc[done]
-            m_eq, x = m[d] - x[d], np.where(near[d, None], 0.0, x[d])  # drop tails below 1e-12
+            m_eq, x = eq[d, a], np.where(near[d, None], 0.0, x[d])  # drop tails below 1e-12
             z = gens[a] - m_eq[:, :, None]  # A - m_eq 1^T; on slides also - e4 e4^T
             z[a == 2, 3, 3] -= 1.0
             y = np.linalg.solve(z, x[:, :, None])[:, :, 0]  # integral of x(t) is -y
@@ -404,12 +431,12 @@ def threshold_bias_batch(
             off = np.where(target, 0.0, e_eq - e_star)
             values[live[d]] = j[d] - rest + off * (t_max - t[d])
             tails[live[d]], converged[live[d]] = off * t_max, target & (clock < t_hard)
-            live, tau, kap, m4_eq, margin, m, arc, j, t = (
-                v[~done] for v in (live, tau, kap, m4_eq, margin, m, arc, j, t))
+            live, tau, kap, eq, margin, m, arc, j, t = (
+                v[~done] for v in (live, tau, kap, eq, margin, m, arc, j, t))
             continue
         h = min(_STEP_MAX, max(_STEP_MIN, clock / 8.0))
         clock += h
-        path = np.einsum("pkij,pj->pki", _propagators(key, tuple(h * _GAUSS_T))[arc], m)
+        path = _per_arc(_propagators(key, tuple(h * _GAUSS_T)), arc, m)
         dj = h * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) @ _GAUSS_W)
         m_new, step = path[:, -1], np.full(live.size, h)
         hit = np.flatnonzero(system.crossed(m_new, arc, tau))

@@ -20,7 +20,7 @@ it certifies as optimal, so both pairings are implemented:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class BiasCheckReport:
     pairing_costs: dict = field(default_factory=dict)
 
     def to_json(self, path=None) -> str:
-        return write_json(asdict(self), path)
+        return write_json({f.name: getattr(self, f.name) for f in fields(self)}, path)
 
 
 def _argmin_toward(costs, thresholds, target):

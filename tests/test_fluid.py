@@ -60,6 +60,25 @@ class TestPassiveClosedForm:
             ) / h
             assert fd == pytest.approx(kernel.drift_vector(m0, 0, sec4), abs=1e-5)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.005, None], ids=["beta1", "beta1+0.005", "one"])
+    def test_never_passes_a_threshold_at_or_above_beta1(self, shift):
+        # the passive settle rule of the exact engine: from m4 <= tau >= beta1 the
+        # passive flow keeps m4 <= tau; 1e-15 allows the closed form's own rounding
+        rng = np.random.default_rng(18)
+        t = np.concatenate([np.linspace(0.0, 60.0, 6001), np.geomspace(60.0, 1e4, 400)])
+        for rho in (0.02, 0.1, 0.5, 0.95):
+            params = sec4_at(rho)
+            tau = 1.0 if shift is None else params.beta1 + shift
+            starts = rng.dirichlet(np.ones(4), size=300)
+            starts = starts[starts[:, 3] <= tau]
+            # and starts on the threshold, the rest of the mass spread over m1 .. m3
+            on = rng.dirichlet(np.ones(3), size=50) * (1.0 - tau)
+            starts = np.concatenate([starts, np.insert(on, 3, tau, axis=1)])
+            assert len(starts) > 100
+            for m0 in starts:
+                m4 = fluid.passive_trajectory_closed_form(m0, t, params)[3]
+                assert m4.max() <= tau + 1e-15
+
 
 class TestIntegrate:
     def test_constant_at_passive_equilibrium(self, sec4):
@@ -297,11 +316,82 @@ class TestExactEngine:
             assert batch.switches[rows] == single.switches
             assert list(batch.converged[rows]) == list(single.converged)
 
+    @pytest.mark.parametrize("n0", [1.0, 30.0])  # Active (settles off target), Passive
+    def test_passive_path_at_beta1_settles_at_once(self, n0, monkeypatch):
+        params = sec4_at(0.1, n0=n0)
+        rep = equilibrium.optimal_equilibrium(params)
+        calls = []
+        propagators = fluid._propagators
+        monkeypatch.setattr(
+            fluid, "_propagators", lambda *args: calls.append(args) or propagators(*args)
+        )
+        m0 = np.array([0.3, 0.25, 0.2, 0.25])  # m4 below tau = beta1 = 0.4
+        batch = fluid.threshold_bias_batch(m0, [params.beta1], rep.E_star, rep.m_star, params)
+        assert batch.switches == [[]] and calls == []
+        # the integral of (cost - E_settled) along the closed form: composite 8-point
+        # Gauss-Legendre on panels of width 1/2 to t = 400, where e^(-rho t) < 1e-17
+        x, w = np.polynomial.legendre.leggauss(8)
+        t = (0.5 * np.arange(800)[:, None] + 0.25 + 0.25 * x).ravel()
+        m = fluid.passive_trajectory_closed_form(m0, t, params)
+        settled = params.lam  # the passive equilibrium (0, 1 - beta1, 0, beta1) has m2 + m4 = 1
+        integral = float(np.sum(np.tile(0.25 * w, 800) * (params.lam * (m[1] + m[3]) - settled)))
+        assert batch.tails[0] == pytest.approx((settled - rep.E_star) * 1e5, rel=1e-12, abs=1e-9)
+        assert batch.values[0] == pytest.approx(integral + batch.tails[0], rel=1e-10, abs=0.0)
+        assert batch.values[0] - batch.tails[0] == pytest.approx(integral, rel=1e-10, abs=0.0)
+        assert batch.converged[0] == (rep.regime == equilibrium.PASSIVE)
+
+    @pytest.mark.parametrize("below", [0.005, 0.05])
+    def test_passive_path_below_beta1_still_switches(self, sec4, below):
+        # below beta1 the passive flow can pass tau, so the settle rule must not apply:
+        # the first switch is where the closed form's m4 meets tau (bisected here)
+        rep = equilibrium.optimal_equilibrium(sec4)
+        tau, m0 = sec4.beta1 - below, np.array([0.45, 0.2, 0.3, 0.05])
+        batch = fluid.threshold_bias_batch(m0, [tau], rep.E_star, rep.m_star, sec4)
+        lo, hi = 0.0, 1000.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            above = fluid.passive_trajectory_closed_form(m0, mid, sec4)[3] > tau
+            lo, hi = (lo, mid) if above else (mid, hi)
+        when, arc = batch.switches[0][0]
+        assert arc != 0 and abs(when - hi) < 1e-9
+
     def test_pair_batch_refuses_a_nan_start(self, sec4):
         rep = equilibrium.optimal_equilibrium(sec4)
         starts = np.array([[0.25, 0.25, 0.25, 0.25], [np.nan, 0.5, 0.25, 0.25]])
         with pytest.raises(NotADistribution, match="outside"):
             fluid.threshold_bias_batch(starts, [0.05, 0.1], rep.E_star, rep.m_star, sec4)
+
+
+class TestArcStacks:
+    @pytest.mark.parametrize("kind", ["bang", "slide", "mixed"])
+    @pytest.mark.parametrize("points", [None, 9])  # (paths, 4) and (paths, points, 4) stacks
+    def test_crossed_matches_the_two_test_form(self, sec4, kind, points):
+        system = fluid._FluidSystem(sec4)
+        rng = np.random.default_rng(18)
+        shape = (200,) if points is None else (200, points)
+        m = rng.dirichlet(np.ones(4), size=shape)
+        lead = (200,) if points is None else (200, 1)
+        tau = rng.uniform(0.0, 0.5, size=lead)
+        arc = {"bang": rng.integers(0, 2, lead), "slide": np.full(lead, 2),
+               "mixed": rng.integers(0, 3, lead)}[kind]
+        off = (m @ system.exits > np.abs(m) @ system.exit_slack).any(axis=-1)
+        want = np.where(arc == 2, off, (m[..., 3] > tau) != (arc == 1))
+        assert want.any() and not want.all()
+        got = system.crossed(m, arc, tau)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("gather_bytes", [0, fluid._GATHER_BYTES], ids=["by-arc", "default"])
+    def test_per_arc_products_match_the_gathered_product(self, sec4, gather_bytes, monkeypatch):
+        # bit for bit: grouping the paths by arc changes no product's arithmetic
+        monkeypatch.setattr(fluid, "_GATHER_BYTES", gather_bytes)
+        tables = fluid._propagators(fluid._FluidSystem(sec4).gens.tobytes(), (0.5, 1.0, 2.0))
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 7, 300, 3000):
+            for arcs in ((0,), (1, 2), (0, 1, 2)):
+                arc = rng.choice(arcs, n)
+                m = rng.dirichlet(np.ones(4), size=n)
+                want = np.einsum("pkij,pj->pki", tables[arc], m)
+                assert np.array_equal(fluid._per_arc(tables, arc, m), want)
 
 
 def _ladder_bracket(gens, arc, m, h, crossed):
