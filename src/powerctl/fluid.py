@@ -275,7 +275,7 @@ _STEP_MIN, _STEP_MAX = 0.25, 4.0  # exact steps grow as clock / 8 between these
 _SETTLE_TOL = 1e-12  # L1 distance at which a path sits at its arc's equilibrium
 _LINEAR_TAIL_TOL = 1e-7  # active arcs settle closer: the linearised power tail is then exact
 _MAX_ARCS = 64
-_GATHER_BYTES = 2**20  # per-path propagator copies that ``_per_arc`` may make at once
+_GATHER_BYTES = 2**20  # per-path propagator copies that ``_per_arc`` makes at once
 # 8-point Gauss-Legendre rule moved to [0, 1] (symmetric about 1/2), then the step end
 _GL_X = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
 _GL_W = np.array([0.3626837833783617, 0.3137066458778869, 0.2223810344533744, 0.10122853629037706])
@@ -330,16 +330,13 @@ def _grid_tables(gens: bytes, h: float) -> tuple:
 
 def _per_arc(tables, arc, m):
     """Row i is tables[arc[i]] applied to m[i]: (paths, k, 4) from (arcs, k, 4, 4)
-    tables. While per-path copies of the tables take at most _GATHER_BYTES, one
-    product on those copies (the fastest for few paths); above that, one product
-    per arc present, with no copies. Each row's arithmetic is the same either way."""
-    if len(m) * tables[0].nbytes <= _GATHER_BYTES:
-        return np.einsum("pkij,pj->pki", tables[arc], m)
+    tables, one product on per-path copies of the tables, over blocks of paths
+    whose copies take at most _GATHER_BYTES."""
     out = np.empty((len(m), tables.shape[1], 4))
-    for a, table in enumerate(tables):
-        on = arc == a
-        if on.any():
-            out[on] = np.einsum("kij,pj->pki", table, m[on])
+    block = max(1, _GATHER_BYTES // tables[0].nbytes)
+    for i in range(0, len(m), block):
+        rows = slice(i, i + block)
+        np.einsum("pkij,pj->pki", tables[arc[rows]], m[rows], out=out[rows])
     return out
 
 
@@ -408,6 +405,10 @@ def threshold_bias_batch(
         power = np.where(arc == 1, theta * n0 / (1.0 - theta * m[..., 3]), 0.0)
         return m @ hold + power + kap * (arc == 2) * (m @ u0[3])
 
+    # (n, arc) cost rates at the equilibria, one 3 x 4 product per path: a path's
+    # settled rate does not depend on which paths settle with it
+    rates = rate(eq, np.arange(3), kap[:, None])
+
     m = np.broadcast_to(validate_measure(m0), (n, 4)).copy()
     arc = (m[:, 3] > tau).astype(int)
     on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
@@ -426,13 +427,13 @@ def threshold_bias_batch(
             z[a == 2, 3, 3] -= 1.0
             y = np.linalg.solve(z, x[:, :, None])[:, :, 0]  # integral of x(t) is -y
             rest = ((grad[a] + np.outer(kap[d] * (a == 2), u0[3])) * y).sum(axis=1)
-            e_eq = rate(m_eq, a, kap[d])
+            e_eq = rates[d, a]
             target = (np.abs(m_eq - m_star).sum(axis=1) < 1e-9) & (np.abs(e_eq - e_star) < 1e-10)
             off = np.where(target, 0.0, e_eq - e_star)
             values[live[d]] = j[d] - rest + off * (t_max - t[d])
             tails[live[d]], converged[live[d]] = off * t_max, target & (clock < t_hard)
-            live, tau, kap, eq, margin, m, arc, j, t = (
-                v[~done] for v in (live, tau, kap, eq, margin, m, arc, j, t))
+            live, tau, kap, eq, rates, margin, m, arc, j, t = (
+                v[~done] for v in (live, tau, kap, eq, rates, margin, m, arc, j, t))
             continue
         h = min(_STEP_MAX, max(_STEP_MIN, clock / 8.0))
         clock += h

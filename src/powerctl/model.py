@@ -305,7 +305,7 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
     ``row_format % row`` (the template ends in a newline), a block of rows at a
     time: the template is cut into one conversion per column, and within a
     block each distinct value of a column, told apart by its bits (0.0 and -0.0
-    are two), is formatted once, all of them by one ``%``."""
+    are two), is formatted once."""
     pieces = _PIECE.findall(row_format)
     if len(pieces) != len(columns) or "".join(pieces) != row_format:
         raise ValueError(f"row format {row_format!r} needs one conversion per column")
@@ -319,11 +319,8 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
                 block = col[i : i + _CSV_BLOCK]
                 bits = block.view(f"u{block.dtype.itemsize}")  # TypeError for other widths
                 _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-                values = block[first].tolist()  # their texts, joined by NULs and split
-                distinct = ("\0".join([piece] * len(values)) % tuple(values)).split("\0")
-                if len(distinct) != len(values):  # a value's own text holds a NUL
-                    distinct = [piece % (v,) for v in values]
-                texts.append(np.array(distinct, dtype=object)[inverse])
+                distinct = np.array([piece % (v,) for v in block[first].tolist()], dtype=object)
+                texts.append(distinct[inverse])
             fh.write("".join(np.stack(texts, axis=1).ravel().tolist()))
 
 

@@ -315,6 +315,14 @@ class TestExactEngine:
             np.testing.assert_allclose(batch.values[rows], single.values, rtol=1e-13, atol=0.0)
             assert batch.switches[rows] == single.switches
             assert list(batch.converged[rows]) == list(single.converged)
+            # a settled cost rate is one product per path: tails to the last bit,
+            # whichever paths settle with it
+            assert np.array_equal(batch.tails[rows], single.tails)
+        alone = [
+            fluid.threshold_bias_batch(starts[0], [tau], rep.E_star, rep.m_star, sec4).tails[0]
+            for tau in taus
+        ]
+        assert np.array_equal(alone, batch.tails[: len(taus)])
 
     @pytest.mark.parametrize("n0", [1.0, 30.0])  # Active (settles off target), Passive
     def test_passive_path_at_beta1_settles_at_once(self, n0, monkeypatch):
@@ -380,11 +388,11 @@ class TestArcStacks:
         got = system.crossed(m, arc, tau)
         assert got.shape == want.shape and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("gather_bytes", [0, fluid._GATHER_BYTES], ids=["by-arc", "default"])
-    def test_per_arc_products_match_the_gathered_product(self, sec4, gather_bytes, monkeypatch):
-        # bit for bit: grouping the paths by arc changes no product's arithmetic
-        monkeypatch.setattr(fluid, "_GATHER_BYTES", gather_bytes)
+    def test_per_arc_products_match_the_gathered_product(self, sec4):
+        # bit for bit: splitting the paths into blocks changes no product's arithmetic
+        # (3,000 paths of these tables take two blocks)
         tables = fluid._propagators(fluid._FluidSystem(sec4).gens.tobytes(), (0.5, 1.0, 2.0))
+        assert 1500 < fluid._GATHER_BYTES // tables[0].nbytes < 3000
         rng = np.random.default_rng(18)
         for n in (1, 2, 7, 300, 3000):
             for arcs in ((0,), (1, 2), (0, 1, 2)):

@@ -244,15 +244,6 @@ class TestWriteCsv:
             model.write_csv(path, "x", "%s\n", (column,))
             assert path.read_text().split("\n") == _rows_oracle("x", "%s\n", (column,))
 
-    def test_a_value_printing_a_nul(self, tmp_path):
-        # the distinct texts of a block are joined by NULs and split: a text holding a
-        # NUL of its own must still come out whole
-        column = np.array(["\0a", "b", "\0a", "c\0"], dtype="U2")
-        model.write_csv(tmp_path / "out.csv", "x", "%s\n", (column,))
-        assert (tmp_path / "out.csv").read_text().split("\n") == _rows_oracle(
-            "x", "%s\n", (column,)
-        )
-
     @pytest.mark.parametrize("later", [5000, 4000], ids=["longer", "shorter"])
     def test_unequal_columns_raise(self, tmp_path, later):
         path = tmp_path / "out.csv"
