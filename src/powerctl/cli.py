@@ -43,10 +43,6 @@ _DEFAULTS = {
     "fluid_policy": "threshold",
 }
 
-_LIST_KEYS = {"rho_list", "m0"}
-_STR_KEYS = {"pairing", "bench_policy", "fluid_policy"}
-_INT_KEYS = {"n_users", "n_starts"}
-
 _PAIRINGS = {
     "prop3": policy.PROP3_CONSISTENT,
     "literal": policy.PAPER_LITERAL,
@@ -61,13 +57,17 @@ def _positive(value) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
-def _fluid_policy_ok(name) -> bool:
-    if name in ("threshold", "passive", "active"):
-        return True
+def _fluid_activation(name):
+    """The constant activation s4 of a ``fluid_policy`` name (passive 0, active 1,
+    s4=<v> v in [0, 1]), nan for threshold, None for any other name."""
+    named = {"threshold": math.nan, "passive": 0.0, "active": 1.0}
+    if name in named:
+        return named[name]
     try:
-        return name.startswith("s4=") and 0.0 <= float(name[3:]) <= 1.0
+        s4 = float(name[3:])
     except ValueError:
-        return False
+        return None
+    return s4 if name.startswith("s4=") and 0.0 <= s4 <= 1.0 else None
 
 
 # key, test of its value, and the rule a value failing the test breaks
@@ -80,7 +80,7 @@ _CHECKS = (
     ("grid_step", _positive, "must be positive and finite"),
     ("horizon", _positive, "must be positive and finite"),
     ("dt", _positive, "must be positive and finite"),
-    ("fluid_policy", _fluid_policy_ok,
+    ("fluid_policy", lambda name: _fluid_activation(name) is not None,
      "must be threshold, passive, active or s4=<v> with v in [0, 1]"),
     ("pairing", lambda name: name in _PAIRINGS, f"must be one of {sorted(_PAIRINGS)}"),
     ("bench_policy", lambda name: name == "average_optimal" or name in _PAIRINGS,
@@ -91,6 +91,7 @@ _CHECKS = (
 def load_config(path) -> dict:
     """Parse the flat key = value config file; '#' starts a comment.
 
+    Each value parses as the type of its default, a list as comma-separated floats.
     ConfigError on an unreadable file, an unknown key, a value that does not
     parse, or one that breaks a rule of ``_CHECKS``; NotADistribution on an
     ``m0`` off the probability simplex, whichever command reads the config.
@@ -112,14 +113,10 @@ def load_config(path) -> dict:
         if key not in cfg:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _LIST_KEYS:
+            if isinstance(_DEFAULTS[key], list):
                 cfg[key] = [float(v) for v in value.split(",") if v.strip()]
-            elif key in _STR_KEYS:
-                cfg[key] = value
-            elif key in _INT_KEYS:
-                cfg[key] = int(value)
             else:
-                cfg[key] = float(value)
+                cfg[key] = type(_DEFAULTS[key])(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     for key, ok, rule in _CHECKS:
@@ -175,15 +172,8 @@ def cmd_threshold(cfg, out_dir, seed):
 
 def cmd_fluid(cfg, out_dir, seed):
     params = _params(cfg)
-    name = cfg["fluid_policy"]
-    if name == "threshold":
-        controller = policy.make_policy(params, _PAIRINGS[cfg["pairing"]])
-    elif name == "passive":
-        controller = 0.0
-    elif name == "active":
-        controller = 1.0
-    else:  # s4=<v>, v in [0, 1] (load_config)
-        controller = float(name[3:])
+    s4 = _fluid_activation(cfg["fluid_policy"])
+    controller = policy.make_policy(params, _PAIRINGS[cfg["pairing"]]) if math.isnan(s4) else s4
     traj = fluid.integrate(cfg["m0"], controller, cfg["horizon"], params, dt=cfg["dt"])
     path = f"{out_dir}/fluid.csv"
     traj.to_csv(path)

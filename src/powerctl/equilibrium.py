@@ -40,6 +40,17 @@ def equilibrium_measure(s4_bar: float, params: ModelParams) -> np.ndarray:
     ) / d
 
 
+def m4_passive(params: ModelParams) -> float:
+    """Queue-good mass at the never-transmit equilibrium."""
+    return params.beta1
+
+
+def m4_active(params: ModelParams) -> float:
+    """Queue-good mass at the always-transmit equilibrium."""
+    b1, rho = params.beta1, params.rho
+    return b1 * rho / (rho + b1 * (1.0 - rho))
+
+
 def equilibrium_cost(s4_bar: float, params: ModelParams) -> float:
     """Long-run cost per slot at the s4_bar equilibrium (time-sharing form)."""
     m = equilibrium_measure(s4_bar, params)

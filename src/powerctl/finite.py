@@ -79,11 +79,6 @@ class AggregateSpace:
         return self._index[tuple(int(c) for c in counts)]
 
 
-def enumerate_states(n_users: int, params: ModelParams):
-    """Lexicographic list of all aggregate states (compositions of n_users)."""
-    return [tuple(s) for s in AggregateSpace(n_users, params).states]
-
-
 def transmit_power(k: int, n_users: int, params: ModelParams) -> float:
     """Symmetric power putting k simultaneous class-4 transmitters exactly
     at the SINR threshold.

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, StepTooLarge
-from .kernel import KernelTables, drift_matrix, drift_matrix_4state
+from .equilibrium import m4_active, optimal_equilibrium
+from .errors import AssumptionViolation, NonConvergent, StepTooLarge
+from .kernel import drift_matrix_4state
 from .model import ModelParams, require_good_bad, validate_measure, write_csv
 
 _SIMPLEX_TOL = 1e-9
@@ -68,14 +69,6 @@ def discrete_step(m, s4: float, params: ModelParams) -> np.ndarray:
     return m + drift_matrix_4state(s4, params) @ m
 
 
-def discrete_step_general(
-    m, g, params: ModelParams, tables: KernelTables | None = None
-) -> np.ndarray:
-    """One slot of the fluid recursion with a full per-class success profile."""
-    m = np.asarray(m, dtype=float)
-    return m + drift_matrix(g, params, tables) @ m
-
-
 def passive_trajectory_closed_form(m0, t: float, params: ModelParams) -> np.ndarray:
     """State at time t of the uncontrolled flow started at m0.
 
@@ -101,10 +94,13 @@ class _FluidSystem:
     On each arc the flow is linear, dm/dt = A m, with A one of ``gens``:
     U(0) (arc 0), U(1) (arc 1), or on m4 = tau the slide (arc 2). ``crossed``
     says when a path leaves its arc and ``land`` where it goes next.
+    AssumptionViolation at beta1 = 0, where the slide is undefined.
     """
 
     def __init__(self, params: ModelParams):
         require_good_bad(params)
+        if params.beta1 <= 0.0:
+            raise AssumptionViolation(f"the fluid needs beta1 > 0, got beta1={params.beta1}")
         self.params = params
         self.u0 = drift_matrix_4state(0.0, params)
         self.u1 = drift_matrix_4state(1.0, params)
@@ -260,8 +256,6 @@ def bias_cost(m0, policy, e_star: float, params: ModelParams, t_max=1e5, m_star=
     (attribute ``pi``) from m0, by ``threshold_bias_batch``. A path that settles
     elsewhere raises NonConvergent carrying its value (tail priced to t_max).
     """
-    from .equilibrium import optimal_equilibrium
-
     m_star = np.asarray(optimal_equilibrium(params).m_star if m_star is None else m_star)
     batch = threshold_bias_batch(m0, [policy.pi], e_star, m_star, params, t_max)
     if batch.converged[0]:
@@ -389,7 +383,7 @@ def threshold_bias_batch(
     n, (b0, b1), rho, theta, n0 = len(tau), params.beta, params.rho, params.theta, params.n0
     system, c = _FluidSystem(params), b1 * (1 - rho)
     u0, gens = system.u0, system.gens
-    key, m4_act = gens.tobytes(), b1 * rho / (rho + c)
+    key, m4_act = gens.tobytes(), m4_active(params)
     hold = params.lam * np.array([0.0, 1.0, 0.0, 1.0])
     grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])
     # per path: slide power per unit phi0; per arc: equilibrium, margin to the arc's event
@@ -437,9 +431,8 @@ def threshold_bias_batch(
             continue
         h = min(_STEP_MAX, max(_STEP_MIN, clock / 8.0))
         clock += h
-        path = _per_arc(_propagators(key, tuple(h * _GAUSS_T)), arc, m)
-        dj = h * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) @ _GAUSS_W)
-        m_new, step = path[:, -1], np.full(live.size, h)
+        path = _per_arc(_propagators(key, tuple(h * _GAUSS_T)), arc, m)  # nodes, then the end
+        m_new, arc_new, step = path[:, -1], arc.copy(), np.full(live.size, h)
         hit = np.flatnonzero(system.crossed(m_new, arc, tau))
         if hit.size:
             a, th = arc[hit], tau[hit]
@@ -447,12 +440,13 @@ def threshold_bias_batch(
             lo, delta, _, far = _event_bracket(key, a, m[hit], h, crossed)
             step[hit] = lo + delta
             sub = _expm(gens[a, None] * (step[hit, None] * _GAUSS_T[:-1])[..., None, None])
-            sub = np.einsum("pkij,pj->pki", sub, m[hit])
-            dj[hit] = step[hit] * ((rate(sub, a[:, None], kap[hit, None]) - e_star) @ _GAUSS_W)
-            m_new[hit], arc[hit] = system.land(far, th)
-            for p, when, new in zip(live[hit], t[hit] + step[hit], arc[hit]):
+            path[hit, :-1] = np.einsum("pkij,pj->pki", sub, m[hit])  # the cut step's nodes
+            m_new[hit], arc_new[hit] = system.land(far, th)
+            for p, when, new in zip(live[hit], t[hit] + step[hit], arc_new[hit]):
                 switches[p].append((float(when), int(new)))
                 if len(switches[p]) >= _MAX_ARCS:
                     raise NonConvergent(f"a threshold path exceeded {_MAX_ARCS} arcs")
-        m, j, t = m_new, j + dj, t + step
+        # the step cost as a sum per row, so a path's value does not depend on its batch
+        dj = step * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) * _GAUSS_W).sum(1)
+        m, arc, j, t = m_new, arc_new, j + dj, t + step
     return BiasBatch(values, converged, tails, switches)

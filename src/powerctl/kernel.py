@@ -51,7 +51,6 @@ class KernelTables:
 
     gamma0: np.ndarray
     gamma1: np.ndarray
-    channel_model: str
 
 
 def build_tables(params: ModelParams, channel_model: str = IID) -> KernelTables:
@@ -76,7 +75,7 @@ def build_tables(params: ModelParams, channel_model: str = IID) -> KernelTables:
                 chan = np.asarray(params.channel_matrix[lvl_i], dtype=float)
             gamma[i] = np.kron(chan, qdist)
         tables.append(gamma)
-    return KernelTables(gamma0=tables[0], gamma1=tables[1], channel_model=channel_model)
+    return KernelTables(gamma0=tables[0], gamma1=tables[1])
 
 
 def drift_matrix(g, params: ModelParams, tables: KernelTables | None = None) -> np.ndarray:
@@ -108,25 +107,5 @@ def drift_matrix_4state(s4: float, params: ModelParams) -> np.ndarray:
             [b0 * rho, -b1, b0 * rho, s4 * b0 * rho + (1.0 - s4) * b0],
             [b1 * (1.0 - rho), 0.0, -b1 * rho - b0, s4 * b1 * (1.0 - rho)],
             [b1 * rho, b1, b1 * rho, -s4 * b1 * (1.0 - rho) - b0],
-        ]
-    )
-
-
-def drift_vector(m, a: int, params: ModelParams) -> np.ndarray:
-    """Rate of change of each class mass under bang-bang control a in {0, 1}.
-
-    Written out coordinate by coordinate for the GOOD/BAD unit-buffer case;
-    equal to drift_matrix_4state(a) @ m.
-    """
-    require_good_bad(params)
-    b0, b1 = params.beta
-    rho = params.rho
-    m1, m2, m3, m4 = np.asarray(m, dtype=float)
-    return np.array(
-        [
-            -(b1 + b0 * rho) * m1 + b0 * (1.0 - rho) * m3 + a * b0 * (1.0 - rho) * m4,
-            b0 * rho * m1 - b1 * m2 + b0 * rho * m3 + (rho * a + (1 - a)) * b0 * m4,
-            b1 * (1.0 - rho) * m1 - (b1 * rho + b0) * m3 + a * b1 * (1.0 - rho) * m4,
-            b1 * rho * m1 + b1 * m2 + b1 * rho * m3 - (b1 * a * (1.0 - rho) + b0) * m4,
         ]
     )

@@ -183,11 +183,6 @@ class StateIndex:
     queue: int
     flat: int
 
-    @property
-    def pos(self) -> int:
-        """0-based array position of this class."""
-        return self.flat - 1
-
 
 def state_index(level: int, queue: int, params: ModelParams) -> StateIndex:
     """Map (channel level, queue length) to its flat label."""

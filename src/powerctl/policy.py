@@ -24,23 +24,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .equilibrium import INTERIOR, PASSIVE, optimal_equilibrium
+from .equilibrium import INTERIOR, PASSIVE, m4_active, m4_passive, optimal_equilibrium
 from .fluid import threshold_bias_batch
 from .model import ModelParams, require_good_bad, write_json
 
 PROP3_CONSISTENT = "Prop3Consistent"
 PAPER_LITERAL = "PaperLiteral"
-
-
-def m4_passive(params: ModelParams) -> float:
-    """Queue-good mass at the never-transmit equilibrium."""
-    return params.beta1
-
-
-def m4_active(params: ModelParams) -> float:
-    """Queue-good mass at the always-transmit equilibrium."""
-    b1, rho = params.beta1, params.rho
-    return b1 * rho / (rho + b1 * (1.0 - rho))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,17 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_config(cfg_file("theta = fast\n"))
 
+    def test_each_value_has_the_type_of_its_default(self, cfg_file):
+        text = ("theta = 1e-1\nn_users = 3\nn_starts = 2\nm0 = 1, 0, 0, 0\n"
+                "fluid_policy = active\npairing = literal\n")
+        cfg = cli.load_config(cfg_file(text))
+        assert cfg.keys() == cli._DEFAULTS.keys()
+        for key, default in cli._DEFAULTS.items():
+            assert type(cfg[key]) is type(default), key
+        assert all(type(v) is float for key in ("m0", "rho_list") for v in cfg[key])
+        with pytest.raises(cli.ConfigError, match="bad value for n_users"):
+            cli.load_config(cfg_file("n_users = 2.5\n"))
+
 
 class TestCommands:
     def test_equilibrium(self, cfg_file, tmp_path):
@@ -188,7 +199,8 @@ BAD_VALUES = {
 # crashed fluid and compare with a ZeroDivisionError (exit 1); theta = -0.5 and p_max = nan
 # ran vi to exit 0; beta1, n0 and lambda = nan ran vi 10^6 sweeps before exit 3; a NaN
 # entry of m0 passed the simplex check, and fluid wrote rows of nan; vi, equilibrium,
-# threshold and compare, which do not read m0, ran to exit 0 with an m0 off the simplex
+# threshold and compare, which do not read m0, ran to exit 0 with an m0 off the simplex;
+# fluid at beta1 = 0 divided by zero (exit 1 under -W error, inf and nan without)
 MODEL_REFUSED = {
     "theta-zero-fluid": ("fluid", "theta = 0"),
     "theta-zero-compare": ("compare", "theta = 0"),
@@ -203,6 +215,7 @@ MODEL_REFUSED = {
     "m0-nan-threshold": ("threshold", "m0 = nan, 0.5, 0.25, 0.25"),
     "m0-nan-compare": ("compare", "m0 = nan, 0.5, 0.25, 0.25"),
     "m0-sum-two-vi": ("vi", "m0 = 0.5, 0.5, 0.5, 0.5"),
+    "beta1-zero-fluid": ("fluid", "beta1 = 0\nfluid_policy = passive"),
 }
 
 
@@ -226,6 +239,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and f" {key} " in err
         assert list(out.iterdir()) == []
+
+    def test_beta1_zero_is_refused_by_fluid_only(self, cfg_file, tmp_path, capsys):
+        # vi needs no slide; equilibrium's regime constants collapse at beta1 = 0
+        text = BASE + "beta1 = 0\nfluid_policy = passive\n"
+        code = cli.main(["fluid", "--config", cfg_file(text), "--out", str(tmp_path)])
+        assert code == 2 and "beta1" in capsys.readouterr().err
+        assert cli.main(["vi", "--config", cfg_file(text), "--out", str(tmp_path)]) == 0
+        assert cli.main(["equilibrium", "--config", cfg_file(text), "--out", str(tmp_path)]) == 3
 
     def test_measure_off_the_simplex_prints_its_sum(self, cfg_file, tmp_path, capsys):
         # the sum is printed as a plain float, not as a numpy repr

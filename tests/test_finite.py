@@ -20,13 +20,14 @@ from powerctl.model import ModelParams
 
 class TestEnumeration:
     def test_counts(self, sec4):
-        assert len(finite.enumerate_states(1, sec4)) == 4
-        assert len(finite.enumerate_states(2, sec4)) == 10
-        assert len(finite.enumerate_states(10, sec4)) == 286
+        assert len(finite.AggregateSpace(1, sec4).states) == 4
+        assert len(finite.AggregateSpace(2, sec4).states) == 10
+        assert len(finite.AggregateSpace(10, sec4).states) == 286
 
     def test_lexicographic_order(self, sec4):
         compositions = [c for c in itertools.product(range(8), repeat=4) if sum(c) == 7]
-        assert finite.enumerate_states(7, sec4) == sorted(compositions)
+        states = finite.AggregateSpace(7, sec4).states
+        assert list(map(tuple, states.tolist())) == sorted(compositions)
 
     def test_index_round_trip(self, sec4):
         space = finite.AggregateSpace(10, sec4)

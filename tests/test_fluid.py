@@ -25,13 +25,6 @@ class TestDiscreteStep:
             ref = equilibrium.equilibrium_measure(s4, sec4)
             assert np.abs(m - ref).max() < 1e-8
 
-    def test_general_form_matches(self, sec4):
-        rng = np.random.default_rng(2)
-        m = random_simplex(rng)
-        assert fluid.discrete_step_general(m, np.array([0, 0, 0, 0.3]), sec4) == pytest.approx(
-            fluid.discrete_step(m, 0.3, sec4), abs=1e-15
-        )
-
 
 class TestPassiveClosedForm:
     def test_initial_condition(self, sec4):
@@ -58,7 +51,7 @@ class TestPassiveClosedForm:
                 fluid.passive_trajectory_closed_form(m0, h, sec4)
                 - fluid.passive_trajectory_closed_form(m0, 0.0, sec4)
             ) / h
-            assert fd == pytest.approx(kernel.drift_vector(m0, 0, sec4), abs=1e-5)
+            assert fd == pytest.approx(kernel.drift_matrix_4state(0.0, sec4) @ m0, abs=1e-5)
 
     @pytest.mark.parametrize("shift", [0.0, 0.005, None], ids=["beta1", "beta1+0.005", "one"])
     def test_never_passes_a_threshold_at_or_above_beta1(self, shift):
@@ -312,7 +305,7 @@ class TestExactEngine:
         for i, m0 in enumerate(starts):
             single = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, sec4)
             rows = slice(i * len(taus), (i + 1) * len(taus))
-            np.testing.assert_allclose(batch.values[rows], single.values, rtol=1e-13, atol=0.0)
+            assert np.array_equal(batch.values[rows], single.values)
             assert batch.switches[rows] == single.switches
             assert list(batch.converged[rows]) == list(single.converged)
             # a settled cost rate is one product per path: tails to the last bit,
@@ -323,6 +316,23 @@ class TestExactEngine:
             for tau in taus
         ]
         assert np.array_equal(alone, batch.tails[: len(taus)])
+
+    @pytest.mark.parametrize("n0", [1.0, 5.0])  # Active, Interior
+    def test_a_path_alone_has_its_batch_value(self, n0):
+        # a step's cost is a sum per path, not a product over the batch, so no
+        # value depends on which paths run with it, to the last bit
+        params = sec4_at(0.1, n0=n0)
+        rep = equilibrium.optimal_equilibrium(params)
+        starts = np.random.default_rng(21).dirichlet(np.ones(4), size=6)
+        taus = np.linspace(0.0, 0.45, 30)
+        m0, tau = np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts))
+        batch = fluid.threshold_bias_batch(m0, tau, rep.E_star, rep.m_star, params)
+        alone = [
+            fluid.threshold_bias_batch(m0[i], tau[i : i + 1], rep.E_star, rep.m_star, params)
+            .values[0]
+            for i in range(len(tau))
+        ]
+        assert np.array_equal(alone, batch.values)
 
     @pytest.mark.parametrize("n0", [1.0, 30.0])  # Active (settles off target), Passive
     def test_passive_path_at_beta1_settles_at_once(self, n0, monkeypatch):
