@@ -214,7 +214,7 @@ def cmd_compare(cfg, out_dir, seed):
     path = f"{out_dir}/compare.csv"
     names = ("rho", "g_mf", "g_vi", "rel_err_pct", "abs_err_pct")
     columns = [np.array([row[c] for row in rows]) for c in names]
-    write_csv(path, ",".join(names), "%.12g," * 4 + "%.12g\n", columns)
+    write_csv(path, ",".join(names), ("%.12g",) * 5, columns)
     worst = max(row["rel_err_pct"] for row in rows)
     print(f"{len(rows)} rows, worst rel err {worst:.4g}% -> {path}")
     return EXIT_OK
@@ -239,6 +239,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's default_rng takes no negative seed
+        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
         cfg = load_config(args.config)
         if not os.path.isdir(args.out):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvexityUnverified, DegenerateRegime, DomainError
-from .model import ModelParams, require_good_bad, write_json
+from .model import ModelParams, bisect, require_good_bad, write_json
 
 PASSIVE = "Passive"
 ACTIVE = "Active"
@@ -51,11 +51,17 @@ def m4_active(params: ModelParams) -> float:
     return b1 * rho / (rho + b1 * (1.0 - rho))
 
 
-def equilibrium_cost(s4_bar: float, params: ModelParams) -> float:
-    """Long-run cost per slot at the s4_bar equilibrium (time-sharing form)."""
-    m = equilibrium_measure(s4_bar, params)
-    power = params.theta * params.n0 * s4_bar / (1.0 - params.theta * m[3])
+def instantaneous_cost(m, s4, params: ModelParams):
+    """Cost rate theta n0 s4 / (1 - theta m4) + lam (m2 + m4) of the fluid at measure
+    m (classes on its first axis) under activation fraction s4 (time-sharing form)."""
+    m = np.asarray(m, dtype=float)
+    power = params.theta * params.n0 * s4 / (1.0 - params.theta * m[3])
     return power + params.lam * (m[1] + m[3])
+
+
+def equilibrium_cost(s4_bar: float, params: ModelParams) -> float:
+    """Long-run cost per slot at the s4_bar equilibrium: the cost rate there."""
+    return instantaneous_cost(equilibrium_measure(s4_bar, params), s4_bar, params)
 
 
 def equilibrium_cost_derivative(s4_bar: float, params: ModelParams) -> float:
@@ -165,14 +171,9 @@ def optimal_equilibrium(params: ModelParams) -> EquilibriumReport:
         regime, s4_star = ACTIVE, 1.0
     else:
         regime = INTERIOR
-        lo, hi = 0.0, 1.0
-        # derivative is negative at 0 and positive at 1 strictly between the constants
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if equilibrium_cost_derivative(mid, params) < 0.0:
-                lo = mid
-            else:
-                hi = mid
+        # dE/ds4 < 0 at 0 and > 0 at 1 strictly between the constants; NaN counts as rising
+        rising = lambda s4: not equilibrium_cost_derivative(s4, params) < 0.0
+        lo, hi = bisect(rising, 0.0, 1.0, _BISECT_TOL)
         s4_star = 0.5 * (lo + hi)
     m_star = equilibrium_measure(s4_star, params)
     return EquilibriumReport(

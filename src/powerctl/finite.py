@@ -433,7 +433,7 @@ class SimResult:
 
     def to_csv(self, path):
         columns = (np.arange(len(self.costs)), *self.measures.T, self.actions, self.costs)
-        write_csv(path, "t,n1,n2,n3,n4,action,cost", "%d," * 6 + "%.12g\n", columns)
+        write_csv(path, "t,n1,n2,n3,n4,action,cost", ("%d",) * 6 + ("%.12g",), columns)
 
 
 def _initial_counts(initial_counts, n_users: int) -> tuple:

@@ -18,8 +18,8 @@ backs ``bias_cost``. It brackets an event on the dyadic grid h / 2^K of
 its step, K = ceil(log2(h / 1e-10)), fixing _SEARCH_BITS bits of the event
 time per round from cached tables exp(A j span), and lands the path on the
 bracket's far side, as ``integrate`` does.
-The cost c(m, s) = s * theta * n0 / (1 - theta * m4) + lam * (m2 + m4) is
-the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
+The cost rate c(m, s) = theta n0 s / (1 - theta m4) + lam (m2 + m4), ``instantaneous_cost``,
+is the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import m4_active, optimal_equilibrium
+from .equilibrium import instantaneous_cost, m4_active, m4_passive, optimal_equilibrium
 from .errors import AssumptionViolation, NonConvergent, StepTooLarge
 from .kernel import drift_matrix_4state
-from .model import ModelParams, require_good_bad, validate_measure, write_csv
+from .model import ModelParams, bisect, require_good_bad, validate_measure, write_csv
 
 _SIMPLEX_TOL = 1e-9
 _EVENT_TIME_TOL = 1e-10
@@ -53,14 +53,7 @@ class Trajectory:
 
     def to_csv(self, path):
         columns = (self.t, *self.m.T, self.s4, self.inst_cost)
-        write_csv(path, "t,m1,m2,m3,m4,s4,inst_cost", "%.12g," * 6 + "%.12g\n", columns)
-
-
-def instantaneous_cost(m, s4: float, params: ModelParams) -> float:
-    """Cost rate at measure m under activation fraction s4 (time-sharing form)."""
-    m = np.asarray(m, dtype=float)
-    power = s4 * params.theta * params.n0 / (1.0 - params.theta * m[3])
-    return power + params.lam * (m[1] + m[3])
+        write_csv(path, "t,m1,m2,m3,m4,s4,inst_cost", ("%.12g",) * 7, columns)
 
 
 def discrete_step(m, s4: float, params: ModelParams) -> np.ndarray:
@@ -101,7 +94,6 @@ class _FluidSystem:
         require_good_bad(params)
         if params.beta1 <= 0.0:
             raise AssumptionViolation(f"the fluid needs beta1 > 0, got beta1={params.beta1}")
-        self.params = params
         self.u0 = drift_matrix_4state(0.0, params)
         self.u1 = drift_matrix_4state(1.0, params)
         self.du = self.u1 - self.u0
@@ -165,18 +157,6 @@ class _FluidSystem:
         return m / m.sum()
 
 
-def _bisect_time(step_fn, predicate, h):
-    """Largest tau in [0, h] with predicate(step_fn(tau)) False, to 1e-10."""
-    lo, hi = 0.0, h
-    while hi - lo > _EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        if predicate(step_fn(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
 def _event_step(system, gens, m, arc, tau, h):
     """One RK4 step of size h from m on ``arc`` (generator gens[arc]) that may meet
     an event. An event is bisected on the step matrix to _EVENT_TIME_TOL and landed
@@ -184,11 +164,11 @@ def _event_step(system, gens, m, arc, tau, h):
     step taken).
     """
     a = gens[arc]
-    end = m + _FluidSystem.step_matrices(a, h)[0] @ m
+    step = lambda x: m + _FluidSystem.step_matrices(a, x)[0] @ m
+    end = step(h)
     if not system.crossed(end[None], arc, tau)[0]:
         return end, arc, h
-    step = lambda x: m + _FluidSystem.step_matrices(a, x)[0] @ m
-    lo = _bisect_time(step, lambda x: system.crossed(x[None], arc, tau)[0], h)
+    lo, _ = bisect(lambda x: system.crossed(step(x)[None], arc, tau)[0], 0.0, h, _EVENT_TIME_TOL)
     h = min(lo + _EVENT_TIME_TOL, h)
     end, arc = system.land(step(h), tau)
     return end, arc, h
@@ -197,11 +177,11 @@ def _event_step(system, gens, m, arc, tau, h):
 def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01) -> Trajectory:
     """Integrate the controlled fluid from m0 for the given horizon.
 
-    ``policy`` is either a threshold policy object (attribute ``pi``) or a
-    constant activation s4, a float in [0, 1]. Classic RK4 with step dt; threshold
-    events are located by bisection and treated as arc boundaries, so the
-    control is piecewise constant (or the sliding duty cycle) between events.
-    A constant runs as one arc, U(s4), with its threshold at +inf.
+    ``policy`` is either a threshold policy object (a finite attribute ``pi``) or a
+    constant activation s4, a float in [0, 1]; else ValueError. Classic RK4 with step
+    dt; threshold events are located by bisection and treated as arc boundaries, so
+    the control is piecewise constant (or the sliding duty cycle) between events. A
+    constant runs as one arc, U(s4), with its threshold at +inf.
 
     Steps come in chunks of up to _CHUNK: the states R^k m of the current
     arc's step matrix, each divided by its sum. A chunk is kept up to its
@@ -216,6 +196,8 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
     m = validate_measure(m0).copy()
     if hasattr(policy, "pi"):  # the control of each arc; the slide's is its duty cycle
         tau, gens, controls = float(policy.pi), system.gens, np.array([0.0, 1.0, np.nan])
+        if not np.isfinite(tau):
+            raise ValueError(f"a threshold must be finite, got pi={tau!r}")
         m, arc = system.land(m, tau) if abs(m[3] - tau) <= _SURFACE_TOL else (m, int(m[3] > tau))
     else:
         s = float(policy)
@@ -357,8 +339,8 @@ def _event_bracket(gens: bytes, arc, m, h, crossed):
 def threshold_bias_batch(
     m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=1e5, t_hard=5000.0
 ) -> BiasBatch:
-    """Bias integrals of threshold controllers, one path per threshold: all from
-    one start m0 of shape (4,), or path i from row i of an (n, 4) m0.
+    """Bias integrals of finite thresholds (else ValueError), one path per threshold:
+    all from one start m0 of shape (4,), or path i from row i of an (n, 4) m0.
 
     Paths advance in lockstep by exact propagators exp(A h) of their arcs: U(0),
     U(1), or on m4 = tau the slide U(0) + du[:,3] u0[3] / (beta1 (1 - rho)), whose
@@ -380,6 +362,8 @@ def threshold_bias_batch(
     arc, and is not converged.
     """
     tau = np.asarray(thresholds, dtype=float)
+    if not np.isfinite(tau).all():
+        raise ValueError(f"thresholds must be finite, got {tau[~np.isfinite(tau)].tolist()}")
     n, (b0, b1), rho, theta, n0 = len(tau), params.beta, params.rho, params.theta, params.n0
     system, c = _FluidSystem(params), b1 * (1 - rho)
     u0, gens = system.u0, system.gens
@@ -388,7 +372,7 @@ def threshold_bias_batch(
     grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])
     # per path: slide power per unit phi0; per arc: equilibrium, margin to the arc's event
     kap = np.divide(theta * n0, c * tau * (1.0 - theta * tau), out=np.zeros(n), where=tau > 0)
-    m4 = np.stack([np.full(n, b1), np.full(n, m4_act), tau], axis=1)
+    m4 = np.stack([np.full(n, m4_passive(params)), np.full(n, m4_act), tau], axis=1)
     eq = np.stack([b0 * (b1 - m4) / b1, b0 * m4 / b1, b1 - m4, m4], axis=2)  # (n, arc, 4)
     passive = np.where(tau >= b1, np.inf, tau - b1)  # at tau >= beta1 it settles at once
     slack = rho * (b1 - tau) / c  # tau times the duty cycle at the slide's equilibrium

@@ -18,7 +18,6 @@ two-level unit-buffer case the labels are 1=(BAD,0), 2=(BAD,1), 3=(GOOD,0),
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .errors import AssumptionViolation, NotADistribution, OutOfRange, WrongDimensions
 
 _DIST_TOL = 1e-12
+_MEASURE_TOL = 1e-9  # how far a measure's entries and sum may stray from the simplex
 
 
 @dataclass(frozen=True)
@@ -230,18 +230,18 @@ def control_support_ok(s, params: ModelParams) -> bool:
     return bool(np.all(s[blocked] == 0.0))
 
 
-def validate_measure(m, tol: float = 1e-9) -> np.ndarray:
+def validate_measure(m) -> np.ndarray:
     """Check a population measure, or each row of a stack of them, lies on the
-    probability simplex; a NaN entry fails the range check. The error shows the
-    first row that fails."""
+    probability simplex to _MEASURE_TOL; a NaN entry fails the range check. The
+    error shows the first row that fails."""
     m = np.asarray(m, dtype=float)
     rows = np.atleast_2d(m)
-    inside = ((rows >= -tol) & (rows <= 1.0 + tol)).all(axis=1)
+    inside = ((rows >= -_MEASURE_TOL) & (rows <= 1.0 + _MEASURE_TOL)).all(axis=1)
     if not inside.all():
         bad = rows[np.argmin(inside)].tolist()
         raise NotADistribution(f"measure entries outside [0, 1]: {bad}")
     sums = rows.sum(axis=1)
-    off = np.abs(sums - 1.0) > tol
+    off = np.abs(sums - 1.0) > _MEASURE_TOL
     if off.any():
         raise NotADistribution(f"measure sums to {float(sums[np.argmax(off)])!r}, not 1")
     return m
@@ -290,22 +290,29 @@ def rate(n: int, h, p, big_n: int, params: ModelParams) -> int:
     return int(finite_sinr(n, h, p, big_n, params) >= params.theta)
 
 
+def bisect(crossed, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] until it is at most tol wide: hi moves to each midpoint where
+    ``crossed(mid)`` holds, lo to the others. Returns (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
+    return lo, hi
+
+
 _CSV_BLOCK = 4096  # rows formatted per write
-# one conversion with the literal text (``%%`` included) around it
-_PIECE = re.compile(r"(?:[^%]|%%)*%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z](?:[^%]|%%)*")
 
 
-def write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write equal-length columns (else ValueError) as CSV, each row as
-    ``row_format % row`` (the template ends in a newline), a block of rows at a
-    time: the template is cut into one conversion per column, and within a
-    block each distinct value of a column, told apart by its bits (0.0 and -0.0
+def write_csv(path, header: str, formats, columns) -> None:
+    """Write equal-length columns (else ValueError) as CSV under a header line, value
+    v of column j as ``formats[j] % v`` (one format per column, else ValueError),
+    commas between and a newline after each row, a block of rows at a time: within
+    a block each distinct value of a column, told apart by its bits (0.0 and -0.0
     are two), is formatted once."""
-    pieces = _PIECE.findall(row_format)
-    if len(pieces) != len(columns) or "".join(pieces) != row_format:
-        raise ValueError(f"row format {row_format!r} needs one conversion per column")
+    if len(formats) != len(columns):
+        raise ValueError(f"{len(formats)} formats for {len(columns)} columns")
     if len({len(col) for col in columns}) > 1:
         raise ValueError(f"columns of unequal lengths {[len(col) for col in columns]}")
+    pieces = [fmt + "," for fmt in formats[:-1]] + [formats[-1] + "\n"]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]), _CSV_BLOCK):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import powerctl
-from powerctl import cli, policy
+from powerctl import cli, finite, policy
+from powerctl.model import ModelParams
 
 
 @pytest.fixture
@@ -41,6 +42,11 @@ class TestConfig:
     def test_unknown_key(self, cfg_file):
         with pytest.raises(cli.ConfigError):
             cli.load_config(cfg_file("nonsense = 1\n"))
+
+    @pytest.mark.parametrize("line", ["theta 0.3", "n_users"])
+    def test_line_without_equals_refused(self, cfg_file, line):
+        with pytest.raises(cli.ConfigError, match=f"run.cfg:2: expected key = value, got '{line}"):
+            cli.load_config(cfg_file(f"# header\n{line}\n"))
 
     def test_bad_value(self, cfg_file):
         with pytest.raises(cli.ConfigError):
@@ -102,6 +108,23 @@ class TestCommands:
             # the error columns consistent only to the print resolution
             assert rel == pytest.approx(abs(g_mf - g_vi) * 100 / g_mf, rel=1e-3, abs=1e-9)
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.1, 0.2]
+
+    @pytest.mark.parametrize("name,pairing", [("literal", policy.PAPER_LITERAL),
+                                              ("prop3", policy.PROP3_CONSISTENT)])
+    def test_compare_bench_policy_is_the_pairing_threshold(self, cfg_file, tmp_path, name,
+                                                           pairing):
+        # each row's g_mf is that pairing's threshold, evaluated exactly at N = n_users
+        text = BASE + f"bench_policy = {name}\n"
+        code = cli.main(["compare", "--config", cfg_file(text), "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
+        rho_list = cli._DEFAULTS["rho_list"]
+        assert len(rows) == len(rho_list)
+        for rho, row in zip(rho_list, rows):
+            params = ModelParams.good_bad(theta=0.2, beta1=0.4, rho=rho, lam=1.5, n0=1.0)
+            table = policy.finite_table(policy.make_policy(params, pairing), 10)
+            g_mf = finite.evaluate_table_exact(table, params, 10)
+            assert row.split(",")[:2] == [f"{rho:.12g}", f"{g_mf:.12g}"]
 
     def test_threshold_report(self, cfg_file, tmp_path):
         text = BASE + "rho = 0.05\nn_starts = 1\ngrid_step = 0.02\n"
@@ -247,6 +270,18 @@ class TestExitCodes:
         assert code == 2 and "beta1" in capsys.readouterr().err
         assert cli.main(["vi", "--config", cfg_file(text), "--out", str(tmp_path)]) == 0
         assert cli.main(["equilibrium", "--config", cfg_file(text), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_negative_seed_exits_2(self, cfg_file, tmp_path, capsys, command):
+        # numpy's default_rng refuses a negative seed: threshold once exited 1 with a
+        # traceback, and the commands that draw no start ran to exit 0
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg_file(BASE), "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_measure_off_the_simplex_prints_its_sum(self, cfg_file, tmp_path, capsys):
         # the sum is printed as a plain float, not as a numpy repr

@@ -14,7 +14,7 @@ import pytest
 import powerctl
 from conftest import sec4_at
 from powerctl import finite, fluid, kernel, policy
-from powerctl.errors import AssumptionViolation, Infeasible, MultichainDetected
+from powerctl.errors import AssumptionViolation, Infeasible, MultichainDetected, NoConvergence
 from powerctl.model import ModelParams
 
 
@@ -238,6 +238,14 @@ def full_chain_rvi(params, n_users, tol=1e-9):
 
 
 class TestValueIteration:
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_sweep_budget_exhausted(self, sec4, max_iter):
+        with pytest.raises(NoConvergence, match=f"after {max_iter} iterations") as exc:
+            finite.relative_value_iteration(sec4, 5, max_iter=max_iter)
+        assert exc.value.iterations == max_iter
+        assert exc.value.span > 1e-9
+        assert f"span {exc.value.span:.3e} above tolerance 1e-09" in str(exc.value)
+
     def test_zero_queue_weight_never_transmits(self):
         p = ModelParams.good_bad(theta=0.2, beta1=0.4, rho=0.1, lam=0.0, n0=1.0)
         res = finite.relative_value_iteration(p, 1)

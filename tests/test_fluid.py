@@ -125,6 +125,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=r"in \[0, 1\]"):
             fluid.integrate([0.25] * 4, s4, 1.0, sec4)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_step_not_positive_refused(self, sec4, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            fluid.integrate([0.25] * 4, 1.0, 1.0, sec4, dt=dt)
+
+    @pytest.mark.parametrize("pi", [np.nan, np.inf, -np.inf])
+    def test_threshold_not_finite_refused(self, sec4, pi):
+        # a NaN threshold once ran as never-transmit (m4 > nan is False)
+        tp = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
+        with pytest.raises(ValueError, match=f"a threshold must be finite, got pi={pi!r}"):
+            fluid.integrate([0.25] * 4, tp, 1.0, sec4)
+
     def test_switch_at_the_horizon_ends_on_it(self, sec4):
         # a switch bisected within 1e-10 of the horizon lands inside the last step
         pick = policy.ThresholdPolicy(pi=0.06, regime="test", pairing="test")
@@ -185,6 +197,12 @@ class TestBiasCost:
 
 
 class TestInstantaneousCost:
+    def test_one_implementation(self, sec4):
+        # the fluid's cost rate is the equilibrium module's; E(s4) is that rate at equilibrium
+        assert fluid.instantaneous_cost is equilibrium.instantaneous_cost
+        m = equilibrium.equilibrium_measure(0.3, sec4)
+        assert equilibrium.equilibrium_cost(0.3, sec4) == fluid.instantaneous_cost(m, 0.3, sec4)
+
     def test_passive_is_holding_cost(self, sec4):
         assert fluid.instantaneous_cost([0.0, 0.6, 0.0, 0.4], 0.0, sec4) == pytest.approx(
             1.5
@@ -267,6 +285,16 @@ class TestExactEngine:
         assert np.max(np.abs(np.array(switches) - times)) < 1e-6
         assert abs(batch.values[0] - (trapezoid - rep.E_star * ORACLE_T)) < ORACLE_VALUE_TOL
         assert batch.converged[0] == optimal
+
+    @pytest.mark.parametrize("pi", [np.nan, np.inf, -np.inf])
+    def test_threshold_not_finite_refused(self, sec4, pi):
+        # NaN once gave the never-transmit value with converged False; -inf warned in
+        # the rate's matmul. Finite thresholds outside [0, 1] still run.
+        rep = equilibrium.optimal_equilibrium(sec4)
+        with pytest.raises(ValueError, match=rf"thresholds must be finite, got \[{pi}\]"):
+            fluid.threshold_bias_batch([0.25] * 4, [0.1, pi], rep.E_star, rep.m_star, sec4)
+        batch = fluid.threshold_bias_batch([0.25] * 4, [-0.5, 1.5], rep.E_star, rep.m_star, sec4)
+        assert np.isfinite(batch.values).all()
 
     def test_tails_price_the_settled_cost(self, sec4):
         rep = equilibrium.optimal_equilibrium(sec4)

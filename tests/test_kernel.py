@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_good_bad
 from powerctl import finite, kernel
-from powerctl.errors import WrongDimensions
+from powerctl.errors import OutOfRange, WrongDimensions
 from powerctl.model import ModelParams
 
 
@@ -28,6 +28,11 @@ class TestQueueKernel:
         assert dist == pytest.approx([0.0, 0.0, 0.75, 0.25])
         dist = kernel.queue_kernel(2, 1, 0.25, 3)
         assert dist == pytest.approx([0.0, 0.75, 0.25, 0.0])
+
+    @pytest.mark.parametrize("q", [-1, 2])
+    def test_queue_length_out_of_range(self, q):
+        with pytest.raises(OutOfRange, match=rf"queue length {q} outside \[0, 1\]"):
+            kernel.queue_kernel(q, 0, 0.1, 1)
 
     def test_normalized_everywhere(self):
         for q_max in (1, 2, 3):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,45 @@ class TestValidation:
         for rho in (0.0, 1.0, -0.1):
             with pytest.raises(AssumptionViolation):
                 ModelParams.good_bad(theta=0.2, beta1=0.4, rho=rho, lam=1.5, n0=1.0)
+
+
+# parameter fields that validate_params or require_good_bad refuses: (fields changed
+# from a valid GOOD/BAD set, error type, message)
+REFUSED_PARAMS = {
+    "negative-level-probability": ({"beta": (1.2, -0.2)}, NotADistribution,
+                                   "channel level law has negative entries"),
+    "more-gains-than-k": ({"gains": (0.0, 0.5, 1.0)}, AssumptionViolation,
+                          "got k=2, 3 gains, 2 probabilities"),
+    "more-probabilities-than-k": ({"beta": (0.3, 0.3, 0.4)}, AssumptionViolation,
+                                  "got k=2, 2 gains, 3 probabilities"),
+    "negative-gain": ({"gains": (-1.0, 1.0)}, AssumptionViolation, "gains must be nonnegative"),
+    "unsorted-gains": ({"gains": (1.0, 0.0)}, AssumptionViolation, "sorted ascending"),
+    "channel-matrix-shape": ({"channel_matrix": ((1.0,),)}, AssumptionViolation,
+                             r"channel matrix must be 2x2, got \(1, 1\)"),
+    "n0-zero": ({"n0": 0.0}, AssumptionViolation, "noise power must be positive, got 0.0"),
+    "n0-negative": ({"n0": -1.0}, AssumptionViolation, "noise power must be positive"),
+    "lam-negative": ({"lam": -0.1}, AssumptionViolation,
+                     "queue weight must be nonnegative, got -0.1"),
+    "q-max-zero": ({"q_max": 0}, AssumptionViolation, "buffer capacity must be >= 1, got 0"),
+    "gains-not-good-bad": ({"gains": (0.0, 2.0)}, AssumptionViolation,
+                           r"requires GOOD/BAD gains \(0, 1\), got \(0.0, 2.0\)"),
+}
+
+
+@pytest.mark.parametrize("fields,error,message", REFUSED_PARAMS.values(),
+                         ids=REFUSED_PARAMS.keys())
+def test_refused_params(sec4, fields, error, message):
+    raw = dataclasses.replace(sec4, **fields)
+    with pytest.raises(error, match=message):
+        model.require_good_bad(model.validate_params(raw))
+
+
+class TestBisect:
+    def test_brackets_the_crossing(self):
+        lo, hi = model.bisect(lambda x: x * x > 2.0, 0.0, 2.0, 1e-12)
+        assert lo * lo <= 2.0 < hi * hi and 0.0 < hi - lo <= 1e-12
+        # a predicate that is never True leaves hi where it was
+        assert model.bisect(lambda x: False, 0.0, 1.0, 0.25) == (0.75, 1.0)
 
 
 class TestIndexing:
@@ -206,11 +247,13 @@ class TestTypeInvariants:
             model.validate_measure(rows)
 
 
-def _rows_oracle(header, row_format, columns):
-    """The CSV text written row by row, ``row_format % row`` on plain Python values,
-    split at newlines (a failing comparison then reports the first differing line)."""
+def _rows_oracle(header, formats, columns):
+    """The CSV text written row by row, ``formats[j] % v`` on plain Python values
+    joined by commas, split at newlines (a failing comparison then reports the
+    first differing line)."""
     rows = zip(*(col.tolist() for col in columns))
-    return (header + "\n" + "".join(row_format % row for row in rows)).split("\n")
+    lines = (",".join(fmt % v for fmt, v in zip(formats, row)) + "\n" for row in rows)
+    return (header + "\n" + "".join(lines)).split("\n")
 
 
 class TestWriteCsv:
@@ -225,10 +268,10 @@ class TestWriteCsv:
         measure = rng.choice(pool, (n_rows, 2))
         columns = (np.arange(n_rows), rng.choice([0, -1, 7, 2**62, -(2**63)], n_rows),
                    *measure.T, rng.choice(pool, n_rows))
-        row_format = "%d,%d,%.12g,%.12g%%,%r\n"
-        model.write_csv(tmp_path / "out.csv", "t,i,x,y,z", row_format, columns)
+        formats = ("%d", "%d", "%.12g", "%.12g%%", "%r")
+        model.write_csv(tmp_path / "out.csv", "t,i,x,y,z", formats, columns)
         text = (tmp_path / "out.csv").read_text()
-        assert text.split("\n") == _rows_oracle("t,i,x,y,z", row_format, columns)
+        assert text.split("\n") == _rows_oracle("t,i,x,y,z", formats, columns)
         if n_rows > 1000:
             assert ",-0%," in text and ",0%," in text
 
@@ -239,19 +282,21 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         if dtype in (np.complex128, object):  # 16 bytes wide, or references: no view
             with pytest.raises(TypeError):
-                model.write_csv(path, "x", "%s\n", (column,))
+                model.write_csv(path, "x", ("%s",), (column,))
         else:
-            model.write_csv(path, "x", "%s\n", (column,))
-            assert path.read_text().split("\n") == _rows_oracle("x", "%s\n", (column,))
+            model.write_csv(path, "x", ("%s",), (column,))
+            assert path.read_text().split("\n") == _rows_oracle("x", ("%s",), (column,))
 
     @pytest.mark.parametrize("later", [5000, 4000], ids=["longer", "shorter"])
     def test_unequal_columns_raise(self, tmp_path, later):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="unequal lengths"):
-            model.write_csv(path, "a,b", "%d,%d\n", (np.arange(4096), np.arange(later)))
+            model.write_csv(path, "a,b", ("%d", "%d"), (np.arange(4096), np.arange(later)))
         assert not path.exists()
 
-    @pytest.mark.parametrize("row_format", ["%d,%d\n", "%d\n", "%(t)d,%d,%d\n", "%*d,%d,%d\n"])
-    def test_row_format_needs_one_conversion_per_column(self, tmp_path, row_format):
-        with pytest.raises(ValueError, match="one conversion per column"):
-            model.write_csv(tmp_path / "out.csv", "a,b,c", row_format, (np.arange(3),) * 3)
+    @pytest.mark.parametrize("n_formats", [2, 4], ids=["fewer", "more"])
+    def test_needs_one_format_per_column(self, tmp_path, n_formats):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"{n_formats} formats for 3 columns"):
+            model.write_csv(path, "a,b,c", ("%d",) * n_formats, (np.arange(3),) * 3)
+        assert not path.exists()

@@ -8,6 +8,12 @@ from powerctl import equilibrium, fluid, policy
 
 
 class TestMakePolicy:
+    @pytest.mark.parametrize("pairing", ["prop3", "average_optimal"])
+    def test_unknown_pairing_refused(self, sec4, pairing):
+        # the CLI's names are not pairings: make_policy takes the constants only
+        with pytest.raises(ValueError, match=f"unknown pairing '{pairing}'"):
+            policy.make_policy(sec4, pairing)
+
     def test_active_regime_default(self, sec4):
         tp = policy.make_policy(sec4)
         assert tp.regime == equilibrium.ACTIVE
