@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``model``: parameters, state indexing, SINR/rate/power formulas
-- ``kernel``: per-class transition tables and the mean-field drift
+- ``model``: parameters and their validation, bisection, CSV/JSON writers
+- ``kernel``: the mean-field drift matrix and the channel-model names
 - ``fluid``: fluid dynamics (discrete map, RK4 flow, bias integrals)
 - ``equilibrium``: controlled equilibria, regimes, optimal operating point
 - ``policy``: threshold controllers and their optimality audit

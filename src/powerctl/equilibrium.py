@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvexityUnverified, DegenerateRegime, DomainError
-from .model import ModelParams, bisect, require_good_bad, write_json
+from .model import ModelParams, bisect, write_json
 
 PASSIVE = "Passive"
 ACTIVE = "Active"
@@ -26,7 +26,6 @@ _BISECT_TOL = 1e-12
 
 def equilibrium_measure(s4_bar: float, params: ModelParams) -> np.ndarray:
     """Stationary measure of the fluid under constant activation s4_bar."""
-    require_good_bad(params)
     b0, b1 = params.beta
     rho = params.rho
     d = rho + b1 * s4_bar * (1.0 - rho)
@@ -66,7 +65,6 @@ def equilibrium_cost(s4_bar: float, params: ModelParams) -> float:
 
 def equilibrium_cost_derivative(s4_bar: float, params: ModelParams) -> float:
     """Closed-form dE/ds4_bar of the equilibrium cost."""
-    require_good_bad(params)
     b1 = params.beta1
     rho, theta = params.rho, params.theta
     d = rho + b1 * s4_bar * (1.0 - rho)
@@ -82,7 +80,6 @@ def equilibrium_cost_derivative(s4_bar: float, params: ModelParams) -> float:
 
 def convexity_bound(params: ModelParams):
     """Noise ceiling certifying convexity of E; returns (bound, n0 <= bound)."""
-    require_good_bad(params)
     b1 = params.beta1
     f0 = (
         params.lam
@@ -99,7 +96,6 @@ def n0_thresholds(params: ModelParams):
     n0_0 zeroes dE/ds4 at s4=0, n0_1 zeroes it at s4=1. Raises
     DegenerateRegime if they are not strictly ordered.
     """
-    require_good_bad(params)
     b1 = params.beta1
     rho, theta, lam = params.rho, params.theta, params.lam
     n0_0 = lam * b1 * (1.0 - rho) * (1.0 - theta * b1) / (rho * theta)
@@ -126,7 +122,6 @@ def n0_from_m4(m4_bar: float, params: ModelParams) -> float:
     optimum. At m4_bar = beta1 it returns n0_0, at the always-transmit
     equilibrium mass it returns n0_1.
     """
-    require_good_bad(params)
     b1 = params.beta1
     rho, theta, lam = params.rho, params.theta, params.lam
     if not 0.0 < m4_bar <= b1:

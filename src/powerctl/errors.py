@@ -13,14 +13,6 @@ class NotADistribution(PowerCtlError, ValueError):
     """A probability vector or stochastic-matrix row fails to normalize."""
 
 
-class OutOfRange(PowerCtlError, IndexError):
-    """A state coordinate or flat label lies outside the state space."""
-
-
-class WrongDimensions(PowerCtlError, ValueError):
-    """Operation requires the two-level, unit-buffer state space."""
-
-
 class StepTooLarge(PowerCtlError, RuntimeError):
     """Integrator step violated the simplex tolerance."""
 

@@ -43,7 +43,6 @@ from .kernel import IID, MARKOV, require_channel_model
 from .model import (
     ModelParams,
     require_arrival_probability,
-    require_good_bad,
     validate_params,
     write_csv,
     write_json,
@@ -64,8 +63,7 @@ def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
 class AggregateSpace:
     """All count vectors of a fixed population over the four classes."""
 
-    def __init__(self, n_users: int, params: ModelParams):
-        require_good_bad(params)
+    def __init__(self, n_users: int):
         self.n_users = n_users
         self.states = _count_vectors(n_users)
         self._index = None  # count vector -> position, built by the first index_of
@@ -123,7 +121,7 @@ def transition_distribution(counts, k: int, params: ModelParams):
     _check_action(counts, k)
     n = sum(counts)
     transmit_power(k, n, params)  # raises when k is excluded
-    states = AggregateSpace(n, params).states
+    states = AggregateSpace(n).states
     arrivals = _arrival_law(n, params.rho)[counts[1] + counts[3] - k]
     row = arrivals[states[:, 1] + states[:, 3]] * _channel_weight(states, n, params)
     return {tuple(int(c) for c in states[i]): float(row[i]) for i in np.flatnonzero(row)}
@@ -185,7 +183,7 @@ def _arrival_law(n: int, rho: float) -> np.ndarray:
 def _channel_weight(states: np.ndarray, n: int, params: ModelParams) -> np.ndarray:
     """Probability Bin(n4; Q, beta1)·Bin(n3; N - Q, beta1) that redrawn channels
     split the Q = n2 + n4 full and N - Q empty queues as each count vector does."""
-    good = _binomial_table(n, params.beta[1])
+    good = _binomial_table(n, params.beta1)
     _, n2, n3, n4 = states.T
     full = n2 + n4
     return good[full, n4] * good[n - full, n3]
@@ -291,9 +289,8 @@ def relative_value_iteration(
     (Q, n4) = (N, N), the first count vector.
     """
     validate_params(params)
-    require_good_bad(params)
     n = n_users
-    arrivals, good = _arrival_law(n, params.rho), _binomial_table(n, params.beta[1])
+    arrivals, good = _arrival_law(n, params.rho), _binomial_table(n, params.beta1)
     cost = _power_table(n, params) + params.lam * np.arange(n + 1)[:, None]  # [Q, k]
     padded = np.full(2 * n + 1, np.inf)  # (W(N), ..., W(0), inf, ...)
     shifted = np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1]  # W(Q - k)
@@ -369,7 +366,6 @@ def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     outside [0, n4] or refused by ``transmit_power``. AssumptionViolation
     unless rho lies in (0, 1), which the chain's single class needs.
     """
-    require_good_bad(params)
     require_arrival_probability(params)
     n = n_users
     # the count vectors with n1 = 0 hold every (Q, n4) once, each at its first place
@@ -377,7 +373,7 @@ def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     full = n2 + n4
     k = np.asarray(table, dtype=np.int64)[full, n4]
     cost = params.lam * full + _priced(k, n4, n, params)
-    weight = _binomial_table(n, params.beta[1])[full, n4]
+    weight = _binomial_table(n, params.beta1)[full, n4]
     return _backlog_chain_cost(n, full, weight, k, cost, params)
 
 
@@ -405,7 +401,7 @@ def evaluate_policy_exact(
     require_arrival_probability(params)
     if channel_model == MARKOV:
         _require_markov_unichain(params, n_users)
-    space = AggregateSpace(n_users, params)
+    space = AggregateSpace(n_users)
     states = space.states
     actions = np.array([int(policy_fn(counts)) for counts in states], dtype=np.int64)
     full = states[:, 1] + states[:, 3]
@@ -477,7 +473,7 @@ def _channel_step(params: ModelParams, n_users: int, channel_model: str):
     """
     n, base, rho = n_users, n_users + 1, params.rho
     if channel_model == IID:
-        good = params.beta[1]
+        good = params.beta1
 
         def draw_next(a, draw):
             full = a + draw(n - a, rho)
@@ -575,7 +571,6 @@ def simulate(
     ValueError when horizon < 1 or burn_in outside [0, 1) leaves no slot to
     average.
     """
-    require_good_bad(params)
     require_channel_model(params, channel_model)
     if horizon < 1 or not 0.0 <= burn_in < 1.0 or int(burn_in * horizon) >= horizon:
         raise ValueError(f"horizon {horizon} and burn_in {burn_in} leave no slot to average")
@@ -585,7 +580,7 @@ def simulate(
     if initial_counts is not None:
         n1, n2, n3, _ = _initial_counts(initial_counts, n)
     else:
-        n3 = rng.binomial(n, params.beta[1])
+        n3 = rng.binomial(n, params.beta1)
         n1, n2 = n - n3, 0
     post, draw_next = _channel_step(params, n, channel_model)
     stocks, refill = _transition_stock(rng.binomial, draw_next, wide)

@@ -32,7 +32,7 @@ import numpy as np
 from .equilibrium import instantaneous_cost, m4_active, m4_passive, optimal_equilibrium
 from .errors import AssumptionViolation, NonConvergent, StepTooLarge
 from .kernel import drift_matrix_4state
-from .model import ModelParams, bisect, require_good_bad, validate_measure, write_csv
+from .model import ModelParams, bisect, validate_measure, write_csv
 
 _SIMPLEX_TOL = 1e-9
 _EVENT_TIME_TOL = 1e-10
@@ -68,7 +68,6 @@ def passive_trajectory_closed_form(m0, t: float, params: ModelParams) -> np.ndar
     Closed-form solution of dm/dt = U(0) m for the GOOD/BAD unit-buffer
     system; m2 follows from conservation of mass.
     """
-    require_good_bad(params)
     b0, b1 = params.beta
     rho = params.rho
     m1, m2, m3, m4 = np.asarray(m0, dtype=float)
@@ -91,14 +90,13 @@ class _FluidSystem:
     """
 
     def __init__(self, params: ModelParams):
-        require_good_bad(params)
         if params.beta1 <= 0.0:
             raise AssumptionViolation(f"the fluid needs beta1 > 0, got beta1={params.beta1}")
         self.u0 = drift_matrix_4state(0.0, params)
         self.u1 = drift_matrix_4state(1.0, params)
         self.du = self.u1 - self.u0
         # the flow on m4 = tau under the unclipped equivalent control; its m4 row is zero
-        c = params.beta[1] * (1 - params.rho)
+        c = params.beta1 * (1 - params.rho)
         slide = self.u0 + np.outer(self.du[:, 3], self.u0[3]) / c
         slide[3] = 0.0
         self.gens = np.array([self.u0, self.u1, slide])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .equilibrium import INTERIOR, PASSIVE, m4_active, m4_passive, optimal_equilibrium
 from .fluid import threshold_bias_batch
-from .model import ModelParams, require_good_bad, write_json
+from .model import ModelParams, write_json
 
 PROP3_CONSISTENT = "Prop3Consistent"
 PAPER_LITERAL = "PaperLiteral"
@@ -154,7 +154,6 @@ def bias_optimality_check(
     candidates are also raced and the winner reported.
     ValueError on an empty ``m0_set``, which would pass without a check.
     """
-    require_good_bad(params)
     report, pis = _pairing_thresholds(params, pairing)
     if len(m0_set) == 0:
         raise ValueError("m0_set is empty: the check would pass without auditing a start")

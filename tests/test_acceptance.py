@@ -7,9 +7,10 @@ import time
 
 import numpy as np
 
+import oracles
 from conftest import random_good_bad, sec4_at
 from powerctl import equilibrium, finite, fluid, kernel, policy
-from powerctl.model import ModelParams
+from powerctl.model import ModelParams, validate_params
 
 BENCH_RHOS = (0.05, 0.1, 0.2, 0.3)
 
@@ -51,7 +52,7 @@ def test_criterion_2_equilibrium_exactness():
             m = equilibrium.equilibrium_measure(s4, params)
             u = kernel.drift_matrix_4state(s4, params)
             worst_residual = max(worst_residual, np.abs(u @ m).max())
-            u_general = kernel.drift_matrix(np.array([0, 0, 0, s4]), params)
+            u_general = oracles.drift_matrix(np.array([0, 0, 0, s4]), params)
             worst_builder_gap = max(worst_builder_gap, np.abs(u_general - u).max())
     ok = worst_residual < 1e-12 and worst_builder_gap < 1e-14
     report(
@@ -222,14 +223,14 @@ def _sample_row_frequencies(params, level, queue, success, channel_model, rng, n
 def test_criterion_8_kernel_fidelity():
     n = 10**6
     base = sec4_at(0.1)
-    markov = ModelParams(
+    markov = validate_params(ModelParams(
         k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2, n0=1.0,
         lam=1.5, p_max=10.0, q_max=1, channel_matrix=((0.7, 0.3), (0.2, 0.8)),
-    )
+    ))
     rng = np.random.default_rng(105)
     worst_sigma = 0.0
     for channel_model, params in (("iid", base), ("markov", markov)):
-        tables = kernel.build_tables(params, channel_model)
+        tables = oracles.build_tables(params, channel_model)
         for i in range(4):
             level, queue = divmod(i, 2)
             for success, gamma in ((0, tables.gamma0), (1, tables.gamma1)):

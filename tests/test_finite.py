@@ -11,26 +11,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import powerctl
 from conftest import sec4_at
-from powerctl import finite, fluid, kernel, policy
+from powerctl import finite, fluid, policy
 from powerctl.errors import AssumptionViolation, Infeasible, MultichainDetected, NoConvergence
-from powerctl.model import ModelParams
+from powerctl.model import ModelParams, validate_params
 
 
 class TestEnumeration:
     def test_counts(self, sec4):
-        assert len(finite.AggregateSpace(1, sec4).states) == 4
-        assert len(finite.AggregateSpace(2, sec4).states) == 10
-        assert len(finite.AggregateSpace(10, sec4).states) == 286
+        assert len(finite.AggregateSpace(1).states) == 4
+        assert len(finite.AggregateSpace(2).states) == 10
+        assert len(finite.AggregateSpace(10).states) == 286
 
     def test_lexicographic_order(self, sec4):
         compositions = [c for c in itertools.product(range(8), repeat=4) if sum(c) == 7]
-        states = finite.AggregateSpace(7, sec4).states
+        states = finite.AggregateSpace(7).states
         assert list(map(tuple, states.tolist())) == sorted(compositions)
 
     def test_index_round_trip(self, sec4):
-        space = finite.AggregateSpace(10, sec4)
+        space = finite.AggregateSpace(10)
         for i, state in enumerate(space.states):
             assert space.index_of(state) == i
         assert all(s.sum() == 10 for s in space.states)
@@ -45,8 +46,6 @@ class TestTransmitPower:
         assert p == pytest.approx(0.2 / 0.96, abs=1e-12)
 
     def test_all_meet_threshold(self, sec4):
-        from powerctl import model
-
         n, k = 10, 3
         p_val = finite.transmit_power(k, n, sec4)
         h = np.zeros(n)
@@ -54,7 +53,7 @@ class TestTransmitPower:
         pw = np.zeros(n)
         pw[:k] = p_val
         for user in range(k):
-            assert model.finite_sinr(user, h, pw, n, sec4) == pytest.approx(
+            assert oracles.finite_sinr(user, h, pw, n, sec4) == pytest.approx(
                 sec4.theta, abs=1e-15
             )
 
@@ -67,7 +66,8 @@ class TestTransmitPower:
             finite.transmit_power(k, 10, tight)
 
     def test_infeasible_power_cap(self):
-        # reachable only when the feasibility assumption is skipped
+        # raw on purpose: validate_params refuses p_max = 0.21 (Assumption 2), and only
+        # parameters that skip it reach this refusal
         raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2,
                           n0=1.0, lam=1.5, p_max=0.21, q_max=1)
         finite.transmit_power(1, 10, raw)  # 0.2 fits
@@ -104,7 +104,7 @@ class TestTransitionDistribution:
 
     def test_mass_one(self, sec4):
         rng = np.random.default_rng(40)
-        space = finite.AggregateSpace(6, sec4)
+        space = finite.AggregateSpace(6)
         for _ in range(20):
             counts = space.states[rng.integers(len(space))]
             k = int(rng.integers(counts[3] + 1))
@@ -114,7 +114,7 @@ class TestTransitionDistribution:
     def test_two_user_convolution(self, sec4):
         dist = finite.transition_distribution((0, 0, 0, 2), 0, sec4)
         # brute force over the 4x4 joint outcomes of two independent users
-        row = kernel.build_tables(sec4).gamma0[3]
+        row = oracles.build_tables(sec4).gamma0[3]
         expected = {}
         for a, b in itertools.product(range(4), range(4)):
             key = [0, 0, 0, 0]
@@ -128,7 +128,7 @@ class TestTransitionDistribution:
 
     def test_marginals_match_rows(self, sec4):
         # brute-force joint enumeration for three users, mixed classes
-        tabs = kernel.build_tables(sec4)
+        tabs = oracles.build_tables(sec4)
         counts, k = (1, 1, 0, 1), 1
         dist = finite.transition_distribution(counts, k, sec4)
         rows = [tabs.gamma0[0], tabs.gamma0[1], tabs.gamma1[3]]
@@ -172,8 +172,10 @@ def stationary_of(matrix):
     return sol
 
 
-MARKOV = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2, n0=1.0,
-                     lam=1.5, p_max=10.0, q_max=1, channel_matrix=((0.7, 0.3), (0.2, 0.8)))
+MARKOV = validate_params(
+    ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2, n0=1.0,
+                lam=1.5, p_max=10.0, q_max=1, channel_matrix=((0.7, 0.3), (0.2, 0.8)))
+)
 
 
 # a policy picking k = -1 or k = n4 + 1 in every state
@@ -184,7 +186,7 @@ def full_row(space, counts, k, params, channel_model="iid"):
     """Dense next-state row of the unreduced chain, built user by user from the
     kernel rows: gamma0 for classes 1-3 and unserved class-4 users, gamma1[3]
     for the k served ones, each user's move added to a dense (N+1)^4 count array."""
-    tabs = kernel.build_tables(params, channel_model)
+    tabs = oracles.build_tables(params, channel_model)
     rows = [tabs.gamma0[c] for c in range(4) for _ in range(int(counts[c]) - k * (c == 3))]
     rows += [tabs.gamma1[3]] * k
     n = space.n_users
@@ -215,7 +217,7 @@ def recurrent_classes(matrix):
 
 def full_chain_rvi(params, n_users, tol=1e-9):
     """Relative VI on the full S x S chain, every (state, k) row built separately."""
-    space = finite.AggregateSpace(n_users, params)
+    space = finite.AggregateSpace(n_users)
     pairs = [
         [(k, finite.stage_cost(c, k, n_users, params), full_row(space, c, k, params))
          for k in range(int(c[3]) + 1)]
@@ -254,8 +256,8 @@ class TestValueIteration:
 
     def test_single_user_matches_stationary_solve(self, sec4):
         res = finite.relative_value_iteration(sec4, 1)
-        space = finite.AggregateSpace(1, sec4)
-        tabs = kernel.build_tables(sec4)
+        space = finite.AggregateSpace(1)
+        tabs = oracles.build_tables(sec4)
         rows = []
         costs = []
         for i, counts in enumerate(space.states):
@@ -298,7 +300,7 @@ class TestValueIteration:
 
     def test_dominates_random_policies(self, sec4):
         res = finite.relative_value_iteration(sec4, 5)
-        space = finite.AggregateSpace(5, sec4)
+        space = finite.AggregateSpace(5)
         rng = np.random.default_rng(41)
         for _ in range(5):
             table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
@@ -336,13 +338,13 @@ class TestBacklogSolvers:
         assert res.g == pytest.approx(g, abs=1e-12)
         assert np.array_equal(res.policy, pol)
         assert res.iterations == iterations
-        space = finite.AggregateSpace(n_users, params)
+        space = finite.AggregateSpace(n_users)
         assert np.array_equal(res.policy, list(per_state(res.table, space).values()))
 
     @pytest.mark.parametrize("n_users,rho", [(3, 0.2), (6, 0.1), (8, 0.3)])
     def test_evaluator_matches_full_chain_stationary_solve(self, n_users, rho):
         params = sec4_at(rho)
-        space = finite.AggregateSpace(n_users, params)
+        space = finite.AggregateSpace(n_users)
         rng = np.random.default_rng(70 + n_users)
         for _ in range(3):
             table = random_table(rng, n_users)
@@ -399,7 +401,7 @@ class TestBacklogSolvers:
     @pytest.mark.parametrize("pi", [0.0, 0.05, 0.3, 1.0])
     def test_threshold_table_is_apply_finite(self, sec4, pi):
         tp = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
-        space = finite.AggregateSpace(10, sec4)
+        space = finite.AggregateSpace(10)
         table = per_state(policy.finite_table(tp, 10), space)
         assert all(table[tuple(c)] == policy.apply_finite(tp, c, 10) for c in space.states)
 
@@ -414,7 +416,8 @@ class TestBacklogSolvers:
 
     def test_refused_power_raises_on_the_same_k(self):
         # p(k) exceeds the cap from k = 4 on, and both evaluators first meet k = 10
-        # at the first count vector (0, 0, 0, 10)
+        # at the first count vector (0, 0, 0, 10); raw on purpose, since validate_params
+        # refuses p_max = 0.21 (Assumption 2)
         raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2,
                           n0=1.0, lam=1.5, p_max=0.21, q_max=1)
         table = np.tile(np.arange(11), (11, 1))
@@ -458,8 +461,8 @@ class TestPolicyEvaluation:
     def test_single_user_fixed_policy(self, sec4):
         # always transmit in class 4: compare against the direct linear solve
         g = finite.evaluate_policy_exact(lambda c: int(c[3]), sec4, 1)
-        tabs = kernel.build_tables(sec4)
-        space = finite.AggregateSpace(1, sec4)
+        tabs = oracles.build_tables(sec4)
+        space = finite.AggregateSpace(1)
         perm = [space.index_of(tuple(np.eye(4, dtype=int)[c])) for c in range(4)]
         chain = np.zeros((4, 4))
         costs = np.zeros(4)
@@ -475,7 +478,7 @@ class TestPolicyEvaluation:
 
     def test_greedy_policy_reproduces_g(self, sec4):
         res = finite.relative_value_iteration(sec4, 10, tol=1e-10)
-        space = finite.AggregateSpace(10, sec4)
+        space = finite.AggregateSpace(10)
         g = finite.evaluate_policy_exact(
             lambda c: res.policy[space.index_of(c)], sec4, 10
         )
@@ -485,7 +488,7 @@ class TestPolicyEvaluation:
     @pytest.mark.parametrize("n_users", [2, 4, 6])
     def test_matches_full_chain_stationary_solve(self, channel_model, n_users):
         params = sec4_at(0.2) if channel_model == "iid" else MARKOV
-        space = finite.AggregateSpace(n_users, params)
+        space = finite.AggregateSpace(n_users)
         rng = np.random.default_rng(50 + n_users)
         for _ in range(3):
             # the table reads all four counts, not only (n2 + n4, n4)
@@ -501,7 +504,7 @@ class TestPolicyEvaluation:
     @pytest.mark.parametrize("n_users", [3, 6])
     def test_markov_rows_match_full_chain(self, n_users):
         # every count vector as a post-service key: a served user moves like a class-3 one
-        space = finite.AggregateSpace(n_users, MARKOV)
+        space = finite.AggregateSpace(n_users)
         law = finite._markov_next_law(space.states, space, MARKOV)
         full = np.array([full_row(space, s, 0, MARKOV, "markov") for s in space.states])
         assert np.abs(law - full).max() <= 1e-15
@@ -534,7 +537,7 @@ class TestUnichainCertificate:
         params = ModelParams.good_bad(theta=0.2, beta1=beta1, rho=0.1, lam=1.5, n0=1.0)
         rng = np.random.default_rng(80)
         for n_users in range(1, 5):
-            space = finite.AggregateSpace(n_users, params)
+            space = finite.AggregateSpace(n_users)
             for _ in range(3):
                 table = random_table(rng, n_users)
                 pick = per_state(table, space)
@@ -553,7 +556,7 @@ class TestUnichainCertificate:
         rng = np.random.default_rng(81)
         for n_users in range(1, 5):
             multichain = (c0, c1) == (0.0, 1.0) or ((c0, c1) == (1.0, 0.0) and n_users >= 2)
-            space = finite.AggregateSpace(n_users, params)
+            space = finite.AggregateSpace(n_users)
             for _ in range(3):
                 table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
                 chain = np.array([full_row(space, s, table[tuple(s)], params, "markov")
@@ -580,7 +583,7 @@ class TestUnichainCertificate:
                 evaluate()
 
 
-# channel models each solver must refuse, with build_tables' message
+# channel models each solver must refuse, with require_channel_model's message
 BAD_CHANNELS = {
     "unknown": (MARKOV, "gilbert", "unknown channel model"),
     "no-matrix": (ModelParams.good_bad(theta=0.2, beta1=0.4, rho=0.1, lam=1.5, n0=1.0),
@@ -765,7 +768,7 @@ class TestSimulate:
         # blocks: each key's empirical law against its exact next-state row
         params = sec4_at(0.2) if channel_model == "iid" else MARKOV
         n_users = 3
-        space = finite.AggregateSpace(n_users, params)
+        space = finite.AggregateSpace(n_users)
         post, draw_next = finite._channel_step(params, n_users, channel_model)
         rng = np.random.default_rng(24)
         stocks, refill = finite._transition_stock(rng.binomial, draw_next)
@@ -836,7 +839,7 @@ class TestSimulate:
         # (one-sided alpha = 1e-4); no count may fall on a zero-probability cell
         params = sec4_at(0.2) if channel_model == "iid" else MARKOV
         n_users = 3
-        space = finite.AggregateSpace(n_users, params)
+        space = finite.AggregateSpace(n_users)
         rng = np.random.default_rng(60)
         table = {tuple(s): int(rng.integers(s[3] // 2, s[3] + 1)) for s in space.states}
         sim = finite.simulate(lambda c: table[tuple(c)], params, n_users, 150_000, seed=1,

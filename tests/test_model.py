@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_good_bad, random_simplex
+import oracles
 from powerctl import model
-from powerctl.errors import AssumptionViolation, NotADistribution, OutOfRange
+from powerctl.errors import AssumptionViolation, NotADistribution
 from powerctl.model import ModelParams
 
 
@@ -61,26 +61,35 @@ class TestValidation:
                 ModelParams.good_bad(theta=0.2, beta1=0.4, rho=rho, lam=1.5, n0=1.0)
 
 
-# parameter fields that validate_params or require_good_bad refuses: (fields changed
-# from a valid GOOD/BAD set, error type, message)
+# the one shape message, up to the shape it was given
+SHAPE = r"need k=2, gains \(0, 1\), 2 level probabilities and q_max=1, got "
+
+# parameter fields that validate_params refuses: (fields changed from a valid GOOD/BAD
+# set, error type, message)
 REFUSED_PARAMS = {
     "negative-level-probability": ({"beta": (1.2, -0.2)}, NotADistribution,
                                    "channel level law has negative entries"),
     "more-gains-than-k": ({"gains": (0.0, 0.5, 1.0)}, AssumptionViolation,
-                          "got k=2, 3 gains, 2 probabilities"),
+                          SHAPE + r"k=2, gains \(0.0, 0.5, 1.0\), 2 probabilities, q_max=1"),
     "more-probabilities-than-k": ({"beta": (0.3, 0.3, 0.4)}, AssumptionViolation,
-                                  "got k=2, 2 gains, 3 probabilities"),
-    "negative-gain": ({"gains": (-1.0, 1.0)}, AssumptionViolation, "gains must be nonnegative"),
-    "unsorted-gains": ({"gains": (1.0, 0.0)}, AssumptionViolation, "sorted ascending"),
+                                  SHAPE + r"k=2, gains \(0.0, 1.0\), 3 probabilities, q_max=1"),
+    "negative-gain": ({"gains": (-1.0, 1.0)}, AssumptionViolation,
+                      SHAPE + r"k=2, gains \(-1.0, 1.0\), 2 probabilities"),
+    "unsorted-gains": ({"gains": (1.0, 0.0)}, AssumptionViolation,
+                       SHAPE + r"k=2, gains \(1.0, 0.0\), 2 probabilities"),
     "channel-matrix-shape": ({"channel_matrix": ((1.0,),)}, AssumptionViolation,
                              r"channel matrix must be 2x2, got \(1, 1\)"),
     "n0-zero": ({"n0": 0.0}, AssumptionViolation, "noise power must be positive, got 0.0"),
     "n0-negative": ({"n0": -1.0}, AssumptionViolation, "noise power must be positive"),
     "lam-negative": ({"lam": -0.1}, AssumptionViolation,
                      "queue weight must be nonnegative, got -0.1"),
-    "q-max-zero": ({"q_max": 0}, AssumptionViolation, "buffer capacity must be >= 1, got 0"),
+    "q-max-zero": ({"q_max": 0}, AssumptionViolation, SHAPE + r"k=2, .* q_max=0"),
     "gains-not-good-bad": ({"gains": (0.0, 2.0)}, AssumptionViolation,
-                           r"requires GOOD/BAD gains \(0, 1\), got \(0.0, 2.0\)"),
+                           SHAPE + r"k=2, gains \(0.0, 2.0\), 2 probabilities"),
+    "three-levels": ({"k": 3, "gains": (0.0, 0.5, 1.0), "beta": (0.2, 0.3, 0.5)},
+                     AssumptionViolation,
+                     SHAPE + r"k=3, gains \(0.0, 0.5, 1.0\), 3 probabilities, q_max=1"),
+    "two-packet-buffer": ({"q_max": 2}, AssumptionViolation, SHAPE + r"k=2, .* q_max=2"),
 }
 
 
@@ -89,7 +98,7 @@ REFUSED_PARAMS = {
 def test_refused_params(sec4, fields, error, message):
     raw = dataclasses.replace(sec4, **fields)
     with pytest.raises(error, match=message):
-        model.require_good_bad(model.validate_params(raw))
+        model.validate_params(raw)
 
 
 class TestBisect:
@@ -100,109 +109,16 @@ class TestBisect:
         assert model.bisect(lambda x: False, 0.0, 1.0, 0.25) == (0.75, 1.0)
 
 
-class TestIndexing:
-    def test_first_cell(self, sec4):
-        assert model.state_index(0, 0, sec4).flat == 1
-
-    def test_good_full(self, sec4):
-        idx = model.state_index(1, 1, sec4)
-        assert idx.flat == 4
-        assert model.sigma(4, sec4) == 1
-
-    def test_bijection_3x3(self):
-        p = ModelParams(k=3, gains=(0.0, 0.5, 1.0), beta=(0.2, 0.3, 0.5), rho=0.1,
-                        theta=0.2, n0=1.0, lam=1.0, p_max=50.0, q_max=2)
-        model.validate_params(p)
-        assert model.state_index(2, 1, p).flat == 8
-        seen = set()
-        for lvl in range(3):
-            for q in range(3):
-                idx = model.state_index(lvl, q, p)
-                back = model.state_from_flat(idx.flat, p)
-                assert (back.level, back.queue) == (lvl, q)
-                assert model.sigma(idx.flat, p) == q
-                seen.add(idx.flat)
-        assert seen == set(range(1, 10))
-
-    def test_class_lookups(self, sec4):
-        assert model.class_gains(sec4) == pytest.approx([0.0, 0.0, 1.0, 1.0])
-        assert list(model.class_queues(sec4)) == [0, 1, 0, 1]
-
-    def test_out_of_range(self, sec4):
-        with pytest.raises(OutOfRange):
-            model.state_index(2, 0, sec4)
-        with pytest.raises(OutOfRange):
-            model.state_index(0, 2, sec4)
-        with pytest.raises(OutOfRange):
-            model.state_from_flat(5, sec4)
-
-
-class TestPowerStar:
-    def test_all_zero(self, sec4):
-        p = model.power_star(np.zeros(4), np.full(4, 0.25), sec4)
-        assert np.all(p == 0.0)
-
-    def test_single_active_class(self, sec4):
-        s = np.array([0.0, 0.0, 0.0, 1.0])
-        m = np.array([0.2, 0.2, 0.2, 0.4])
-        p = model.power_star(s, m, sec4)
-        # theta*n0*s4 / (1 - theta*s4*m4) = 0.2 / 0.92
-        assert p[3] == pytest.approx(0.2 / 0.92, abs=1e-12)
-        assert np.all(p[:3] == 0.0)
-        assert model.mean_field_sinr(3, p, m, sec4) == pytest.approx(0.2, abs=1e-14)
-
-    def test_sinr_recovers_target_everywhere(self, sec4):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            params = random_good_bad(rng)
-            m = random_simplex(rng)
-            s = rng.uniform(0.0, 1.0, size=4) * np.array([0.0, 0.0, 1.0, 1.0])
-            p = model.power_star(s, m, params)
-            for i in (2, 3):
-                got = model.mean_field_sinr(i, p, m, params)
-                assert got == pytest.approx(params.theta * s[i], abs=5e-14)
-
-    def test_single_class_interference(self, sec4):
-        # one fully-loaded class at unit gain and unit power: 1/(1+1)
-        p = np.array([0.0, 0.0, 0.0, 1.0])
-        m = np.array([0.0, 0.0, 0.0, 1.0])
-        assert model.mean_field_sinr(3, p, m, sec4) == pytest.approx(0.5)
-
-    def test_monotone_in_activation(self, sec4):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            m = random_simplex(rng)
-            s = rng.uniform(0.0, 1.0, size=4) * np.array([0.0, 0.0, 1.0, 1.0])
-            base = model.power_star(s, m, sec4)
-            for j in (2, 3):
-                bumped = s.copy()
-                bumped[j] = min(1.0, bumped[j] + 1e-6)
-                delta = model.power_star(bumped, m, sec4) - base
-                assert np.all(delta >= -1e-15)
-
-    def test_cap_never_exceeded(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10_000):
-            params = random_good_bad(rng)
-            m = random_simplex(rng)
-            s = rng.uniform(0.0, 1.0, size=4) * np.array([0.0, 0.0, 1.0, 1.0])
-            p = model.power_star(s, m, params)
-            assert np.all(p <= params.p_max + 1e-12)
-            assert np.all(p >= 0.0)
-
-
 class TestFiniteSinr:
     def test_no_power_no_rate(self, sec4):
         h = np.ones(10)
         p = np.zeros(10)
-        assert model.finite_sinr(0, h, p, 10, sec4) == 0.0
-        assert model.rate(0, h, p, 10, sec4) == 0
+        assert oracles.finite_sinr(0, h, p, 10, sec4) == 0.0
 
     def test_lone_transmitter(self, sec4):
         h = np.array([1.0])
         p = np.array([1.0])
-        assert model.finite_sinr(0, h, p, 1, sec4) == pytest.approx(1.0)
-        assert model.rate(0, h, p, 1, sec4) == 1
+        assert oracles.finite_sinr(0, h, p, 1, sec4) == pytest.approx(1.0)
 
     def test_symmetric_transmitters_meet_threshold(self, sec4):
         # k users at gain 1 with p = theta*n0 / (1 - theta*(k-1)/N) sit at
@@ -214,18 +130,12 @@ class TestFiniteSinr:
         p = np.zeros(n)
         p[:k] = p_val
         for user in range(k):
-            assert model.finite_sinr(user, h, p, n, sec4) == pytest.approx(
+            assert oracles.finite_sinr(user, h, p, n, sec4) == pytest.approx(
                 sec4.theta, abs=1e-15
             )
 
 
 class TestTypeInvariants:
-    def test_control_support_rule(self, sec4):
-        assert model.control_support_ok([0.0, 0.0, 0.0, 0.7], sec4)
-        assert not model.control_support_ok([0.1, 0.0, 0.0, 0.7], sec4)  # zero gain
-        assert not model.control_support_ok([0.0, 0.0, 0.2, 0.7], sec4)  # empty queue
-        assert not model.control_support_ok([0.0, 0.0, 0.0, 1.2], sec4)  # out of range
-
     def test_measure_validation(self):
         model.validate_measure([0.25, 0.25, 0.25, 0.25])
         with pytest.raises(NotADistribution):
