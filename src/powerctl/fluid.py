@@ -13,18 +13,14 @@ On every arc dm/dt = A m, so an RK4 step of size h is one matrix,
 m -> m + D(h) m: ``integrate`` advances up to _CHUNK steps at once as R^k m
 and takes a step alone only where it meets an event or is a last, shortened
 one. Every event is bisected on D to 1e-10 and landed on its far side.
-``threshold_bias_batch`` propagates the same arcs exactly, by exp(A h), and
-backs ``bias_cost``. It brackets an event on the dyadic grid h / 2^K of
-its step, K = ceil(log2(h / 1e-10)), fixing _SEARCH_BITS bits of the event
-time per round from cached tables exp(A j span), and lands the path on the
-bracket's far side, as ``integrate`` does.
+``threshold_bias_batch`` backs ``bias_cost`` and follows the same arcs in closed form,
+event to event: on an arc m - eq is a sum of e^-t and e^(-lam t) terms (t e^-t at lam = 1).
 The cost rate c(m, s) = theta n0 s / (1 - theta m4) + lam (m2 + m4), ``instantaneous_cost``,
 is the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +32,6 @@ from .model import ModelParams, bisect, validate_measure, write_csv
 
 _SIMPLEX_TOL = 1e-9
 _EVENT_TIME_TOL = 1e-10
-_SEARCH_BITS = 4  # event-time bits that ``threshold_bias_batch`` resolves per search round
 _SURFACE_TOL = 1e-9
 _EPS = np.finfo(float).eps
 _CHUNK = 256  # RK4 steps that ``integrate`` advances by one batched product
@@ -245,15 +240,15 @@ def bias_cost(m0, policy, e_star: float, params: ModelParams, t_max=1e5, m_star=
     raise NonConvergent(message, value=float(batch.values[0]))
 
 
-_STEP_MIN, _STEP_MAX = 0.25, 4.0  # exact steps grow as clock / 8 between these
 _SETTLE_TOL = 1e-12  # L1 distance at which a path sits at its arc's equilibrium
 _LINEAR_TAIL_TOL = 1e-7  # active arcs settle closer: the linearised power tail is then exact
 _MAX_ARCS = 64
-_GATHER_BYTES = 2**20  # per-path propagator copies that ``_per_arc`` makes at once
-# 8-point Gauss-Legendre rule moved to [0, 1] (symmetric about 1/2), then the step end
+_EDGES = 2.0 * (1.125 ** np.arange(256) - 1.0)  # active-arc panels [E_k, E_k+1], widths (E + 2) / 8
+_PANEL_BLOCK = 2**11  # active-arc panels priced at once, whole paths to a block
+# 8-point Gauss-Legendre rule moved to [0, 1] (symmetric about 1/2)
 _GL_X = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
 _GL_W = np.array([0.3626837833783617, 0.3137066458778869, 0.2223810344533744, 0.10122853629037706])
-_GAUSS_T = np.concatenate([0.5 - 0.5 * _GL_X[::-1], 0.5 + 0.5 * _GL_X, [1.0]])
+_GAUSS_T = np.concatenate([0.5 - 0.5 * _GL_X[::-1], 0.5 + 0.5 * _GL_X])
 _GAUSS_W = 0.5 * np.concatenate([_GL_W[::-1], _GL_W])
 
 
@@ -268,70 +263,72 @@ class BiasBatch:
     switches: list
 
 
-def _expm(a):
-    """exp of each matrix in a stack: per-matrix scaling and squaring, Taylor degree 12."""
-    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 2, 0)
-    a = a / np.ldexp(1.0, s)[..., None, None]  # 1-norms now at most 1/4
-    e = eye = np.eye(4)
-    for k in range(12, 0, -1):
-        e = eye + (a @ e) / k
-    for i in range(int(s.max(initial=0))):
-        e = np.where((s > i)[..., None, None], e @ e, e)
-    return e
+def _decay(s, lam):
+    """e^-s and psi(s) = (e^(-lam s) - e^-s) / (1 - lam), the divided difference of e^(z s)
+    on {-1, -lam}; 1 - lam floored at 1e-200 gives its limit s e^-s at lam = 1 exactly."""
+    d = np.maximum(1.0 - lam, 1e-200)
+    return np.exp(-s), np.exp(-lam * s) * -np.expm1(-d * s) / d
 
 
-@functools.lru_cache(maxsize=1024)
-def _propagators(gens: bytes, times: tuple) -> np.ndarray:
-    """exp(A t) for each 4x4 generator A in the buffer ``gens`` and each t in ``times``."""
-    return _expm(np.frombuffer(gens).reshape(-1, 4, 4)[:, None] * np.array(times)[:, None, None])
+def _flow(s, lam, p, q):
+    """On an arc, x(s) = m(s) - eq = -(e^-s p + psi(s) q) (rows of p, q per path) and
+    its integral from s to infinity, -(e^-s (p + q / lam) + psi(s) q / lam)."""
+    e, psi = (v[..., None] for v in _decay(s, lam))
+    return -(e * p + psi * q), -(e * p + (e + psi) * q / lam[..., None])
 
 
-@functools.lru_cache(maxsize=128)
-def _grid_tables(gens: bytes, h: float) -> tuple:
-    """The event grid of a step h, h / 2^K with K = ceil(log2(h / _EVENT_TIME_TOL)),
-    in rounds of _SEARCH_BITS bits, the first taking the remainder. Per round its span
-    and exp(A j span), j = 0 .. 2^bits - 1, for each generator A in the buffer ``gens``:
-    powers of exp(A span), doubled by batched products."""
-    k = int(np.ceil(np.log2(h / _EVENT_TIME_TOL)))
-    bits = [k % _SEARCH_BITS] * (k % _SEARCH_BITS > 0) + [_SEARCH_BITS] * (k // _SEARCH_BITS)
-    spans = h / 2.0 ** np.cumsum(bits)
-    base = _expm(np.frombuffer(gens).reshape(-1, 1, 4, 4) * spans[:, None, None])[:, :, None]
-    powers = np.concatenate([np.broadcast_to(np.eye(4), base.shape), base], axis=2)
-    while powers.shape[2] < 2**_SEARCH_BITS:  # E^(n + j) = E^n E^j, j = 1 .. n
-        powers = np.concatenate([powers, powers[:, :, -1:] @ powers[:, :, 1:]], axis=2)
-    return tuple((spans[r], powers[:, r, : 2**b].copy()) for r, b in enumerate(bits))
+def _bang_event(g0, h, v1, v2, lam, span):
+    """First root in (0, span] of g(s) = h - e^-s (v1 + v2 / lam) - psi(s) v2 / lam, a
+    path's m4(s) - tau signed to turn positive where it leaves its bang arc, from
+    g(0) = g0 <= 0; inf where there is none. g' = e^-s (v1 + E(s) v2) with
+    E(s) = expm1((1 - lam) s) / (1 - lam) rising from 0, so g turns at most once, at
+    E(t*) = -v1 / v2, and {0, t*, span} brackets the first root; after a landing (g0 = 0)
+    only [t*, span] can. Newton steps, bisecting off the bracket, refine each path alone."""
+    d, p, q = np.maximum(1.0 - lam, 1e-200), v1 + v2 / lam, v2 / lam
+
+    def g(s):  # g, g', and the e^-s and psi(s) they are made of
+        e, psi = _decay(s, lam)
+        return h - e * p - psi * q, e * v1 + psi * v2, e, psi
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # where g' is flat, a step bisects
+        a = np.minimum(np.log1p(d * np.where(v1 * v2 < 0.0, -v1 / v2, np.inf)) / d, span)
+        (g_a, g_span), _, (e, _), (psi, _) = g(np.stack([a, span]))
+        found = (first := (g0 < 0.0) & (g_a > 0.0)) | (a < span) & (g_a < 0.0) & (g_span > 0.0)
+        live, lo, hi = found.copy(), np.where(first, 0.0, a), np.where(first, a, span)
+        mid = lambda: np.sqrt((1.0 + lo) * (1.0 + hi)) - 1.0  # a wide bracket halves in log
+        # start from Newton's step in e^-s at 0, or past t* from g's quadratic model there
+        curve = e * (v2 - v1) - lam * psi * v2
+        x = np.where(first, -np.log1p(g0 / v1), a + np.sqrt(-2.0 * g_a / curve))
+        x = np.where((x > lo) & (x < hi), x, mid())
+        for _ in range(64):  # a cap: the bracketed search takes a handful
+            if not live.any():
+                break
+            gx, dg, _, _ = g(x)
+            lo, hi = np.where(gx > 0.0, lo, x), np.where(gx > 0.0, x, hi)
+            nx = x - np.log1p(lam * gx / dg) / lam  # Newton's step in e^(-lam s)
+            done = np.abs(nx - x) <= 1e-8 * (1.0 + x)  # then nx is off by ~ its square
+            keep = done | (nx > lo) & (nx < hi)
+            x = np.where(live, nx if keep.all() else np.where(keep, nx, mid()), x)
+            live &= ~done & (hi - lo > 1e-14 * (1.0 + x))
+    return np.where(found, x, np.inf)
 
 
-def _per_arc(tables, arc, m):
-    """Row i is tables[arc[i]] applied to m[i]: (paths, k, 4) from (arcs, k, 4, 4)
-    tables, one product on per-path copies of the tables, over blocks of paths
-    whose copies take at most _GATHER_BYTES."""
-    out = np.empty((len(m), tables.shape[1], 4))
-    block = max(1, _GATHER_BYTES // tables[0].nbytes)
-    for i in range(0, len(m), block):
-        rows = slice(i, i + block)
-        np.einsum("pkij,pj->pki", tables[arc[rows]], m[rows], out=out[rows])
+def _active_cost(ends, eq, p, q, lam, e_star, params):
+    """Per path, the integral of (cost - e_star) on the active arc over [0, end], Gauss-Legendre
+    on the panels of _EDGES cut at the end, in blocks of whole paths: free of the batch."""
+    counts = _EDGES.searchsorted(ends)
+    out, first = np.zeros(len(ends)), np.cumsum(counts) - counts
+    bounds = np.flatnonzero(np.diff(first // _PANEL_BLOCK, prepend=-1)).tolist() + [len(ends)]
+    for rows in map(np.arange, bounds[:-1], bounds[1:]):
+        path = np.repeat(rows, counts[rows])
+        k = np.arange(len(path)) + first[rows[0]] - first[path]
+        left = np.minimum(_EDGES[k], ends[path])
+        width = np.minimum(_EDGES[k + 1], ends[path]) - left
+        e, psi = (v[..., None] for v in _decay(left[:, None] + width[:, None] * _GAUSS_T, lam))
+        m = eq[path, None] - e * p[path, None] - psi * q[path, None]  # eq + x at the nodes
+        rate = instantaneous_cost(np.moveaxis(m, -1, 0), 1.0, params)
+        out += np.bincount(path, width * ((rate - e_star) * _GAUSS_W).sum(axis=1), len(ends))
     return out
-
-
-def _event_bracket(gens: bytes, arc, m, h, crossed):
-    """Bracket each path's event on the grid of ``_grid_tables``.
-
-    Path i runs from m[i] on generator arc[i] and has left its arc by time h.
-    ``crossed`` maps a (paths, points, 4) stack of states to (paths, points)
-    flags. Each round propagates the bracket's left end to the round's grid
-    points in one product and moves it to the last point before the first
-    crossed one (to the last point if none is crossed), so the bracket closes
-    on the first crossing the grid resolves. Returns its left end lo, its width
-    delta (the last span, at most _EVENT_TIME_TOL), the state at lo, not
-    crossed, and the state at lo + delta, its far side, from exp(A delta).
-    """
-    lo, rows, last = np.zeros(len(m)), np.arange(len(m)), np.ones((len(m), 1), dtype=bool)
-    for span, table in _grid_tables(gens, h):
-        cand = _per_arc(table, arc, m)  # cand[:, 0] is m
-        k = np.argmax(np.concatenate([crossed(cand[:, 1:]), last], axis=1), axis=1)
-        lo, m = lo + k * span, cand[rows, k]
-    return lo, span, m, _per_arc(table[:, 1:2], arc, m)[:, 0]
 
 
 def threshold_bias_batch(
@@ -340,95 +337,97 @@ def threshold_bias_batch(
     """Bias integrals of finite thresholds (else ValueError), one path per threshold:
     all from one start m0 of shape (4,), or path i from row i of an (n, 4) m0.
 
-    Paths advance in lockstep by exact propagators exp(A h) of their arcs: U(0),
-    U(1), or on m4 = tau the slide U(0) + du[:,3] u0[3] / (beta1 (1 - rho)), whose
-    m4 row is zero. Events (m4 crossing tau on a bang arc, the duty cycle leaving
-    [0, 1] on a slide) are found by step ends and bracketed on the step's grid
-    h / 2^K, K = ceil(log2(h / _EVENT_TIME_TOL)), by ``_event_bracket``: each
-    round propagates the bracket's left end to 2^_SEARCH_BITS - 1 grid points at
-    once and keeps the last before the first crossed, until the bracket is one
-    grid step wide. The path lands on its far side, reached by exp(A h / 2^K)
-    from the left end; step costs use Gauss-Legendre. Deviations from an arc's
-    equilibrium shrink in L1, so once one cannot reach the arc's event the rest
-    is -grad . A^# x (linearised on active arcs). At tau >= beta1 a passive path
-    (m4 <= tau) takes that rest at once: by ``passive_trajectory_closed_form``,
-    m4(t) - beta1 = e^(-rho t) (alpha e^(-(1 - rho) t) + beta), beta = -beta1 (m1 + m3)
-    <= 0, is at most max(m4(0) - beta1, 0) <= tau - beta1, so m4 never passes tau,
-    and the passive cost is linear, so the rest is exact. A path settling away from
-    m_star is worth the integral of (cost - E_settled) plus (E_settled - e_star)
-    * t_max; one still moving at clock t_hard is valued as if it stayed on its
-    arc, and is not converged.
+    Paths go from event to event in lockstep rounds, an arc per path per round. An
+    arc's generator A (``_FluidSystem``) has spectrum {0, -1, -lam}, lam = rho on U(0),
+    rho + beta1 (1 - rho) on U(1), so m(s) = m + phi1(s) A m + phi2(s) A (A + I) m, phi1
+    and phi2 the divided differences of e^(z s) on {0, -1, -lam}, exact also where U(1)
+    is defective (beta1 = 1); A (A + I) = 0 on the slide. Events: ``_bang_event``, or
+    a slide exit's closed form, landed 1e-10 past. Costs: ``instantaneous_cost`` (a
+    slide's control its duty cycle), in closed form where linear in m, else Gauss-Legendre.
+    A path within _SETTLE_TOL of its arc's equilibrium, or past reaching the event (m4
+    within L1 distance / 2 of the equilibrium's; at once for a passive path at tau >=
+    beta1, whose m4 - beta1 = e^(-rho t) (alpha e^(-(1 - rho) t) - beta1 (m1 + m3)) never
+    exceeds max(m4(0) - beta1, 0)), takes no event: one found later is rounding. The
+    last arc is priced to infinity, on U(1) linearised from a panel edge that close. A
+    path settling off m_star adds (E_settled - e_star) * t_max. Events after t_hard are
+    not taken, nor U(1) integrated past it; a path cut short so is not converged.
     """
     tau = np.asarray(thresholds, dtype=float)
     if not np.isfinite(tau).all():
         raise ValueError(f"thresholds must be finite, got {tau[~np.isfinite(tau)].tolist()}")
-    n, (b0, b1), rho, theta, n0 = len(tau), params.beta, params.rho, params.theta, params.n0
+    n, (b0, b1), rho = len(tau), params.beta, params.rho
     system, c = _FluidSystem(params), b1 * (1 - rho)
-    u0, gens = system.u0, system.gens
-    key, m4_act = gens.tobytes(), m4_active(params)
-    hold = params.lam * np.array([0.0, 1.0, 0.0, 1.0])
-    grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])
-    # per path: slide power per unit phi0; per arc: equilibrium, margin to the arc's event
-    kap = np.divide(theta * n0, c * tau * (1.0 - theta * tau), out=np.zeros(n), where=tau > 0)
-    m4 = np.stack([np.full(n, m4_passive(params)), np.full(n, m4_act), tau], axis=1)
+    u0, gens, exits = system.u0, system.gens, system.exits - system.exit_slack
+    lams = np.array([rho, rho + c, 1.0])  # each arc's slow decay; the slide has none
+    # per path: a slide's duty cycle per unit phi0; per arc: equilibrium, margin to the arc's event
+    duty = np.divide(1.0, c * tau, out=np.zeros(n), where=tau > 0)
+    m4 = np.stack([np.full(n, m4_passive(params)), np.full(n, m4_active(params)), tau], axis=1)
     eq = np.stack([b0 * (b1 - m4) / b1, b0 * m4 / b1, b1 - m4, m4], axis=2)  # (n, arc, 4)
     passive = np.where(tau >= b1, np.inf, tau - b1)  # at tau >= beta1 it settles at once
     slack = rho * (b1 - tau) / c  # tau times the duty cycle at the slide's equilibrium
-    act = np.minimum(m4_act - tau, 0.5 * _LINEAR_TAIL_TOL)
+    act = np.minimum(m4[:, 1] - tau, 0.5 * _LINEAR_TAIL_TOL)  # and the power is linear
     margin = np.stack([passive, act, np.minimum(slack, tau - slack)], axis=1)
 
-    def rate(m, arc, kap):
-        power = np.where(arc == 1, theta * n0 / (1.0 - theta * m[..., 3]), 0.0)
-        return m @ hold + power + kap * (arc == 2) * (m @ u0[3])
+    def cost(m, arc, duty):
+        s = np.where(arc == 2, duty * (m * u0[3]).sum(axis=-1), arc == 1)
+        return instantaneous_cost(np.moveaxis(m, -1, 0), s, params)
 
-    # (n, arc) cost rates at the equilibria, one 3 x 4 product per path: a path's
-    # settled rate does not depend on which paths settle with it
-    rates = rate(eq, np.arange(3), kap[:, None])
-
+    rates = cost(eq, np.arange(3), duty[:, None])  # (n, arc) cost rates at the equilibria
     m = np.broadcast_to(validate_measure(m0), (n, 4)).copy()
     arc = (m[:, 3] > tau).astype(int)
     on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
     m[on], arc[on] = system.land(m[on], tau[on])
     values, tails, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    live, j, t, clock, switches = np.arange(n), np.zeros(n), np.zeros(n), 0.0, [[] for _ in tau]
+    live, j, t, switches = np.arange(n), np.zeros(n), np.zeros(n), [[] for _ in tau]
     while live.size:
         rows = np.arange(live.size)
-        x = m - eq[rows, arc]
-        near = (dist := np.abs(x).sum(axis=1)) <= _SETTLE_TOL
-        done = near | (0.5 * dist < margin[rows, arc]) | (clock >= t_hard)
-        if done.any():
-            d, a = np.flatnonzero(done), arc[done]
-            m_eq, x = eq[d, a], np.where(near[d, None], 0.0, x[d])  # drop tails below 1e-12
-            z = gens[a] - m_eq[:, :, None]  # A - m_eq 1^T; on slides also - e4 e4^T
-            z[a == 2, 3, 3] -= 1.0
-            y = np.linalg.solve(z, x[:, :, None])[:, :, 0]  # integral of x(t) is -y
-            rest = ((grad[a] + np.outer(kap[d] * (a == 2), u0[3])) * y).sum(axis=1)
-            e_eq = rates[d, a]
-            target = (np.abs(m_eq - m_star).sum(axis=1) < 1e-9) & (np.abs(e_eq - e_star) < 1e-10)
-            off = np.where(target, 0.0, e_eq - e_star)
-            values[live[d]] = j[d] - rest + off * (t_max - t[d])
-            tails[live[d]], converged[live[d]] = off * t_max, target & (clock < t_hard)
-            live, tau, kap, eq, rates, margin, m, arc, j, t = (
-                v[~done] for v in (live, tau, kap, eq, rates, margin, m, arc, j, t))
-            continue
-        h = min(_STEP_MAX, max(_STEP_MIN, clock / 8.0))
-        clock += h
-        path = _per_arc(_propagators(key, tuple(h * _GAUSS_T)), arc, m)  # nodes, then the end
-        m_new, arc_new, step = path[:, -1], arc.copy(), np.full(live.size, h)
-        hit = np.flatnonzero(system.crossed(m_new, arc, tau))
-        if hit.size:
-            a, th = arc[hit], tau[hit]
-            crossed = lambda x: system.crossed(x, a[:, None], th[:, None])
-            lo, delta, _, far = _event_bracket(key, a, m[hit], h, crossed)
-            step[hit] = lo + delta
-            sub = _expm(gens[a, None] * (step[hit, None] * _GAUSS_T[:-1])[..., None, None])
-            path[hit, :-1] = np.einsum("pkij,pj->pki", sub, m[hit])  # the cut step's nodes
-            m_new[hit], arc_new[hit] = system.land(far, th)
-            for p, when, new in zip(live[hit], t[hit] + step[hit], arc_new[hit]):
-                switches[p].append((float(when), int(new)))
-                if len(switches[p]) >= _MAX_ARCS:
-                    raise NonConvergent(f"a threshold path exceeded {_MAX_ARCS} arcs")
-        # the step cost as a sum per row, so a path's value does not depend on its batch
-        dj = step * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) * _GAUSS_W).sum(1)
-        m, arc, j, t = m_new, arc_new, j + dj, t + step
+        e, lam, a, span = eq[rows, arc], lams[arc], gens[arc], t_hard - t
+        v1 = np.einsum("pij,pj->pi", a, m)
+        v2 = np.where(arc[:, None] < 2, v1 + np.einsum("pij,pj->pi", a, v1), 0.0)  # A (A + I) m
+        p, q = v1 + v2 / lam[:, None], v2 / lam[:, None]  # m(s) = e - e^-s p - psi(s) q
+        dist = np.abs(m - e).sum(axis=1)  # near its equilibrium, or past reaching its event:
+        calm = (dist <= _SETTLE_TOL) | (0.5 * dist < margin[rows, arc])  # no event to come
+        te, bang, slide = np.full(len(m), np.inf), np.flatnonzero(arc < 2), np.flatnonzero(arc == 2)
+        if bang.size:
+            sign = 1 - 2 * arc[bang]  # m4 rises past tau on U(0), falls to it on U(1)
+            te[bang] = _bang_event(sign * (m[bang, 3] - tau[bang]), sign * (e[bang, 3] - tau[bang]),
+                                   sign * v1[bang, 3], sign * v2[bang, 3], lam[bang], span[bang])
+        if slide.size:  # an exit (e - e^-s p) . w turns positive at e^-s = (e . w) / (p . w)
+            ew, pw = ((v[slide, :, None] * exits).sum(axis=1) for v in (e, p))
+            z = np.divide(ew, pw, out=np.zeros_like(ew), where=(ew > 0.0) & (pw > 0.0))
+            log_z = np.log(np.minimum(z, 1.0), out=np.full_like(z, -np.inf), where=z > 0.0)
+            te[slide] = _EVENT_TIME_TOL - log_z.max(axis=1)
+        x, tail = _flow(np.where(np.isfinite(te), te, 0.0), lam, p, q)
+        real = np.isfinite(te) & ~calm & (np.abs(x).sum(axis=1) > _SETTLE_TOL)  # else rounding
+        hit, hard = real & (te < span), real & (te >= span)
+        end, whole = np.where(hit, te, 0.0), -(p + q / lam[:, None])  # whole: x's integral
+        tail = np.where(hit[:, None], tail, whole)  # the integral of x from the arc's end on
+        # a settling active arc takes Gauss-Legendre to an edge where the bound
+        # e^(-lam s) (|p| + s |q|) on its distance is within the linearisation margin
+        if (up := np.flatnonzero(~hit & (arc == 1))).size:
+            size, slope = np.abs(p[up]).sum(1), np.abs(q[up]).sum(1)
+            goal = np.maximum(2 * margin[up, 1], _SETTLE_TOL)
+            far = lambda s: np.log(np.maximum((size + s * slope) / goal, 1.0)) / lam[up]
+            far = far(far(span[up]))  # its fixed point, approached from above
+            end[up] = _EDGES[_EDGES.searchsorted(np.minimum(far, span[up]))]
+            hard[up], tail[up] = far > span[up], _flow(end[up], lam[up], p[up], q[up])[1]
+        if (act := np.flatnonzero(arc == 1)).size:
+            j[act] += _active_cost(end[act], e[act], p[act], q[act], lams[1], e_star, params)
+        # cost - e_eq, linear in x, over a linear arc's span and over each settled arc's rest
+        e_eq, lin = rates[rows, arc], hit & (arc != 1)
+        dev = cost(e + np.where(lin[:, None], whole - tail, np.where(hit[:, None], 0.0, tail)),
+                   arc, duty) - e_eq
+        j += np.where(lin, dev + (e_eq - e_star) * end, 0.0)
+        target = (np.abs(e - m_star).sum(axis=1) < 1e-9) & (np.abs(e_eq - e_star) < 1e-10)
+        off, d = np.where(target, 0.0, e_eq - e_star), ~hit
+        values[live[d]] = (j + dev + off * (t_max - t - end))[d]
+        tails[live[d]], converged[live[d]] = off[d] * t_max, target[d] & ~hard[d]
+        m[hit], arc[hit] = system.land(e[hit] + x[hit], tau[hit])
+        t[hit] += te[hit]
+        for path, when, new in zip(live[hit], t[hit], arc[hit]):
+            switches[path].append((float(when), int(new)))
+            if len(switches[path]) >= _MAX_ARCS:
+                raise NonConvergent(f"a threshold path exceeded {_MAX_ARCS} arcs")
+        live, tau, duty, eq, rates, margin, m, arc, j, t = (
+            v[hit] for v in (live, tau, duty, eq, rates, margin, m, arc, j, t))
     return BiasBatch(values, converged, tails, switches)

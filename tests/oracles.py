@@ -7,18 +7,27 @@ the same quantities from first principles instead, class by class: ``build_table
 gives the per-class transition tables, ``drift_matrix`` the mean-field drift they
 imply, and ``finite_sinr`` one user's SINR in a finite population.
 
+``stepped_bias_batch`` is the threshold-path engine that ``fluid.threshold_bias_batch``
+replaced: it steps every path by tabled exp(A h) and brackets each event by a dyadic
+search, where the package goes from event to event in closed form.
+
 Classes are laid out channel-major: the user at channel level ``l`` (0-based) with
 queue length ``r`` sits at position ``l * (q_max + 1) + r``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from powerctl import fluid
+from powerctl.equilibrium import m4_active, m4_passive
+from powerctl.errors import NonConvergent
+from powerctl.fluid import BiasBatch, _FluidSystem
 from powerctl.kernel import IID, require_channel_model
-from powerctl.model import ModelParams
+from powerctl.model import ModelParams, validate_measure
 
 
 def queue_kernel(q: int, success: int, rho: float, q_max: int) -> np.ndarray:
@@ -93,3 +102,169 @@ def finite_sinr(n: int, h, p, big_n: int, params: ModelParams) -> float:
     p = np.asarray(p, dtype=float)
     other = float(np.dot(h, p)) - h[n] * p[n]
     return h[n] * p[n] / (other / big_n + params.n0)
+
+
+# The stepped exact engine: exp(A h) tables per step and a dyadic event search.
+
+_STEP_MIN, _STEP_MAX = 0.25, 4.0  # exact steps grow as clock / 8 between these
+_SEARCH_BITS = 4  # event-time bits that ``_event_bracket`` resolves per search round
+_GATHER_BYTES = 2**20  # per-path propagator copies that ``_per_arc`` makes at once
+_GAUSS_T = np.concatenate([fluid._GAUSS_T, [1.0]])  # the Gauss-Legendre nodes, then the step end
+_GAUSS_W = fluid._GAUSS_W
+_EVENT_TIME_TOL, _SETTLE_TOL, _SURFACE_TOL = (
+    fluid._EVENT_TIME_TOL, fluid._SETTLE_TOL, fluid._SURFACE_TOL)
+_LINEAR_TAIL_TOL, _MAX_ARCS = fluid._LINEAR_TAIL_TOL, fluid._MAX_ARCS
+
+
+def _expm(a):
+    """exp of each matrix in a stack: per-matrix scaling and squaring, Taylor degree 12."""
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 2, 0)
+    a = a / np.ldexp(1.0, s)[..., None, None]  # 1-norms now at most 1/4
+    e = eye = np.eye(4)
+    for k in range(12, 0, -1):
+        e = eye + (a @ e) / k
+    for i in range(int(s.max(initial=0))):
+        e = np.where((s > i)[..., None, None], e @ e, e)
+    return e
+
+
+@functools.lru_cache(maxsize=1024)
+def _propagators(gens: bytes, times: tuple) -> np.ndarray:
+    """exp(A t) for each 4x4 generator A in the buffer ``gens`` and each t in ``times``."""
+    return _expm(np.frombuffer(gens).reshape(-1, 4, 4)[:, None] * np.array(times)[:, None, None])
+
+
+@functools.lru_cache(maxsize=128)
+def _grid_tables(gens: bytes, h: float) -> tuple:
+    """The event grid of a step h, h / 2^K with K = ceil(log2(h / _EVENT_TIME_TOL)),
+    in rounds of _SEARCH_BITS bits, the first taking the remainder. Per round its span
+    and exp(A j span), j = 0 .. 2^bits - 1, for each generator A in the buffer ``gens``:
+    powers of exp(A span), doubled by batched products."""
+    k = int(np.ceil(np.log2(h / _EVENT_TIME_TOL)))
+    bits = [k % _SEARCH_BITS] * (k % _SEARCH_BITS > 0) + [_SEARCH_BITS] * (k // _SEARCH_BITS)
+    spans = h / 2.0 ** np.cumsum(bits)
+    base = _expm(np.frombuffer(gens).reshape(-1, 1, 4, 4) * spans[:, None, None])[:, :, None]
+    powers = np.concatenate([np.broadcast_to(np.eye(4), base.shape), base], axis=2)
+    while powers.shape[2] < 2**_SEARCH_BITS:  # E^(n + j) = E^n E^j, j = 1 .. n
+        powers = np.concatenate([powers, powers[:, :, -1:] @ powers[:, :, 1:]], axis=2)
+    return tuple((spans[r], powers[:, r, : 2**b].copy()) for r, b in enumerate(bits))
+
+
+def _per_arc(tables, arc, m):
+    """Row i is tables[arc[i]] applied to m[i]: (paths, k, 4) from (arcs, k, 4, 4)
+    tables, one product on per-path copies of the tables, over blocks of paths
+    whose copies take at most _GATHER_BYTES."""
+    out = np.empty((len(m), tables.shape[1], 4))
+    block = max(1, _GATHER_BYTES // tables[0].nbytes)
+    for i in range(0, len(m), block):
+        rows = slice(i, i + block)
+        np.einsum("pkij,pj->pki", tables[arc[rows]], m[rows], out=out[rows])
+    return out
+
+
+def _event_bracket(gens: bytes, arc, m, h, crossed):
+    """Bracket each path's event on the grid of ``_grid_tables``.
+
+    Path i runs from m[i] on generator arc[i] and has left its arc by time h.
+    ``crossed`` maps a (paths, points, 4) stack of states to (paths, points)
+    flags. Each round propagates the bracket's left end to the round's grid
+    points in one product and moves it to the last point before the first
+    crossed one (to the last point if none is crossed), so the bracket closes
+    on the first crossing the grid resolves. Returns its left end lo, its width
+    delta (the last span, at most _EVENT_TIME_TOL), the state at lo, not
+    crossed, and the state at lo + delta, its far side, from exp(A delta).
+    """
+    lo, rows, last = np.zeros(len(m)), np.arange(len(m)), np.ones((len(m), 1), dtype=bool)
+    for span, table in _grid_tables(gens, h):
+        cand = _per_arc(table, arc, m)  # cand[:, 0] is m
+        k = np.argmax(np.concatenate([crossed(cand[:, 1:]), last], axis=1), axis=1)
+        lo, m = lo + k * span, cand[rows, k]
+    return lo, span, m, _per_arc(table[:, 1:2], arc, m)[:, 0]
+
+
+def stepped_bias_batch(
+    m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=1e5, t_hard=5000.0
+) -> BiasBatch:
+    """The stepped exact engine that ``fluid.threshold_bias_batch`` replaced, kept as
+    its oracle: same arguments and result. Paths advance in lockstep by exact
+    propagators exp(A h) of their arcs, h growing as clock / 8 between _STEP_MIN
+    and _STEP_MAX. An event found at a step end is bracketed on the step's grid
+    h / 2^K, K = ceil(log2(h / _EVENT_TIME_TOL)), by ``_event_bracket``, and the
+    path lands on the bracket's far side. Step costs use 8-point Gauss-Legendre.
+    A path within _SETTLE_TOL of its arc's equilibrium, or that can no longer reach
+    its arc's event, takes the rest of the arc linearised, -grad . A^# x; one still
+    moving at clock t_hard is valued so, and is not converged.
+    """
+    tau = np.asarray(thresholds, dtype=float)
+    if not np.isfinite(tau).all():
+        raise ValueError(f"thresholds must be finite, got {tau[~np.isfinite(tau)].tolist()}")
+    n, (b0, b1), rho, theta, n0 = len(tau), params.beta, params.rho, params.theta, params.n0
+    system, c = _FluidSystem(params), b1 * (1 - rho)
+    u0, gens = system.u0, system.gens
+    key, m4_act = gens.tobytes(), m4_active(params)
+    hold = params.lam * np.array([0.0, 1.0, 0.0, 1.0])
+    grad = np.array([hold, hold + theta**2 * n0 / (1.0 - theta * m4_act) ** 2 * np.eye(4)[3], hold])
+    # per path: slide power per unit phi0; per arc: equilibrium, margin to the arc's event
+    kap = np.divide(theta * n0, c * tau * (1.0 - theta * tau), out=np.zeros(n), where=tau > 0)
+    m4 = np.stack([np.full(n, m4_passive(params)), np.full(n, m4_act), tau], axis=1)
+    eq = np.stack([b0 * (b1 - m4) / b1, b0 * m4 / b1, b1 - m4, m4], axis=2)  # (n, arc, 4)
+    passive = np.where(tau >= b1, np.inf, tau - b1)  # at tau >= beta1 it settles at once
+    slack = rho * (b1 - tau) / c  # tau times the duty cycle at the slide's equilibrium
+    act = np.minimum(m4_act - tau, 0.5 * _LINEAR_TAIL_TOL)
+    margin = np.stack([passive, act, np.minimum(slack, tau - slack)], axis=1)
+
+    def rate(m, arc, kap):
+        power = np.where(arc == 1, theta * n0 / (1.0 - theta * m[..., 3]), 0.0)
+        return m @ hold + power + kap * (arc == 2) * (m @ u0[3])
+
+    # (n, arc) cost rates at the equilibria, one 3 x 4 product per path: a path's
+    # settled rate does not depend on which paths settle with it
+    rates = rate(eq, np.arange(3), kap[:, None])
+
+    m = np.broadcast_to(validate_measure(m0), (n, 4)).copy()
+    arc = (m[:, 3] > tau).astype(int)
+    on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
+    m[on], arc[on] = system.land(m[on], tau[on])
+    values, tails, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    live, j, t, clock, switches = np.arange(n), np.zeros(n), np.zeros(n), 0.0, [[] for _ in tau]
+    while live.size:
+        rows = np.arange(live.size)
+        x = m - eq[rows, arc]
+        near = (dist := np.abs(x).sum(axis=1)) <= _SETTLE_TOL
+        done = near | (0.5 * dist < margin[rows, arc]) | (clock >= t_hard)
+        if done.any():
+            d, a = np.flatnonzero(done), arc[done]
+            m_eq, x = eq[d, a], np.where(near[d, None], 0.0, x[d])  # drop tails below 1e-12
+            z = gens[a] - m_eq[:, :, None]  # A - m_eq 1^T; on slides also - e4 e4^T
+            z[a == 2, 3, 3] -= 1.0
+            y = np.linalg.solve(z, x[:, :, None])[:, :, 0]  # integral of x(t) is -y
+            rest = ((grad[a] + np.outer(kap[d] * (a == 2), u0[3])) * y).sum(axis=1)
+            e_eq = rates[d, a]
+            target = (np.abs(m_eq - m_star).sum(axis=1) < 1e-9) & (np.abs(e_eq - e_star) < 1e-10)
+            off = np.where(target, 0.0, e_eq - e_star)
+            values[live[d]] = j[d] - rest + off * (t_max - t[d])
+            tails[live[d]], converged[live[d]] = off * t_max, target & (clock < t_hard)
+            live, tau, kap, eq, rates, margin, m, arc, j, t = (
+                v[~done] for v in (live, tau, kap, eq, rates, margin, m, arc, j, t))
+            continue
+        h = min(_STEP_MAX, max(_STEP_MIN, clock / 8.0))
+        clock += h
+        path = _per_arc(_propagators(key, tuple(h * _GAUSS_T)), arc, m)  # nodes, then the end
+        m_new, arc_new, step = path[:, -1], arc.copy(), np.full(live.size, h)
+        hit = np.flatnonzero(system.crossed(m_new, arc, tau))
+        if hit.size:
+            a, th = arc[hit], tau[hit]
+            crossed = lambda x: system.crossed(x, a[:, None], th[:, None])
+            lo, delta, _, far = _event_bracket(key, a, m[hit], h, crossed)
+            step[hit] = lo + delta
+            sub = _expm(gens[a, None] * (step[hit, None] * _GAUSS_T[:-1])[..., None, None])
+            path[hit, :-1] = np.einsum("pkij,pj->pki", sub, m[hit])  # the cut step's nodes
+            m_new[hit], arc_new[hit] = system.land(far, th)
+            for p, when, new in zip(live[hit], t[hit] + step[hit], arc_new[hit]):
+                switches[p].append((float(when), int(new)))
+                if len(switches[p]) >= _MAX_ARCS:
+                    raise NonConvergent(f"a threshold path exceeded {_MAX_ARCS} arcs")
+        # the step cost as a sum per row, so a path's value does not depend on its batch
+        dj = step * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) * _GAUSS_W).sum(1)
+        m, arc, j, t = m_new, arc_new, j + dj, t + step
+    return BiasBatch(values, converged, tails, switches)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_simplex, sec4_at
 from powerctl import equilibrium, finite, fluid, kernel, policy
 from powerctl.errors import NonConvergent, NotADistribution, StepTooLarge
+from powerctl.model import ModelParams
 
 
 class TestDiscreteStep:
@@ -363,17 +365,13 @@ class TestExactEngine:
         assert np.array_equal(alone, batch.values)
 
     @pytest.mark.parametrize("n0", [1.0, 30.0])  # Active (settles off target), Passive
-    def test_passive_path_at_beta1_settles_at_once(self, n0, monkeypatch):
+    def test_passive_path_at_beta1_settles_at_once(self, n0):
+        # no switch, and its whole value is the passive arc's closed-form integral
         params = sec4_at(0.1, n0=n0)
         rep = equilibrium.optimal_equilibrium(params)
-        calls = []
-        propagators = fluid._propagators
-        monkeypatch.setattr(
-            fluid, "_propagators", lambda *args: calls.append(args) or propagators(*args)
-        )
         m0 = np.array([0.3, 0.25, 0.2, 0.25])  # m4 below tau = beta1 = 0.4
         batch = fluid.threshold_bias_batch(m0, [params.beta1], rep.E_star, rep.m_star, params)
-        assert batch.switches == [[]] and calls == []
+        assert batch.switches == [[]]
         # the integral of (cost - E_settled) along the closed form: composite 8-point
         # Gauss-Legendre on panels of width 1/2 to t = 400, where e^(-rho t) < 1e-17
         x, w = np.polynomial.legendre.leggauss(8)
@@ -385,6 +383,18 @@ class TestExactEngine:
         assert batch.values[0] == pytest.approx(integral + batch.tails[0], rel=1e-10, abs=0.0)
         assert batch.values[0] - batch.tails[0] == pytest.approx(integral, rel=1e-10, abs=0.0)
         assert batch.converged[0] == (rep.regime == equilibrium.PASSIVE)
+
+    def test_no_event_after_t_hard(self, sec4):
+        # at the policy's threshold this path switches at t = 1.41 and converges: with
+        # t_hard = 1 that event is not taken, and the path, still moving at t = 1, is
+        # valued on its arc and not converged
+        rep = equilibrium.optimal_equilibrium(sec4)
+        pi = policy.make_policy(sec4).pi
+        m0 = np.random.default_rng(14).dirichlet(np.ones(4), size=40)[2]
+        full = fluid.threshold_bias_batch(m0, [pi], rep.E_star, rep.m_star, sec4)
+        cut = fluid.threshold_bias_batch(m0, [pi], rep.E_star, rep.m_star, sec4, t_hard=1.0)
+        assert full.converged[0] and 1.0 < full.switches[0][0][0] < 2.0
+        assert cut.switches == [[]] and not cut.converged[0] and np.isfinite(cut.values[0])
 
     @pytest.mark.parametrize("below", [0.005, 0.05])
     def test_passive_path_below_beta1_still_switches(self, sec4, below):
@@ -426,84 +436,135 @@ class TestArcStacks:
         got = system.crossed(m, arc, tau)
         assert got.shape == want.shape and np.array_equal(got, want)
 
-    def test_per_arc_products_match_the_gathered_product(self, sec4):
-        # bit for bit: splitting the paths into blocks changes no product's arithmetic
-        # (3,000 paths of these tables take two blocks)
-        tables = fluid._propagators(fluid._FluidSystem(sec4).gens.tobytes(), (0.5, 1.0, 2.0))
-        assert 1500 < fluid._GATHER_BYTES // tables[0].nbytes < 3000
-        rng = np.random.default_rng(18)
-        for n in (1, 2, 7, 300, 3000):
-            for arcs in ((0,), (1, 2), (0, 1, 2)):
-                arc = rng.choice(arcs, n)
-                m = rng.dirichlet(np.ones(4), size=n)
-                want = np.einsum("pkij,pj->pki", tables[arc], m)
-                assert np.array_equal(fluid._per_arc(tables, arc, m), want)
+
+def _audit_pairs(params, starts):
+    """Each start with each audit threshold: the grid {0, 0.005, ..., beta1 + 0.005}
+    and the two pairing thresholds."""
+    grid = np.arange(int(np.floor(params.beta1 / 0.005)) + 2) * 0.005
+    pis = [policy.make_policy(params, pairing).pi
+           for pairing in (policy.PROP3_CONSISTENT, policy.PAPER_LITERAL)]
+    taus = np.concatenate([grid, pis])
+    return np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts))
 
 
-def _ladder_bracket(gens, arc, m, h, crossed):
-    """The bisection ladder on the engine's event grid: one level per bit, each
-    moving the bracket's left end to its midpoint when that is not crossed.
-    The oracle of ``fluid._event_bracket``, with the same signature."""
-    levels = h / 2.0 ** np.arange(1, np.ceil(np.log2(h / fluid._EVENT_TIME_TOL)) + 1)
-    ladder = fluid._propagators(gens, tuple(levels))
-    lo = np.zeros(len(m))
-    for k, dk in enumerate(levels):
-        cand = np.einsum("pij,pj->pi", ladder[arc, k], m)
-        ok = ~crossed(cand[:, None])[:, 0]
-        lo, m = lo + dk * ok, np.where(ok[:, None], cand, m)
-    return lo, levels[-1], m, np.einsum("pij,pj->pi", ladder[arc, -1], m)
+def _assert_engines_agree(new, old, taus, slow=()):
+    """The same arcs and converged flags, values within 1e-9 max(1, |v|), event
+    times within 1e-9, or 1e-4 on the paths in ``slow``. Returns the event count."""
+    events = 0
+    for i, (ours, theirs) in enumerate(zip(new.switches, old.switches, strict=True)):
+        assert [arc for _, arc in ours] == [arc for _, arc in theirs]
+        times = np.array([when for when, _ in ours]) - [when for when, _ in theirs]
+        assert np.all(np.abs(times) <= (1e-4 if i in slow else 1e-9)), (i, taus[i], ours, theirs)
+        events += len(ours)
+    gap = np.abs(new.values - old.values) / np.maximum(1.0, np.abs(old.values))
+    assert gap.max() <= 1e-9
+    assert list(new.converged) == list(old.converged)
+    return events
+
+
+def _settled_at_a_switch(params, m0, tau, switches):
+    """Per switch, the L1 distance of the state just before it from the equilibrium of
+    the arc it leaves, propagated by the oracle's exp(A t) from the start."""
+    system = fluid._FluidSystem(params)
+    b0, b1 = params.beta
+    bang = [equilibrium.equilibrium_measure(s, params) for s in (0.0, 1.0)]
+    slide = np.array([b0 * (b1 - tau) / b1, b0 * tau / b1, b1 - tau, tau])
+    if abs(m0[3] - tau) <= fluid._SURFACE_TOL:
+        m, arc = system.land(m0, tau)
+    else:
+        m, arc = m0, int(m0[3] > tau)
+    t, dists = 0.0, []
+    for when, new in switches:
+        m = oracles._expm(system.gens[arc] * (when - t)) @ m
+        dists.append(np.abs(m - (slide if arc == 2 else bang[arc])).sum())
+        (m, _), arc, t = system.land(m, tau), new, when
+    return dists
 
 
 class TestEventSearch:
     @pytest.mark.parametrize("n0", [1.0, 5.0])  # Active, Interior
-    def test_matches_the_bisection_ladder_on_the_audit_grid(self, n0, monkeypatch):
+    def test_matches_the_stepped_engine_on_the_audit_grid(self, n0):
         params = sec4_at(0.1, n0=n0)
         rep = equilibrium.optimal_equilibrium(params)
-        grid = np.arange(int(np.floor(params.beta1 / 0.005)) + 2) * 0.005
-        pis = [policy.make_policy(params, pairing).pi
-               for pairing in (policy.PROP3_CONSISTENT, policy.PAPER_LITERAL)]
-        taus = np.concatenate([grid, pis])
-        assert len(taus) == 84
-        # one pair batch per side: each of 40 seeded starts with each threshold
+        # one pair batch per engine: each of 40 seeded starts with each of 84 thresholds
+        m0, taus = _audit_pairs(params, np.random.default_rng(14).dirichlet(np.ones(4), size=40))
+        assert len(taus) == 40 * 84
+        new = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
+        old = oracles.stepped_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
+        assert _assert_engines_agree(new, old, taus) > 1000
+
+    @pytest.mark.parametrize("beta1", [1.0, 1.0 - 1e-9])
+    def test_matches_the_stepped_engine_near_beta1_one(self, beta1):
+        # at beta1 = 1 U(1) has a triple eigenvalue -1 and is defective; the arc form
+        # needs no eigenvectors, so it holds there and next to it
+        params = ModelParams.good_bad(theta=0.2, beta1=beta1, rho=0.1, lam=1.5, n0=1.0)
+        rep = equilibrium.optimal_equilibrium(params)
+        start = np.random.default_rng(0).dirichlet(np.ones(4))  # the CLI's first audit start
+        m0, taus = _audit_pairs(params, start[None])
+        new = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
+        old = oracles.stepped_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
+        # a threshold within 1e-10 of the active equilibrium's m4 is met at a slope
+        # below 1e-10, so 1e-16 of rounding in m4 moves that event by up to 1e-5:
+        # tau = 0.1 at beta1 = 1 - 1e-9 (at beta1 = 1 it is m4_active, never met)
+        slow = np.flatnonzero(np.abs(taus - equilibrium.m4_active(params)) < 1e-10)
+        assert _assert_engines_agree(new, old, taus, slow=set(slow.tolist())) > 100
+
+    @pytest.mark.parametrize("n0", [1.0, 5.0])  # Active, Interior
+    def test_no_switch_once_settled_and_none_twice_at_once(self, n0):
+        # a root found past the settle tolerance is rounding (Active pi paths once
+        # met tau at t ~ 1600); a path just landed on tau must not cross it again
+        # at the landing time
+        params = sec4_at(0.1, n0=n0)
+        rep = equilibrium.optimal_equilibrium(params)
         starts = np.random.default_rng(14).dirichlet(np.ones(4), size=40)
-        pairs = (np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts)))
-        new = fluid.threshold_bias_batch(*pairs, rep.E_star, rep.m_star, params)
-        monkeypatch.setattr(fluid, "_event_bracket", _ladder_bracket)
-        old = fluid.threshold_bias_batch(*pairs, rep.E_star, rep.m_star, params)
-        events = 0
-        for ours, theirs in zip(new.switches, old.switches, strict=True):
-            assert [arc for _, arc in ours] == [arc for _, arc in theirs]
-            times = np.array([when for when, _ in ours]) - [when for when, _ in theirs]
-            assert np.all(np.abs(times) <= 1e-10)
-            events += len(ours)
-        np.testing.assert_allclose(new.values, old.values, rtol=1e-9, atol=0.0)
-        assert list(new.converged) == list(old.converged)
-        assert events > 1000
+        m0, taus = _audit_pairs(params, starts)
+        # and a threshold one ulp either side of the active equilibrium's m4, which an
+        # active arc settling from above meets only at rounding level
+        m4 = equilibrium.m4_active(params)
+        m0 = np.concatenate([m0, starts, starts])
+        taus = np.concatenate([taus, np.full(40, np.nextafter(m4, 0.0)),
+                               np.full(40, np.nextafter(m4, 1.0))])
+        batch = fluid.threshold_bias_batch(m0, taus, rep.E_star, rep.m_star, params)
+        closest = np.inf
+        for start, tau, switches in zip(m0, taus, batch.switches):
+            times = [when for when, _ in switches]
+            assert len(set(times)) == len(times)
+            if switches:
+                closest = min(closest, *_settled_at_a_switch(params, start, tau, switches))
+        assert closest > fluid._SETTLE_TOL
 
     def test_bracket_closes_on_the_first_crossing(self):
-        # a clock: exp(A t) (1, 0, 0, 0) = (1, 0, 0, t) exactly, as A A = 0
-        clock = np.zeros((1, 4, 4))
-        clock[0, 3, 0] = 1.0
-        gens, h = clock.tobytes(), 1.0
-        first = fluid._grid_tables(gens, h)[0][0]  # the first round's span
-        # per path, two windows of t in which it is crossed; the first crossing is at [:, 0, 0]
-        windows = np.array([
-            [[0.3, 2.0], [3.0, 3.0]],  # one crossing, then crossed to the step's end
-            [[0.5 * first, 1.5 * first], [0.9, 2.0]],  # crossed, clear again, crossed
-            [[1e-11, 2.0], [3.0, 3.0]],  # in the first grid cell
-            [[1.0 - 1e-11, 2.0], [3.0, 3.0]],  # in the last grid cell
-        ])
+        # rows of g(s) = h - e^-s (v1 + v2 / lam) - psi(s) v2 / lam, which turns once:
+        # 0 and 2 (lam = 1) rise past 0 and fall back, crossing twice; 1 starts on
+        # the threshold (g0 = 0), dips, then crosses once; 3 is 1 with its crossing
+        # past its span, 4 is 0 with its span before the first crossing
+        lam = np.array([0.3, 0.3, 1.0, 0.3, 0.3])
+        v1 = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        v2 = np.array([-0.1, 1.0, -0.3, 1.0, -0.1])
+        h = np.array([-0.05, -1.0 + 1.0 / 0.3, -0.005, -1.0 + 1.0 / 0.3, -0.05])
+        span = np.array([50.0, 50.0, 50.0, 1.0, 0.2])
 
-        def crossed(x):
-            t = x[..., 3, None]
-            return ((t > windows[:, None, :, 0]) & (t < windows[:, None, :, 1])).any(axis=-1)
+        def g(s, i):
+            d = 1.0 - lam[i]
+            psi = s * np.exp(-s) if d == 0.0 else (np.exp(-lam[i] * s) - np.exp(-s)) / d
+            return h[i] - np.exp(-s) * (v1[i] + v2[i] / lam[i]) - psi * v2[i] / lam[i]
 
-        m = np.tile([1.0, 0.0, 0.0, 0.0], (len(windows), 1))
-        lo, delta, m_lo, m_far = fluid._event_bracket(gens, np.zeros(len(m), int), m, h, crossed)
-        assert 0.0 < delta <= fluid._EVENT_TIME_TOL
-        assert np.array_equal(m_lo[:, 3], lo) and np.array_equal(m_far[:, 3], lo + delta)
-        assert not crossed(m_lo[:, None]).any() and crossed(m_far[:, None]).all()
-        assert np.all((lo <= windows[:, 0, 0]) & (windows[:, 0, 0] < lo + delta))
+        g0 = np.array([g(0.0, i) for i in range(len(h))])
+        g0[[1, 3]] = 0.0
+        got = fluid._bang_event(g0, h, v1, v2, lam, span)
+        for i in range(len(h)):
+            s = np.linspace(0.0, span[i], 200_001)[1:]
+            up = np.flatnonzero(g(s, i) > 0.0)
+            if not up.size:
+                assert got[i] == np.inf
+                continue
+            lo, hi = s[up[0] - 1], s[up[0]]  # the scan's first crossing, bisected
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if g(mid, i) > 0.0 else (mid, hi)
+            assert abs(got[i] - hi) < 1e-12
+        assert np.isfinite(got[:3]).all() and got[3] == got[4] == np.inf
+        assert g(10.0, 0) < 0.0 and g(10.0, 2) < 0.0  # back below: the second crossing
 
 
 def _stagewise(m0, control_of, horizon, params, dt):
