@@ -2,11 +2,11 @@
 
 Starts the population measure away from equilibrium, runs the
 threshold-on-m4 controller, and shows the three phases of the closed loop:
-a pure arc toward the switching surface, the crossing (located by
-bisection), and the sliding approach to the optimal operating point, where
-the control settles at the optimal duty cycle.
+a pure arc toward the switching surface, the crossing (the first root of
+m4 - pi on that arc), and the sliding approach to the optimal operating
+point, where the control settles at the optimal duty cycle.
 
-Also checks the integrator against the exact uncontrolled solution and
+Also checks the sampled flow against the exact uncontrolled solution and
 writes the trajectory to threshold_closed_loop.csv.
 
 Run:  python demos/threshold_closed_loop.py
@@ -41,7 +41,7 @@ def main():
     print(f"\nfinal distance to the optimal point: {gap:.2e}")
     print(f"final control vs optimal duty cycle: {traj.s4[-1]:.9f} vs {rep.s4_star:.9f}")
 
-    # integrator accuracy on an uncontrolled stretch
+    # the sampled flow on an uncontrolled stretch
     passive = fluid.integrate(m0, 0.0, 5.0, params, dt=0.01)
     worst = 0.0
     for t_ref in (0.5, 1.0, 2.0, 5.0):

@@ -4,7 +4,7 @@ Library layout:
 
 - ``model``: parameters and their validation, bisection, CSV/JSON writers
 - ``kernel``: the mean-field drift matrix and the channel-model names
-- ``fluid``: fluid dynamics (discrete map, RK4 flow, bias integrals)
+- ``fluid``: fluid dynamics (discrete map, the closed-form flow, bias integrals)
 - ``equilibrium``: controlled equilibria, regimes, optimal operating point
 - ``policy``: threshold controllers and their optimality audit
 - ``finite``: the finite-population chain, value iteration, simulation

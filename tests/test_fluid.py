@@ -4,7 +4,7 @@ import pytest
 import oracles
 from conftest import random_simplex, sec4_at
 from powerctl import equilibrium, finite, fluid, kernel, policy
-from powerctl.errors import NonConvergent, NotADistribution, StepTooLarge
+from powerctl.errors import NonConvergent, NotADistribution
 from powerctl.model import ModelParams
 
 
@@ -87,17 +87,16 @@ class TestIntegrate:
             m0 = random_simplex(rng)
             traj = fluid.integrate(m0, 0.0, 5.0, sec4, dt=0.01)
             for t_ref in (0.5, 1.0, 2.0, 5.0):
-                i = int(np.argmin(np.abs(traj.t - t_ref)))
-                assert abs(traj.t[i] - t_ref) < 1e-9
-                ref = fluid.passive_trajectory_closed_form(m0, t_ref, sec4)
-                assert np.abs(traj.m[i] - ref).max() < 1e-6
+                assert np.abs(traj.t - t_ref).min() < 1e-9
+            ref = fluid.passive_trajectory_closed_form(m0, traj.t, sec4).T
+            assert np.abs(traj.m - ref).max() < 1e-12
 
     def test_fourth_order_convergence(self, sec4):
         m0 = np.array([0.4, 0.3, 0.2, 0.1])
         ref = fluid.passive_trajectory_closed_form(m0, 2.0, sec4)
         errs = []
         for dt in (0.2, 0.1, 0.05):
-            traj = fluid.integrate(m0, 0.0, 2.0, sec4, dt=dt)
+            traj = oracles.rk4_integrate(m0, 0.0, 2.0, sec4, dt=dt)
             errs.append(np.abs(traj.m[-1] - ref).max())
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.5
@@ -148,6 +147,33 @@ class TestIntegrate:
         for horizon in landing - np.linspace(0.0, 1.2e-10, 25):
             assert fluid.integrate(m0, pick, horizon, sec4).t[-1] == horizon
 
+    @pytest.mark.parametrize("horizon, dt", [(50.0, 0.01), (500.0, 0.01), (7.7, 0.07), (3.0, 1.0)])
+    def test_one_row_per_grid_point(self, sec4, horizon, dt):
+        # a path with no event: rows at k dt, k = 0 .. K - 1, and the horizon K dt. A
+        # running sum of dt once fell short of the horizon and wrote one more row there
+        k = round(horizon / dt)
+        # from [0.25] * 4 the threshold path stays on the active arc
+        for controller in (0.3, policy.make_policy(sec4)):
+            traj = fluid.integrate([0.25] * 4, controller, horizon, sec4, dt=dt)
+            assert len(traj.t) == k + 1 and traj.t[-1] == horizon
+            assert np.array_equal(traj.t[:-1], np.arange(k) * dt)
+            printed = [f"{t:.12g}" for t in traj.t]
+            assert len(set(printed)) == len(printed)
+
+    @pytest.mark.parametrize("name", ["passive", "active", "threshold"])
+    def test_large_steps_sample_the_same_flow(self, sec4, name):
+        # at dt = 3 the first RK4 step left the simplex; the closed form takes no step, so
+        # its rows at t = 0, 3, .., 48 and 50 are rows of the dt = 0.01 path
+        controller = {"passive": 0.0, "active": 1.0, "threshold": policy.make_policy(sec4)}[name]
+        coarse = fluid.integrate([0.25] * 4, controller, 50.0, sec4, dt=3.0)
+        fine = fluid.integrate([0.25] * 4, controller, 50.0, sec4, dt=0.01)
+        assert len(coarse.t) == 18 and coarse.t[-1] == 50.0
+        assert np.abs(coarse.m.sum(axis=1) - 1.0).max() < 1e-12 and coarse.m.min() > 0.0
+        rows = np.searchsorted(fine.t, coarse.t - 1e-9)
+        assert np.abs(fine.t[rows] - coarse.t).max() < 1e-12
+        assert np.abs(fine.m[rows] - coarse.m).max() < 1e-14
+        assert np.array_equal(fine.s4[rows], coarse.s4)
+
     def test_csv_round_trip(self, sec4, tmp_path):
         traj = fluid.integrate([0.25] * 4, 1.0, 1.0, sec4)
         path = tmp_path / "traj.csv"
@@ -171,7 +197,7 @@ class TestBiasCost:
         tp = policy.make_policy(sec4)
         for m0 in ([0.1, 0.4, 0.45, 0.05], [0.7, 0.1, 0.15, 0.05]):
             exact = fluid.bias_cost(np.array(m0), tp, rep.E_star, sec4)
-            traj = fluid.integrate(m0, tp, ORACLE_T, sec4, dt=0.01)
+            traj = oracles.rk4_integrate(m0, tp, ORACLE_T, sec4, dt=0.01)
             assert abs(_rk4_stage_bias(traj, sec4, rep.E_star) - exact) < 1e-8
 
     def test_wrong_threshold_diverges(self, sec4):
@@ -216,7 +242,7 @@ class TestInstantaneousCost:
         assert fluid.instantaneous_cost(m, 1.0, sec4) == pytest.approx(expected)
 
 
-# The exact engine against RK4 ``integrate`` on controlled paths. Horizon T:
+# The exact engine against ``oracles.rk4_integrate`` on controlled paths. Horizon T:
 # every path below ends on an active arc (rate >= 0.43) or a slide (rate 1)
 # well before T, so the bias left after T is below 1e-9.
 ORACLE_T = 60.0
@@ -253,7 +279,7 @@ def _rk4_stage_bias(traj, params, e_star):
 def _rk4_oracle(traj, params, dt):
     """Switch times and bias integral of an RK4 threshold path.
 
-    ``integrate`` shortens only the steps that end on a bisected event (a
+    ``rk4_integrate`` shortens only the steps that end on a bisected event (a
     landing on the surface or a slide exit), so those give the switch
     times. The trapezoid prices each step at the control in effect during
     it, so a bang control switching at a landing is not averaged across
@@ -280,7 +306,7 @@ class TestExactEngine:
             m0, [pi], rep.E_star, rep.m_star, params, t_max=ORACLE_T
         )
         controller = policy.ThresholdPolicy(pi=pi, regime=rep.regime, pairing="test")
-        traj = fluid.integrate(m0, controller, ORACLE_T, params, dt=ORACLE_DT)
+        traj = oracles.rk4_integrate(m0, controller, ORACLE_T, params, dt=ORACLE_DT)
         times, trapezoid = _rk4_oracle(traj, params, ORACLE_DT)
         switches = [when for when, _ in batch.switches[0]]
         assert 1 <= len(switches) == len(times)
@@ -418,7 +444,89 @@ class TestExactEngine:
             fluid.threshold_bias_batch(starts, [0.05, 0.1], rep.E_star, rep.m_star, sec4)
 
 
+def _event_rows(traj, dt):
+    """(time, arc entered) of each event row of a sampled path: a row off the grid
+    t0 + k dt of the event before it (the last row is the horizon's)."""
+    t0, events = traj.t[0], []
+    for t, s in zip(traj.t[1:-1], traj.s4[1:-1]):
+        if t != t0 + round((t - t0) / dt) * dt:
+            t0 = t
+            events.append((float(t), 0 if s == 0.0 else 1 if s == 1.0 else 2))
+    return events
+
+
+class TestSampler:
+    @staticmethod
+    def _assert_matches_rk4(m0, controller, params, dt=0.01):
+        # row for row, but for the row RK4 writes a sliver short of the horizon: times
+        # within 1e-9 (grid rows after an event take its time), states within 1e-9
+        ours = fluid.integrate(m0, controller, ORACLE_T, params, dt=dt)
+        rk4 = oracles.rk4_integrate(m0, controller, ORACLE_T, params, dt=dt)
+        rows = np.append(np.diff(rk4.t) > 1e-9, True)
+        assert len(ours.t) == rows.sum()
+        assert np.abs(ours.t - rk4.t[rows]).max() < 1e-9
+        assert np.abs(ours.m - rk4.m[rows]).max() < 1e-9
+        assert np.abs(ours.s4 - rk4.s4[rows]).max() < 1e-8  # the same arcs
+        return ours
+
+    @pytest.mark.parametrize("rho, start, shift, optimal", ORACLE_CASES)
+    def test_matches_rk4_on_controlled_paths(self, rho, start, shift, optimal):
+        params = sec4_at(rho)
+        pi = policy.make_policy(params).pi + shift
+        controller = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
+        traj = self._assert_matches_rk4(np.array(start) / np.sum(start), controller, params)
+        assert _event_rows(traj, 0.01)
+
+    @pytest.mark.parametrize("s4", [0.0, 0.3, 1.0])
+    def test_matches_rk4_on_constant_arcs(self, sec4, s4):
+        traj = self._assert_matches_rk4(np.array([0.4, 0.3, 0.2, 0.1]), s4, sec4)
+        assert np.all(traj.s4 == s4)
+
+    @pytest.mark.parametrize("n0", [1.0, 5.0])  # Active, Interior
+    def test_events_are_the_engines(self, n0):
+        # one event rule: the sampler's event rows are the exact engine's switches, run
+        # to the same horizon, for the oracle cases' starts with thresholds around pi
+        params = sec4_at(0.1, n0=n0)
+        rep = equilibrium.optimal_equilibrium(params)
+        starts = np.array([start for _, start, _, _ in ORACLE_CASES])
+        starts /= starts.sum(axis=1, keepdims=True)
+        taus = policy.make_policy(params).pi + np.array([-0.02, -0.008, -0.002, 0.0, 0.01, 0.05])
+        m0, tau = np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts))
+        batch = fluid.threshold_bias_batch(m0, tau, rep.E_star, rep.m_star, params,
+                                           t_max=ORACLE_T, t_hard=ORACLE_T)
+        events = 0
+        for start, pi, switches in zip(m0, tau, batch.switches):
+            controller = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
+            ours = _event_rows(fluid.integrate(start, controller, ORACLE_T, params, dt=0.1), 0.1)
+            assert [arc for _, arc in ours] == [arc for _, arc in switches]
+            gaps = np.subtract([t for t, _ in ours], [t for t, _ in switches])
+            assert np.all(np.abs(gaps) < 1e-10)
+            events += len(ours)
+        assert events > 30
+
+
 class TestArcStacks:
+    def test_a_row_alone_has_its_stack_bits(self, sec4):
+        # products with a state are sums per row: numpy's matmul rounds a row of a
+        # (50, 4) @ (4,) product differently with the height of the stack. Near the
+        # Active optimum on the surface phi1 is rounding noise, so land's arc and the
+        # slide's exits turn on those bits
+        system = fluid._FluidSystem(sec4)
+        tau = policy.make_policy(sec4).pi
+        rng = np.random.default_rng(24)
+        near = rng.normal(size=(20, 50, 4))
+        near = np.array(equilibrium.optimal_equilibrium(sec4).m_star) + 1e-16 * (
+            near - near.mean(axis=-1, keepdims=True))
+        slide = np.full(50, 2)
+        for m in np.concatenate([near, rng.dirichlet(np.ones(4), size=(20, 50))]):
+            landed, arcs = system.land(m, tau)
+            duty, off = system.clipped_equivalent_control(m), system.crossed(m, slide, tau)
+            for i, row in enumerate(m):
+                alone, arc = system.land(row, tau)
+                assert np.array_equal(alone, landed[i]) and arc == arcs[i]
+                assert system.clipped_equivalent_control(row) == duty[i]
+                assert system.crossed(row, 2, tau) == off[i]
+
     @pytest.mark.parametrize("kind", ["bang", "slide", "mixed"])
     @pytest.mark.parametrize("points", [None, 9])  # (paths, 4) and (paths, points, 4) stacks
     def test_crossed_matches_the_two_test_form(self, sec4, kind, points):
@@ -568,7 +676,7 @@ class TestEventSearch:
 
 
 def _stagewise(m0, control_of, horizon, params, dt):
-    """The plain loop ``integrate`` batches: one stage-wise RK4 step at a time on
+    """The plain loop ``oracles.rk4_integrate`` batches: one stage-wise RK4 step at a time on
     dm/dt = U(s) m, with s = control_of(stage state)."""
     u0 = kernel.drift_matrix_4state(0.0, params)
     du = kernel.drift_matrix_4state(1.0, params) - u0
@@ -595,9 +703,9 @@ class TestStepMatrices:
 
     @pytest.mark.parametrize("s4", [0.0, 1.0, 0.3])
     def test_constant_arcs_match_stagewise_loop(self, sec4, s4):
-        assert self.HORIZON > 2 * fluid._CHUNK * 0.01
+        assert self.HORIZON > 2 * oracles._CHUNK * 0.01
         m0 = np.array([0.4, 0.3, 0.2, 0.1])
-        traj = fluid.integrate(m0, s4, self.HORIZON, sec4, dt=0.01)
+        traj = oracles.rk4_integrate(m0, s4, self.HORIZON, sec4, dt=0.01)
         t, m = _stagewise(m0, lambda m: s4, self.HORIZON, sec4, 0.01)
         assert np.array_equal(traj.t, t)
         assert np.abs(traj.m - m).max() < 1e-13
@@ -610,7 +718,7 @@ class TestStepMatrices:
         m0 = np.array(rep.m_star) + np.array([0.01, -0.01, 0.0, 0.0])  # on the surface
         system = fluid._FluidSystem(params)
         duty = system.clipped_equivalent_control
-        traj = fluid.integrate(m0, tp, self.HORIZON, params, dt=0.01)
+        traj = oracles.rk4_integrate(m0, tp, self.HORIZON, params, dt=0.01)
         t, m = _stagewise(m0, duty, self.HORIZON, params, 0.01)
         assert np.abs(m[:, 3] - tp.pi).max() < 1e-15  # the reference stays on the slide
         assert np.all((duty(m) > 0.0) & (duty(m) < 1.0))
@@ -623,7 +731,7 @@ class TestStepMatrices:
         # states of a chunk by their sums leaves m4 where the stage-wise loop holds it
         params = sec4_at(0.1, n0=5.0)  # Interior; without the mass fix m4 drifts here
         tp = policy.make_policy(params)
-        traj = fluid.integrate([0.25] * 4, tp, 5000.0, params)
+        traj = oracles.rk4_integrate([0.25] * 4, tp, 5000.0, params)
         on = np.abs(traj.m[:, 3] - tp.pi) <= 1e-9
         assert on.sum() > 490_000 and np.abs(traj.m[on, 3] - tp.pi).max() < 1e-14
 
@@ -631,16 +739,16 @@ class TestStepMatrices:
     def test_threshold_events_match_stagewise_driver(
         self, rho, start, shift, optimal, monkeypatch
     ):
-        # landings and slide exits: the chunks stop where ``integrate`` driven one step
+        # landings and slide exits: the chunks stop where ``rk4_integrate`` driven one step
         # at a time (_CHUNK = 1) has its events, to the same clock
         params = sec4_at(rho)
         rep = equilibrium.optimal_equilibrium(params)
         pi = policy.make_policy(params).pi + shift
         controller = policy.ThresholdPolicy(pi=pi, regime=rep.regime, pairing="test")
         m0 = np.array(start) / np.sum(start)
-        traj = fluid.integrate(m0, controller, 20.0, params)
-        monkeypatch.setattr(fluid, "_CHUNK", 1)
-        single = fluid.integrate(m0, controller, 20.0, params)
+        traj = oracles.rk4_integrate(m0, controller, 20.0, params)
+        monkeypatch.setattr(oracles, "_CHUNK", 1)
+        single = oracles.rk4_integrate(m0, controller, 20.0, params)
         assert np.array_equal(traj.t, single.t)
         assert np.abs(traj.m - single.m).max() < 1e-13
         # each path has a landing (a shortened step) or starts on a slide that it leaves
@@ -650,10 +758,10 @@ class TestStepMatrices:
         # Active regime: the optimum sits on m4 = pi with duty cycle 1, so phi1 there
         # is rounding noise of either sign; the slide's chunks must still hold
         steps = []
-        event_step = fluid._event_step
-        monkeypatch.setattr(fluid, "_event_step", lambda *a: steps.append(1) or event_step(*a))
+        event_step = oracles._event_step
+        monkeypatch.setattr(oracles, "_event_step", lambda *a: steps.append(1) or event_step(*a))
         m0 = np.array([0.349771, 0.02916308, 0.53508528, 0.08598064])
-        traj = fluid.integrate(m0 / m0.sum(), policy.make_policy(sec4), 100.0, sec4)
+        traj = oracles.rk4_integrate(m0 / m0.sum(), policy.make_policy(sec4), 100.0, sec4)
         on = np.abs(traj.m[:, 3] - policy.make_policy(sec4).pi) <= 1e-9
         assert on[-5000:].all() and len(steps) <= 5
 
@@ -668,8 +776,8 @@ class TestStepMatrices:
             "active": 1.0,
             "threshold": policy.make_policy(sec4),
         }[name]
-        with pytest.raises(StepTooLarge, match=f"min entry {entry}"):
-            fluid.integrate([0.25] * 4, controller, 50.0, sec4, dt=3.0)
+        with pytest.raises(oracles.StepTooLarge, match=f"min entry {entry}"):
+            oracles.rk4_integrate([0.25] * 4, controller, 50.0, sec4, dt=3.0)
 
     def test_callable_switch_inside_chunk(self, sec4):
         # a threshold: passive below the level, active above it; the active flow then
@@ -677,9 +785,9 @@ class TestStepMatrices:
         level = 0.06
         m0 = np.array([0.5, 0.3, 0.18, 0.02])
         tp = policy.ThresholdPolicy(pi=level, regime="test", pairing="test")
-        traj = fluid.integrate(m0, tp, 10.0, sec4)
+        traj = oracles.rk4_integrate(m0, tp, 10.0, sec4)
         first = int(np.argmax(traj.s4 == 1.0))
-        assert 10 < first < fluid._CHUNK and np.all(traj.s4[:first] == 0.0)
+        assert 10 < first < oracles._CHUNK and np.all(traj.s4[:first] == 0.0)
         lo, hi = 0.0, traj.t[first] + 1.0  # passive closed form: m4 crosses the level once
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
