@@ -30,7 +30,6 @@ once per distinct count vector.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import numbers
 from array import array
@@ -40,13 +39,7 @@ import numpy as np
 
 from .errors import Infeasible, MultichainDetected, NoConvergence
 from .kernel import IID, MARKOV, require_channel_model
-from .model import (
-    ModelParams,
-    require_arrival_probability,
-    validate_params,
-    write_csv,
-    write_json,
-)
+from .model import ModelParams, write_csv, write_json
 
 
 def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
@@ -78,21 +71,19 @@ class AggregateSpace:
 
 
 def transmit_power(k: int, n_users: int, params: ModelParams) -> float:
-    """Symmetric power putting k simultaneous class-4 transmitters exactly
-    at the SINR threshold.
+    """Symmetric power p(k) = theta n0 / (1 - theta (k - 1) / N) putting k
+    simultaneous class-4 transmitters exactly at the SINR threshold, 0 at k = 0.
 
-    Raises Infeasible when no such power exists or it exceeds the cap,
-    which excludes action k from the decision problem.
+    Every k in [0, N] is feasible: the load theta (k - 1) / N stays below
+    theta < 1, so p(k) < theta n0 / (1 - theta) <= p_max by Assumption 2,
+    which ``ModelParams`` checks on construction. Raises Infeasible for k
+    outside [0, N].
     """
+    if not 0 <= k <= n_users:
+        raise Infeasible(f"k={k} outside [0, N={n_users}]", k=k)
     if k == 0:
         return 0.0
-    load = params.theta * (k - 1) / n_users
-    if load >= 1.0:
-        raise Infeasible(f"{k} simultaneous transmitters saturate the channel", k=k)
-    p = params.theta * params.n0 / (1.0 - load)
-    if p > params.p_max:
-        raise Infeasible(f"power {p:.6g} for k={k} exceeds cap {params.p_max}", k=k)
-    return p
+    return params.theta * params.n0 / (1.0 - params.theta * (k - 1) / n_users)
 
 
 def _check_action(counts, k: int) -> int:
@@ -103,7 +94,9 @@ def _check_action(counts, k: int) -> int:
 
 
 def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
-    """Per-slot cost charged on the pre-transition state: power plus holding."""
+    """Per-slot cost charged on the pre-transition state: power plus holding.
+    Infeasible unless 0 <= k <= n4."""
+    _check_action(counts, k)
     return k * transmit_power(k, n_users, params) + params.lam * (
         int(counts[1]) + int(counts[3])
     )
@@ -120,7 +113,6 @@ def transition_distribution(counts, k: int, params: ModelParams):
     counts = tuple(int(c) for c in counts)
     _check_action(counts, k)
     n = sum(counts)
-    transmit_power(k, n, params)  # raises when k is excluded
     states = AggregateSpace(n).states
     arrivals = _arrival_law(n, params.rho)[counts[1] + counts[3] - k]
     row = arrivals[states[:, 1] + states[:, 3]] * _channel_weight(states, n, params)
@@ -266,13 +258,11 @@ def _require_markov_unichain(params: ModelParams, n_users: int) -> None:
 
 
 def _power_table(n_users: int, params: ModelParams) -> np.ndarray:
-    """k * p(k) for k = 0..N, inf from the first k ``transmit_power`` refuses:
-    p grows with k, so the allowed k are a prefix of 0..N."""
-    power = np.full(n_users + 1, np.inf)
-    with contextlib.suppress(Infeasible):
-        for k in range(n_users + 1):
-            power[k] = k * transmit_power(k, n_users, params)
-    return power
+    """k * p(k) for k = 0..N, each entry the bits of k * ``transmit_power(k)``:
+    the same operations in the same order."""
+    k = np.arange(1, n_users + 1)
+    p = params.theta * params.n0 / (1.0 - params.theta * (k - 1) / n_users)
+    return np.concatenate([[0.0], k * p])
 
 
 def relative_value_iteration(
@@ -282,13 +272,12 @@ def relative_value_iteration(
 
     h lives on (Q, n4) = (n2 + n4, n4). A sweep takes W(a) = E[h(Q', n4') | a]
     for Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), then Th(Q, n4) as the
-    minimum over allowed k <= n4 of lam * Q + k * p(k) + W(Q - k), one running
+    minimum over k <= n4 of lam * Q + k * p(k) + W(Q - k), one running
     minimum along k for all n4: O(N^2). Span-seminorm stopping: stop once
     span(Th - h) < tol, report g as the midpoint of the span bounds and the
     greedy policy (smallest k within 1e-12 of the minimum); h is 0 at
     (Q, n4) = (N, N), the first count vector.
     """
-    validate_params(params)
     n = n_users
     arrivals, good = _arrival_law(n, params.rho), _binomial_table(n, params.beta1)
     cost = _power_table(n, params) + params.lam * np.arange(n + 1)[:, None]  # [Q, k]
@@ -326,13 +315,10 @@ def relative_value_iteration(
 def _priced(k: np.ndarray, n4: np.ndarray, n_users: int, params: ModelParams) -> np.ndarray:
     """k * p(k) for every entry of the actions k, n4 holding the class-4 count
     at each entry; Infeasible on the first entry, in the given order, outside
-    [0, n4] or refused by ``transmit_power``."""
-    power = _power_table(n_users, params)
-    allowed = (k >= 0) & (k <= n4)
-    for i in np.flatnonzero(~allowed | np.isinf(power[np.where(allowed, k, 0)]))[:1]:
+    [0, n4]."""
+    for i in np.flatnonzero((k < 0) | (k > n4))[:1]:
         _check_action((0, 0, 0, n4[i]), int(k[i]))  # reads n4 only
-        transmit_power(int(k[i]), n_users, params)  # one of the two raises
-    return power[k]
+    return _power_table(n_users, params)[k]
 
 
 def _backlog_chain_cost(n, full, weight, k, cost, params: ModelParams) -> float:
@@ -363,10 +349,9 @@ def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     The key chain is that of the N + 1 backlogs (``_backlog_chain_cost``),
     with n4' ~ Bin(Q', beta1). Raises Infeasible on the k
     ``evaluate_policy_exact`` raises on: the first, in count-vector order,
-    outside [0, n4] or refused by ``transmit_power``. AssumptionViolation
-    unless rho lies in (0, 1), which the chain's single class needs.
+    outside [0, n4]. The chain's single class needs rho in (0, 1), which
+    ``ModelParams`` checks on construction.
     """
-    require_arrival_probability(params)
     n = n_users
     # the count vectors with n1 = 0 hold every (Q, n4) once, each at its first place
     n2, _, n4 = _count_vectors(n, parts=3).T
@@ -384,10 +369,10 @@ def evaluate_policy_exact(
 
     The policy runs once on every count vector, in ``AggregateSpace`` order,
     before its actions are checked: Infeasible names the first k outside
-    [0, n4] or refused by ``transmit_power``. Under the memoryless channel a
-    count vector moves to its backlog n2 + n4 - k, and the chain is solved on
-    the N + 1 backlogs (``_backlog_chain_cost``), each vector weighted by the
-    law of its channel redraw. Under the Markov channel the stationary law of
+    [0, n4]. Under the memoryless channel a count vector moves to its backlog
+    n2 + n4 - k, and the chain is solved on the N + 1 backlogs
+    (``_backlog_chain_cost``), each vector weighted by the law of its channel
+    redraw. Under the Markov channel the stationary law of
     P = A·D (state s moves to the post-service key (n1, n2, n3 + k, n4 - k),
     a served class-4 user moving exactly like a class-3 one, and key r draws
     the next state from law[r]) is nu·D for the law nu of the key chain
@@ -395,10 +380,10 @@ def evaluate_policy_exact(
     recurrent class exactly when P has. Both chains have one for every policy
     (``_backlog_chain_cost``, ``_require_markov_unichain``), except on the two
     degenerate Markov channels, which raise MultichainDetected before the
-    policy runs. AssumptionViolation unless rho lies in (0, 1).
+    policy runs. Both certificates need rho in (0, 1), which ``ModelParams``
+    checks on construction.
     """
     require_channel_model(params, channel_model)
-    require_arrival_probability(params)
     if channel_model == MARKOV:
         _require_markov_unichain(params, n_users)
     space = AggregateSpace(n_users)

@@ -6,9 +6,9 @@ three linear arcs: U(0) below its threshold, U(1) above it, and on the
 surface the slide of the equivalent control (Filippov/Utkin)
 s = phi0(m) / (beta1 (1 - rho) m4), phi0 being the passive field's
 m4-component, until s leaves [0, 1]. ``_FluidSystem`` is that arc model:
-the generators, each arc's equilibrium and event margin, when a state has
-left its arc (``crossed``) and where it goes next (``land``). A constant
-activation s is one arc, U(s), that no state leaves.
+the generators, each arc's equilibrium and event margin, and where a state
+goes next once it has left its arc (``land``). A constant activation s is
+one arc, U(s), that no state leaves.
 Each arc's generator A has spectrum {0, -1, -lam}: lam = rho + s beta1 (1 - rho) on
 U(s), and the slide has A (A + I) = 0. So on an arc m(t) = m + phi1(t) A m +
 phi2(t) A (A + I) m, phi1 and phi2 the divided differences of e^(z t) on
@@ -83,8 +83,8 @@ class _FluidSystem:
     On each arc the flow is linear, dm/dt = A m, with A one of ``gens``:
     U(0) (arc 0), U(1) (arc 1), or on m4 = tau the slide (arc 2), and ``lams``
     its slow decay. ``arcs`` gives each arc's equilibrium and event margin,
-    ``crossed`` says when a path has left its arc and ``land`` where it goes
-    next. Products with a state are sums per row, so a row has the same bits
+    ``exits`` the slide's exit fields and ``land`` where a path goes next.
+    Products with a state are sums per row, so a row has the same bits
     alone as in any stack. AssumptionViolation at beta1 = 0, where the slide is
     undefined.
     """
@@ -123,24 +123,12 @@ class _FluidSystem:
         return eq, np.stack([passive, act, np.minimum(slack, tau - slack)], axis=1)
 
     def clipped_equivalent_control(self, m):
-        """Duty cycle freezing m4 (per row of m), saturated to the escaping pure control."""
+        """Duty cycle freezing m4 (per row of m), clipped to the escaping pure control."""
         phi0, phi1 = _row_dot(m, self.u0[3]), _row_dot(m, self.u1[3])
         denom = phi0 - phi1
         s = np.divide(phi0, denom, out=np.zeros_like(denom), where=denom > 0.0)
         # where both fields push the same way, follow the active one upward
         return np.where(denom > 0.0, np.clip(s, 0.0, 1.0), phi1 > 0.0)
-
-    def crossed(self, m, arc, tau):
-        """Has m (per row) left ``arc``? On a bang arc m4 passed tau; on the slide the
-        duty cycle phi0 / (phi0 - phi1) left [0, 1] by more than the rounding of phi0
-        and phi1: at an optimum on the surface with duty cycle 0 or 1, phi0 or phi1
-        is rounding noise of either sign."""
-        bang = (m[..., 3] > tau) != (arc == 1)
-        if not np.any(arc == 2):
-            return bang
-        exits = (m[..., None] * self.exits).sum(axis=-2)
-        off = (exits > (np.abs(m)[..., None] * self.exit_slack).sum(axis=-2)).any(axis=-1)
-        return np.where(arc == 2, off, bang)
 
     def land(self, m, tau):
         """Snap m onto m4 = tau (m2 absorbs the change) and take the arc whose

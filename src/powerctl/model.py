@@ -24,10 +24,10 @@ _MEASURE_TOL = 1e-9  # how far a measure's entries and sum may stray from the si
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical and statistical constants of the network model.
-
-    The fields k, gains and q_max are fixed at 2, (0, 1) and 1: ``validate_params``
-    refuses any other shape.
+    """Physical and statistical constants of the network model, checked on
+    construction: ``__post_init__`` runs ``validate_params``, so the raw
+    constructor, ``good_bad`` and ``dataclasses.replace`` all refuse what it
+    refuses. The fields k, gains and q_max are fixed at 2, (0, 1) and 1.
 
     Fields
     ------
@@ -66,6 +66,9 @@ class ModelParams:
     q_max: int
     channel_matrix: tuple | None = None
 
+    def __post_init__(self):
+        validate_params(self)
+
     @property
     def beta1(self) -> float:
         """Probability of the GOOD channel level."""
@@ -73,8 +76,8 @@ class ModelParams:
 
     @classmethod
     def good_bad(cls, theta, beta1, rho, lam, n0, p_max=10.0):
-        """Validated parameters for the GOOD/BAD channel with a one-packet buffer."""
-        params = cls(
+        """Parameters for the GOOD/BAD channel with a one-packet buffer."""
+        return cls(
             k=2,
             gains=(0.0, 1.0),
             beta=(1.0 - beta1, beta1),
@@ -85,7 +88,6 @@ class ModelParams:
             p_max=p_max,
             q_max=1,
         )
-        return validate_params(params)
 
 
 def _check_distribution(vec, what):
@@ -101,6 +103,7 @@ def _check_distribution(vec, what):
 
 def validate_params(raw: ModelParams) -> ModelParams:
     """Check every model invariant; return the parameters unchanged.
+    ``ModelParams`` runs it on construction.
 
     Raises AssumptionViolation naming the failed condition, or
     NotADistribution for a bad probability vector.
@@ -133,16 +136,11 @@ def validate_params(raw: ModelParams) -> ModelParams:
         raise AssumptionViolation(
             f"Assumption 2 violated: need theta <= p_max/(n0 + p_max); theta={raw.theta} > {cap}"
         )
-    require_arrival_probability(raw)
+    if not 0.0 < raw.rho < 1.0:
+        raise AssumptionViolation(f"arrival probability must lie in (0,1), got {raw.rho}")
     if raw.lam < 0.0:
         raise AssumptionViolation(f"queue weight must be nonnegative, got {raw.lam}")
     return raw
-
-
-def require_arrival_probability(params: ModelParams):
-    """Raise AssumptionViolation unless the arrival probability rho lies in (0, 1)."""
-    if not 0.0 < params.rho < 1.0:
-        raise AssumptionViolation(f"arrival probability must lie in (0,1), got {params.rho}")
 
 
 def validate_measure(m) -> np.ndarray:

@@ -7,6 +7,9 @@ the same quantities from first principles instead, class by class: ``build_table
 gives the per-class transition tables, ``drift_matrix`` the mean-field drift they
 imply, and ``finite_sinr`` one user's SINR in a finite population.
 
+``crossed`` says whether a state has left its arc of a ``fluid._FluidSystem``: the
+per-step event test of the two stepped oracles below, where the package takes each
+event in closed form (``fluid._arc_events``).
 ``stepped_bias_batch`` is the threshold-path engine that ``fluid.threshold_bias_batch``
 replaced: it steps every path by tabled exp(A h) and brackets each event by a dyadic
 search, where the package goes from event to event in closed form. ``rk4_integrate``
@@ -164,6 +167,20 @@ def _per_arc(tables, arc, m):
     return out
 
 
+def crossed(system: _FluidSystem, m, arc, tau):
+    """Has m (per row) left ``arc`` of ``system``? On a bang arc m4 passed tau; on
+    the slide the duty cycle phi0 / (phi0 - phi1) left [0, 1] by more than the
+    rounding of phi0 and phi1: at an optimum on the surface with duty cycle 0 or 1,
+    phi0 or phi1 is rounding noise of either sign. Products with a state are sums
+    per row, so a row has the same bits alone as in any stack."""
+    bang = (m[..., 3] > tau) != (arc == 1)
+    if not np.any(arc == 2):
+        return bang
+    exits = (m[..., None] * system.exits).sum(axis=-2)
+    off = (exits > (np.abs(m)[..., None] * system.exit_slack).sum(axis=-2)).any(axis=-1)
+    return np.where(arc == 2, off, bang)
+
+
 def _event_bracket(gens: bytes, arc, m, h, crossed):
     """Bracket each path's event on the grid of ``_grid_tables``.
 
@@ -253,11 +270,11 @@ def stepped_bias_batch(
         clock += h
         path = _per_arc(_propagators(key, tuple(h * _GAUSS_T)), arc, m)  # nodes, then the end
         m_new, arc_new, step = path[:, -1], arc.copy(), np.full(live.size, h)
-        hit = np.flatnonzero(system.crossed(m_new, arc, tau))
+        hit = np.flatnonzero(crossed(system, m_new, arc, tau))
         if hit.size:
             a, th = arc[hit], tau[hit]
-            crossed = lambda x: system.crossed(x, a[:, None], th[:, None])
-            lo, delta, _, far = _event_bracket(key, a, m[hit], h, crossed)
+            left = lambda x: crossed(system, x, a[:, None], th[:, None])
+            lo, delta, _, far = _event_bracket(key, a, m[hit], h, left)
             step[hit] = lo + delta
             sub = _expm(gens[a, None] * (step[hit, None] * _GAUSS_T[:-1])[..., None, None])
             path[hit, :-1] = np.einsum("pkij,pj->pki", sub, m[hit])  # the cut step's nodes
@@ -316,9 +333,9 @@ def _event_step(system, gens, m, arc, tau, h):
     a = gens[arc]
     step = lambda x: m + step_matrices(a, x)[0] @ m
     end = step(h)
-    if not system.crossed(end[None], arc, tau)[0]:
+    if not crossed(system, end[None], arc, tau)[0]:
         return end, arc, h
-    lo, _ = bisect(lambda x: system.crossed(step(x)[None], arc, tau)[0], 0.0, h, _EVENT_TIME_TOL)
+    lo, _ = bisect(lambda x: crossed(system, step(x)[None], arc, tau)[0], 0.0, h, _EVENT_TIME_TOL)
     h = min(lo + _EVENT_TIME_TOL, h)
     end, arc = system.land(step(h), tau)
     return end, arc, h
@@ -366,7 +383,7 @@ def rk4_integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0
             ends = m + (matrices[arc][:n].reshape(-1, 4) @ m).reshape(n, 4)  # R^k m, one GEMV
             sums = ends.sum(axis=1)
             ok = (np.abs(sums - 1.0) <= _SIMPLEX_TOL) & (ends.min(axis=1) >= -_SIMPLEX_TOL)
-            ok &= ~system.crossed(ends, arc, tau)
+            ok &= ~crossed(system, ends, arc, tau)
             k = n if ok.all() else int(np.argmin(ok))
             if k:
                 states = ends[:k] / sums[:k, None]

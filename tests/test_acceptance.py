@@ -10,7 +10,7 @@ import numpy as np
 import oracles
 from conftest import random_good_bad, sec4_at
 from powerctl import equilibrium, finite, fluid, kernel, policy
-from powerctl.model import ModelParams, validate_params
+from powerctl.model import ModelParams
 
 BENCH_RHOS = (0.05, 0.1, 0.2, 0.3)
 
@@ -223,10 +223,10 @@ def _sample_row_frequencies(params, level, queue, success, channel_model, rng, n
 def test_criterion_8_kernel_fidelity():
     n = 10**6
     base = sec4_at(0.1)
-    markov = validate_params(ModelParams(
+    markov = ModelParams(
         k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2, n0=1.0,
         lam=1.5, p_max=10.0, q_max=1, channel_matrix=((0.7, 0.3), (0.2, 0.8)),
-    ))
+    )
     rng = np.random.default_rng(105)
     worst_sigma = 0.0
     for channel_model, params in (("iid", base), ("markov", markov)):

@@ -16,7 +16,7 @@ import powerctl
 from conftest import sec4_at
 from powerctl import finite, fluid, policy
 from powerctl.errors import AssumptionViolation, Infeasible, MultichainDetected, NoConvergence
-from powerctl.model import ModelParams, validate_params
+from powerctl.model import ModelParams
 
 
 class TestEnumeration:
@@ -65,14 +65,29 @@ class TestTransmitPower:
         for k in range(11):
             finite.transmit_power(k, 10, tight)
 
-    def test_infeasible_power_cap(self):
-        # raw on purpose: validate_params refuses p_max = 0.21 (Assumption 2), and only
-        # parameters that skip it reach this refusal
-        raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2,
-                          n0=1.0, lam=1.5, p_max=0.21, q_max=1)
-        finite.transmit_power(1, 10, raw)  # 0.2 fits
-        with pytest.raises(Infeasible):
-            finite.transmit_power(10, 10, raw)  # 0.2/0.82 > 0.21
+    @pytest.mark.parametrize("n_users", [1, 2, 10, 1000, 10**5])
+    def test_every_count_is_feasible_up_to_the_assumption_2_boundary(self, n_users):
+        # for k <= N the load theta (k - 1) / N stays below theta, so
+        # p(k) < theta n0 / (1 - theta) <= p_max (Assumption 2); each (theta, n0) runs
+        # at the least p_max construction accepts, the boundary up to rounding, and at
+        # a slack one
+        rng = np.random.default_rng(24)
+        for _ in range(6):
+            theta, n0 = rng.uniform(0.01, 0.99), rng.uniform(0.01, 10.0)
+            p_max = theta * n0 / (1.0 - theta)
+            while theta > p_max / (n0 + p_max):
+                p_max = np.nextafter(p_max, np.inf)
+            for cap in (p_max, p_max * rng.uniform(1.0, 10.0)):
+                params = ModelParams.good_bad(theta=theta, beta1=0.4, rho=0.1, lam=1.5,
+                                              n0=n0, p_max=cap)
+                table = finite._power_table(n_users, params)
+                each = [k * finite.transmit_power(k, n_users, params) for k in range(n_users + 1)]
+                assert np.isfinite(table).all()
+                assert table.tobytes() == np.array(each).tobytes()
+                assert finite.transmit_power(n_users, n_users, params) < cap
+                for k in (-1, n_users + 1):
+                    with pytest.raises(Infeasible, match=rf"k={k} outside \[0, N={n_users}\]"):
+                        finite.transmit_power(k, n_users, params)
 
     def test_infeasible_saturation(self):
         p = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.9,
@@ -91,6 +106,13 @@ class TestStageCost:
 
     def test_idle_full(self, sec4):
         assert finite.stage_cost((0, 5, 0, 5), 0, 10, sec4) == pytest.approx(15.0)
+
+    @pytest.mark.parametrize("k", [3, -2])
+    def test_action_outside_zero_to_n4_raises(self, sec4, k):
+        # no class-4 user to serve: these once priced to 0.625 and -0.377
+        with pytest.raises(Infeasible, match=rf"k={k} outside \[0, n4=0\]") as refused:
+            finite.stage_cost((10, 0, 0, 0), k, 10, sec4)
+        assert refused.value.k == k
 
 
 class TestTransitionDistribution:
@@ -172,10 +194,8 @@ def stationary_of(matrix):
     return sol
 
 
-MARKOV = validate_params(
-    ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2, n0=1.0,
-                lam=1.5, p_max=10.0, q_max=1, channel_matrix=((0.7, 0.3), (0.2, 0.8)))
-)
+MARKOV = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2, n0=1.0,
+                     lam=1.5, p_max=10.0, q_max=1, channel_matrix=((0.7, 0.3), (0.2, 0.8)))
 
 
 # a policy picking k = -1 or k = n4 + 1 in every state
@@ -414,19 +434,6 @@ class TestBacklogSolvers:
             finite.evaluate_policy_exact(pick, sec4_at(0.1), 3)
         assert by_table.value.k == by_callable.value.k
 
-    def test_refused_power_raises_on_the_same_k(self):
-        # p(k) exceeds the cap from k = 4 on, and both evaluators first meet k = 10
-        # at the first count vector (0, 0, 0, 10); raw on purpose, since validate_params
-        # refuses p_max = 0.21 (Assumption 2)
-        raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.2,
-                          n0=1.0, lam=1.5, p_max=0.21, q_max=1)
-        table = np.tile(np.arange(11), (11, 1))
-        with pytest.raises(Infeasible) as by_table:
-            finite.evaluate_table_exact(table, raw, 10)
-        with pytest.raises(Infeasible) as by_callable:
-            finite.evaluate_policy_exact(lambda c: int(c[3]), raw, 10)
-        assert by_table.value.k == by_callable.value.k == 10
-
 
 class TestPolicyEvaluation:
     def test_recorded_markov_bench_threshold(self):
@@ -435,13 +442,6 @@ class TestPolicyEvaluation:
         pick = lambda c: policy.apply_finite(bench, c, 10)
         g = finite.evaluate_policy_exact(pick, MARKOV, 10, channel_model="markov")
         assert g == 3.140803997721875
-
-    def test_markov_refused_power_raises_on_the_first_count_vector(self):
-        # p(k) exceeds the cap from k = 4 on; (0, 0, 0, 10) comes first and picks k = 10
-        raw = dataclasses.replace(MARKOV, p_max=0.21)
-        with pytest.raises(Infeasible) as refused:
-            finite.evaluate_policy_exact(lambda c: int(c[3]), raw, 10, channel_model="markov")
-        assert refused.value.k == 10
 
     def test_memoryless_peak_memory_at_sixty_users(self, sec4):
         # 39,711 count vectors: a dense (N + 1) x S law alone would take 19 MB
@@ -574,13 +574,10 @@ class TestUnichainCertificate:
 
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     def test_arrival_probability_outside_the_open_interval_raises(self, rho):
-        # rho = 0 leaves every backlog closed: a solve would return some g silently
-        raw = dataclasses.replace(sec4_at(0.1), rho=rho)
-        table = np.zeros((4, 4), dtype=np.int64)
-        for evaluate in (lambda: finite.evaluate_table_exact(table, raw, 3),
-                         lambda: finite.evaluate_policy_exact(lambda c: 0, raw, 3)):
-            with pytest.raises(AssumptionViolation, match="arrival probability"):
-                evaluate()
+        # rho = 0 leaves every backlog closed, where a solve would return some g
+        # silently: such parameters are refused before any evaluator sees them
+        with pytest.raises(AssumptionViolation, match="arrival probability"):
+            dataclasses.replace(sec4_at(0.1), rho=rho)
 
 
 # channel models each solver must refuse, with require_channel_model's message
@@ -671,17 +668,6 @@ class TestSimulate:
             with pytest.raises(Infeasible) as refused:
                 finite.simulate(pick, params, 3, 500, seed=4, channel_model=channel_model)
             assert refused.value.k == k
-
-    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
-    def test_refused_power_raises(self, channel_model):
-        # p(k) exceeds the cap from k = 4 on; serving every class-4 user first
-        # reaches n4 = 4 with k = 4 on this seed
-        params = dataclasses.replace(sec4_at(0.1) if channel_model == "iid" else MARKOV,
-                                     p_max=0.21)
-        with pytest.raises(Infeasible, match="k=4 exceeds") as refused:
-            finite.simulate(lambda c: int(c[3]), params, 10, 500, seed=5,
-                            channel_model=channel_model)
-        assert refused.value.k == 4
 
     @pytest.mark.parametrize("horizon,burn_in",
                              [(0, 0.1), (-3, 0.1), (10, 1.0), (10, 1.5), (10, -0.1),

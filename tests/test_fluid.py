@@ -520,12 +520,13 @@ class TestArcStacks:
         slide = np.full(50, 2)
         for m in np.concatenate([near, rng.dirichlet(np.ones(4), size=(20, 50))]):
             landed, arcs = system.land(m, tau)
-            duty, off = system.clipped_equivalent_control(m), system.crossed(m, slide, tau)
+            duty = system.clipped_equivalent_control(m)
+            off = oracles.crossed(system, m, slide, tau)
             for i, row in enumerate(m):
                 alone, arc = system.land(row, tau)
                 assert np.array_equal(alone, landed[i]) and arc == arcs[i]
                 assert system.clipped_equivalent_control(row) == duty[i]
-                assert system.crossed(row, 2, tau) == off[i]
+                assert oracles.crossed(system, row, 2, tau) == off[i]
 
     @pytest.mark.parametrize("kind", ["bang", "slide", "mixed"])
     @pytest.mark.parametrize("points", [None, 9])  # (paths, 4) and (paths, points, 4) stacks
@@ -541,7 +542,7 @@ class TestArcStacks:
         off = (m @ system.exits > np.abs(m) @ system.exit_slack).any(axis=-1)
         want = np.where(arc == 2, off, (m[..., 3] > tau) != (arc == 1))
         assert want.any() and not want.all()
-        got = system.crossed(m, arc, tau)
+        got = oracles.crossed(system, m, arc, tau)
         assert got.shape == want.shape and np.array_equal(got, want)
 
 

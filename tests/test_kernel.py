@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -53,13 +55,15 @@ class TestBuildTables:
         assert tabs.gamma0[2] == pytest.approx([0.54, 0.06, 0.36, 0.04])
 
     def test_rows_sum_to_one_grid(self):
+        # the oracle's general k-level, q_max-buffer shapes, which ModelParams refuses:
+        # a namespace of the same fields
         rng = np.random.default_rng(0)
         for k in (1, 2, 3, 4):
             for q_max in (1, 2, 3):
                 beta = rng.dirichlet(np.ones(k))
-                p = ModelParams(k=k, gains=tuple(np.linspace(0, 1, k)), beta=tuple(beta),
-                                rho=0.3, theta=0.1, n0=1.0, lam=1.0, p_max=100.0,
-                                q_max=q_max)
+                p = types.SimpleNamespace(
+                    k=k, gains=tuple(np.linspace(0, 1, k)), beta=tuple(beta), rho=0.3,
+                    theta=0.1, n0=1.0, lam=1.0, p_max=100.0, q_max=q_max, channel_matrix=None)
                 tabs = oracles.build_tables(p)
                 assert np.allclose(tabs.gamma0.sum(axis=1), 1.0, atol=1e-12)
                 assert np.allclose(tabs.gamma1.sum(axis=1), 1.0, atol=1e-12)

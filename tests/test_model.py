@@ -23,17 +23,15 @@ class TestValidation:
             ModelParams.good_bad(theta=0.5, beta1=0.4, rho=0.1, lam=1.5, n0=1.0, p_max=0.5)
 
     def test_bad_distribution(self):
-        raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.5, 0.4), rho=0.1,
-                          theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1)
         with pytest.raises(NotADistribution):
-            model.validate_params(raw)
+            ModelParams(k=2, gains=(0.0, 1.0), beta=(0.5, 0.4), rho=0.1,
+                        theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1)
 
     def test_markov_rows_checked(self):
-        raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1,
-                          theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1,
-                          channel_matrix=((0.9, 0.2), (0.3, 0.7)))
         with pytest.raises(NotADistribution):
-            model.validate_params(raw)
+            ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1,
+                        theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1,
+                        channel_matrix=((0.9, 0.2), (0.3, 0.7)))
 
     # each used to pass: theta <= 0 divides by zero in the fluid, or prices power below
     # zero; a NaN compares False with every bound
@@ -49,11 +47,10 @@ class TestValidation:
             ModelParams.good_bad(**kwargs)
 
     def test_nonfinite_channel_matrix_rejected(self):
-        raw = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1,
-                          theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1,
-                          channel_matrix=((0.7, 0.3), (np.nan, 0.8)))
         with pytest.raises(NotADistribution, match="non-finite"):
-            model.validate_params(raw)
+            ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1,
+                        theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1,
+                        channel_matrix=((0.7, 0.3), (np.nan, 0.8)))
 
     def test_rho_bounds(self):
         for rho in (0.0, 1.0, -0.1):
@@ -90,15 +87,40 @@ REFUSED_PARAMS = {
                      AssumptionViolation,
                      SHAPE + r"k=3, gains \(0.0, 0.5, 1.0\), 3 probabilities, q_max=1"),
     "two-packet-buffer": ({"q_max": 2}, AssumptionViolation, SHAPE + r"k=2, .* q_max=2"),
+    "rho-zero": ({"rho": 0.0}, AssumptionViolation, r"arrival probability must lie in \(0,1\)"),
+    "rho-one": ({"rho": 1.0}, AssumptionViolation, r"arrival probability .* got 1.0"),
+    "rho-negative": ({"rho": -0.1}, AssumptionViolation, r"arrival probability .* got -0.1"),
+    # Assumption 2 needs p_max >= theta n0 / (1 - theta) = 0.25
+    "p-max-below-bound": ({"p_max": 0.21}, AssumptionViolation, "Assumption 2 violated"),
+    **{f"{name}-{value}": ({name: value}, AssumptionViolation, f"{name} must be finite")
+       for name in ("rho", "theta", "n0", "lam", "p_max") for value in (np.nan, np.inf)},
+    "beta-nan": ({"beta": (0.6, np.nan)}, NotADistribution, "non-finite"),
+    "channel-matrix-nan": ({"channel_matrix": ((0.7, 0.3), (np.nan, 0.8))}, NotADistribution,
+                           "channel matrix row 1 has non-finite"),
 }
+
+
+def _unchecked(fields):
+    """A ModelParams of these fields that skips ``__post_init__``'s check."""
+    raw = object.__new__(ModelParams)
+    for name, value in fields.items():
+        object.__setattr__(raw, name, value)
+    return raw
 
 
 @pytest.mark.parametrize("fields,error,message", REFUSED_PARAMS.values(),
                          ids=REFUSED_PARAMS.keys())
 def test_refused_params(sec4, fields, error, message):
-    raw = dataclasses.replace(sec4, **fields)
-    with pytest.raises(error, match=message):
-        model.validate_params(raw)
+    # the raw constructor and dataclasses.replace raise the type and message that
+    # validate_params gives on the same fields
+    every = {**dataclasses.asdict(sec4), **fields}
+    with pytest.raises(error, match=message) as checked:
+        model.validate_params(_unchecked(every))
+    for build in (lambda: ModelParams(**every), lambda: dataclasses.replace(sec4, **fields)):
+        with pytest.raises(error, match=message) as refused:
+            build()
+        assert (type(refused.value), str(refused.value)) == (type(checked.value),
+                                                              str(checked.value))
 
 
 class TestBisect:
