@@ -70,33 +70,37 @@ class AggregateSpace:
         return self._index[tuple(int(c) for c in counts)]
 
 
-def transmit_power(k: int, n_users: int, params: ModelParams) -> float:
+def transmit_power(k: int | np.ndarray, n_users: int, params: ModelParams) -> float | np.ndarray:
     """Symmetric power p(k) = theta n0 / (1 - theta (k - 1) / N) putting k
-    simultaneous class-4 transmitters exactly at the SINR threshold, 0 at k = 0.
+    simultaneous class-4 transmitters exactly at the SINR threshold, 0 at k = 0:
+    a float for an int k, an array for an int array.
 
     Every k in [0, N] is feasible: the load theta (k - 1) / N stays below
     theta < 1, so p(k) < theta n0 / (1 - theta) <= p_max by Assumption 2,
     which ``ModelParams`` checks on construction. Raises Infeasible for k
     outside [0, N].
     """
-    if not 0 <= k <= n_users:
+    inside = (0 <= k) & (k <= n_users)  # a bool for an int k, an array for an int array
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise Infeasible(f"k={k} outside [0, N={n_users}]", k=k)
-    if k == 0:
-        return 0.0
-    return params.theta * params.n0 / (1.0 - params.theta * (k - 1) / n_users)
+    # (k > 0) zeroes p(0), which the formula would put at theta n0 / (1 + theta / N)
+    return (k > 0) * (params.theta * params.n0 / (1.0 - params.theta * (k - 1) / n_users))
 
 
-def _check_action(counts, k: int) -> int:
-    """Return k, or raise Infeasible unless 0 <= k <= n4 (only class 4 transmits)."""
+def _check_action(counts, k) -> int:
+    """Return k as an int, or raise Infeasible unless k is a whole number in
+    [0, n4] (only class 4 transmits); a float such as 3.0 is taken as 3."""
+    if not float(k).is_integer():
+        raise Infeasible(f"k={k} is not a whole number", k=k)
     if not 0 <= k <= int(counts[3]):
         raise Infeasible(f"k={k} outside [0, n4={int(counts[3])}]", k=k)
-    return k
+    return int(k)
 
 
 def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
     """Per-slot cost charged on the pre-transition state: power plus holding.
-    Infeasible unless 0 <= k <= n4."""
-    _check_action(counts, k)
+    Infeasible unless k is a whole number in [0, n4]."""
+    k = _check_action(counts, k)
     return k * transmit_power(k, n_users, params) + params.lam * (
         int(counts[1]) + int(counts[3])
     )
@@ -111,7 +115,7 @@ def transition_distribution(counts, k: int, params: ModelParams):
     reachable count vector to its probability.
     """
     counts = tuple(int(c) for c in counts)
-    _check_action(counts, k)
+    k = _check_action(counts, k)
     n = sum(counts)
     states = AggregateSpace(n).states
     arrivals = _arrival_law(n, params.rho)[counts[1] + counts[3] - k]
@@ -258,11 +262,9 @@ def _require_markov_unichain(params: ModelParams, n_users: int) -> None:
 
 
 def _power_table(n_users: int, params: ModelParams) -> np.ndarray:
-    """k * p(k) for k = 0..N, each entry the bits of k * ``transmit_power(k)``:
-    the same operations in the same order."""
-    k = np.arange(1, n_users + 1)
-    p = params.theta * params.n0 / (1.0 - params.theta * (k - 1) / n_users)
-    return np.concatenate([[0.0], k * p])
+    """k * p(k) for k = 0..N."""
+    k = np.arange(n_users + 1)
+    return k * transmit_power(k, n_users, params)
 
 
 def relative_value_iteration(
@@ -312,13 +314,14 @@ def relative_value_iteration(
     )
 
 
-def _priced(k: np.ndarray, n4: np.ndarray, n_users: int, params: ModelParams) -> np.ndarray:
-    """k * p(k) for every entry of the actions k, n4 holding the class-4 count
-    at each entry; Infeasible on the first entry, in the given order, outside
-    [0, n4]."""
-    for i in np.flatnonzero((k < 0) | (k > n4))[:1]:
-        _check_action((0, 0, 0, n4[i]), int(k[i]))  # reads n4 only
-    return _power_table(n_users, params)[k]
+def _priced(k: np.ndarray, n4: np.ndarray, n_users: int, params: ModelParams) -> tuple:
+    """The actions k as int64 and k * p(k) for each, n4 holding the class-4 count
+    at each entry; Infeasible on the first entry, in the given order, that is not a
+    whole number in [0, n4] (``_check_action``)."""
+    for i in np.flatnonzero(~((k >= 0) & (k <= n4) & (k == np.round(k))))[:1]:
+        _check_action((0, 0, 0, n4[i]), k[i])  # reads n4 only
+    k = k.astype(np.int64)
+    return k, _power_table(n_users, params)[k]
 
 
 def _backlog_chain_cost(n, full, weight, k, cost, params: ModelParams) -> float:
@@ -349,15 +352,15 @@ def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     The key chain is that of the N + 1 backlogs (``_backlog_chain_cost``),
     with n4' ~ Bin(Q', beta1). Raises Infeasible on the k
     ``evaluate_policy_exact`` raises on: the first, in count-vector order,
-    outside [0, n4]. The chain's single class needs rho in (0, 1), which
-    ``ModelParams`` checks on construction.
+    that is not a whole number in [0, n4]. The chain's single class needs rho
+    in (0, 1), which ``ModelParams`` checks on construction.
     """
     n = n_users
     # the count vectors with n1 = 0 hold every (Q, n4) once, each at its first place
     n2, _, n4 = _count_vectors(n, parts=3).T
     full = n2 + n4
-    k = np.asarray(table, dtype=np.int64)[full, n4]
-    cost = params.lam * full + _priced(k, n4, n, params)
+    k, priced = _priced(np.asarray(table)[full, n4], n4, n, params)
+    cost = params.lam * full + priced
     weight = _binomial_table(n, params.beta1)[full, n4]
     return _backlog_chain_cost(n, full, weight, k, cost, params)
 
@@ -368,11 +371,11 @@ def evaluate_policy_exact(
     """Exact long-run average cost of a stationary policy.
 
     The policy runs once on every count vector, in ``AggregateSpace`` order,
-    before its actions are checked: Infeasible names the first k outside
-    [0, n4]. Under the memoryless channel a count vector moves to its backlog
-    n2 + n4 - k, and the chain is solved on the N + 1 backlogs
-    (``_backlog_chain_cost``), each vector weighted by the law of its channel
-    redraw. Under the Markov channel the stationary law of
+    before its actions are checked: Infeasible names the first k that is not
+    a whole number in [0, n4]. Under the memoryless channel a count vector
+    moves to its backlog n2 + n4 - k, and the chain is solved on the N + 1
+    backlogs (``_backlog_chain_cost``), each vector weighted by the law of its
+    channel redraw. Under the Markov channel the stationary law of
     P = A·D (state s moves to the post-service key (n1, n2, n3 + k, n4 - k),
     a served class-4 user moving exactly like a class-3 one, and key r draws
     the next state from law[r]) is nu·D for the law nu of the key chain
@@ -388,9 +391,10 @@ def evaluate_policy_exact(
         _require_markov_unichain(params, n_users)
     space = AggregateSpace(n_users)
     states = space.states
-    actions = np.array([int(policy_fn(counts)) for counts in states], dtype=np.int64)
+    actions = np.array([policy_fn(counts) for counts in states])
     full = states[:, 1] + states[:, 3]
-    costs = _priced(actions, states[:, 3], n_users, params) + params.lam * full
+    actions, priced = _priced(actions, states[:, 3], n_users, params)
+    costs = priced + params.lam * full
     if channel_model == IID:
         weight = _channel_weight(states, n_users, params)
         return _backlog_chain_cost(n_users, full, weight, actions, costs, params)
@@ -579,7 +583,7 @@ def simulate(
         rest, n3 = divmod(code, base)
         n1, n2 = divmod(rest, base)
         counts = (n1, n2, n3, n - n1 - n2 - n3)
-        k = _check_action(counts, int(policy_fn(np.array(counts, dtype=np.int64))))
+        k = _check_action(counts, policy_fn(np.array(counts, dtype=np.int64)))
         if k not in power:
             power[k] = k * transmit_power(k, n, params)
         full = n2 + counts[3]

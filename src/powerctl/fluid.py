@@ -5,17 +5,17 @@ enters U only through its m4 column. A threshold controller on m4 runs on
 three linear arcs: U(0) below its threshold, U(1) above it, and on the
 surface the slide of the equivalent control (Filippov/Utkin)
 s = phi0(m) / (beta1 (1 - rho) m4), phi0 being the passive field's
-m4-component, until s leaves [0, 1]. ``_FluidSystem`` is that arc model:
-the generators, each arc's equilibrium and event margin, and where a state
-goes next once it has left its arc (``land``). A constant activation s is
-one arc, U(s), that no state leaves.
+m4-component, until s leaves [0, 1]. ``_FluidSystem`` is that arc model: the
+generators, each arc's equilibrium and event margin, a path's first arc
+(``start``), each arc's activation (``control``) and where a state goes once
+it has left its arc (``land``). A constant activation s is one arc, U(s).
 Each arc's generator A has spectrum {0, -1, -lam}: lam = rho + s beta1 (1 - rho) on
 U(s), and the slide has A (A + I) = 0. So on an arc m(t) = m + phi1(t) A m +
 phi2(t) A (A + I) m, phi1 and phi2 the divided differences of e^(z t) on
 {0, -1, -lam}: a sum of e^-t and e^(-lam t) terms (t e^-t at lam = 1) about the
-arc's equilibrium. ``_arc_events`` is the one event rule on it; ``integrate``
-samples the flow on a grid, and ``threshold_bias_batch``, behind ``bias_cost``,
-prices it, both going from event to event.
+arc's equilibrium. ``_arc_events`` is the one event rule on it and ``_walk`` the one
+walk from event to event: ``integrate`` samples its arcs on a grid, and
+``threshold_bias_batch``, behind ``bias_cost``, prices them.
 The cost rate c(m, s) = theta n0 s / (1 - theta m4) + lam (m2 + m4), ``instantaneous_cost``,
 is the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
@@ -83,7 +83,8 @@ class _FluidSystem:
     On each arc the flow is linear, dm/dt = A m, with A one of ``gens``:
     U(0) (arc 0), U(1) (arc 1), or on m4 = tau the slide (arc 2), and ``lams``
     its slow decay. ``arcs`` gives each arc's equilibrium and event margin,
-    ``exits`` the slide's exit fields and ``land`` where a path goes next.
+    ``exits`` the slide's exit fields, ``start`` a path's first arc, ``control``
+    each arc's activation and ``land`` where a path goes next.
     Products with a state are sums per row, so a row has the same bits
     alone as in any stack. AssumptionViolation at beta1 = 0, where the slide is
     undefined.
@@ -122,13 +123,18 @@ class _FluidSystem:
         act = np.minimum(m4[:, 1] - tau, 0.5 * _LINEAR_TAIL_TOL)  # and the power is linear
         return eq, np.stack([passive, act, np.minimum(slack, tau - slack)], axis=1)
 
-    def clipped_equivalent_control(self, m):
-        """Duty cycle freezing m4 (per row of m), clipped to the escaping pure control."""
-        phi0, phi1 = _row_dot(m, self.u0[3]), _row_dot(m, self.u1[3])
-        denom = phi0 - phi1
-        s = np.divide(phi0, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        # where both fields push the same way, follow the active one upward
-        return np.where(denom > 0.0, np.clip(s, 0.0, 1.0), phi1 > 0.0)
+    def start(self, m, tau):
+        """Each row's first arc: U(1) above tau, else U(0), or within _SURFACE_TOL ``land``'s."""
+        m, arc = m.copy(), (m[:, 3] > tau).astype(int)
+        on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
+        m[on], arc[on] = self.land(m[on], tau[on])
+        return m, arc
+
+    def control(self, m, arc, tau):
+        """Each arc's activation, per row of m: 0, 1, or on the slide the duty cycle
+        phi0 / (beta1 (1 - rho) tau) that holds m4 = tau (0 at tau <= 0)."""
+        duty = np.divide(1.0, self.c * tau, out=np.zeros(np.shape(tau)), where=tau > 0)
+        return np.where(arc == 2, duty * _row_dot(m, self.u0[3]), arc == 1)
 
     def land(self, m, tau):
         """Snap m onto m4 = tau (m2 absorbs the change) and take the arc whose
@@ -229,31 +235,49 @@ def _arc_events(system, m, arc, tau, e, margin, span):
     return p, q, np.where(real, te, np.inf), x, tail
 
 
+def _walk(system, m, tau, t_end, switches):
+    """Paths from the rows of m under thresholds tau, from their ``start`` to time t_end, in
+    lockstep rounds. Yields per round the live paths' indices, each arc's start time, state,
+    arc, equilibrium, margin, span and ``_arc_events``; lands each event within the span, as
+    (time, arc entered) in its path's switches. NonConvergent once a path exceeds _MAX_ARCS."""
+    eq, margin = system.arcs(tau)
+    m, arc = system.start(m, tau)
+    live, t = np.arange(len(tau)), np.zeros(len(tau))
+    while live.size:
+        e, edge, span = eq[live, arc], margin[live, arc], t_end - t
+        p, q, te, x, tail = _arc_events(system, m, arc, tau[live], e, edge, span)
+        yield live, t, m, arc, e, edge, span, (p, q, te, x, tail)
+        hit = te < span
+        live, t = live[hit], t[hit] + te[hit]
+        m, arc = system.land(e[hit] + x[hit], tau[live])
+        for path, when, new in zip(live, t, arc):
+            switches[path].append((float(when), int(new)))
+            if len(switches[path]) >= _MAX_ARCS:
+                raise NonConvergent(f"a threshold path exceeded {_MAX_ARCS} arcs")
+
+
 def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01) -> Trajectory:
     """Sample the controlled fluid from m0 to the horizon.
 
     ``policy`` is either a threshold policy object (a finite attribute ``pi``) or a
     constant activation s4, a float in [0, 1]; else ValueError. The path is the closed-form
-    flow of its arcs, from event to event by ``_arc_events``, the rule that
-    ``threshold_bias_batch`` follows; a constant runs as one arc, U(s4), with no event.
-    Rows: the start, then from it and from each event t0 + k dt (k >= 1) up to the next
-    event, a row at each event (the state landed on tau, the arc it enters), and one at
-    the horizon. No step is taken, so any dt > 0 gives states of the exact flow.
+    flow of its arcs, from event to event by ``_walk``, the walk ``threshold_bias_batch``
+    prices; a constant runs as one arc, U(s4), with no event. Rows: the start, then
+    from it and from each event t0 + k dt (k >= 1) up to the next event, a row at each
+    event (the state landed on tau, the arc it enters), and one at the horizon. No
+    step is taken, so any dt > 0 gives states of the exact flow.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     system = _FluidSystem(params)
-    m, t = validate_measure(m0)[None], 0.0
+    m = validate_measure(m0)[None]
     threshold = hasattr(policy, "pi")
-    if threshold:  # the control of each arc; the slide's is its duty cycle
-        pi = float(policy.pi)
-        if not np.isfinite(pi):
-            raise ValueError(f"a threshold must be finite, got pi={pi!r}")
-        tau, controls = np.array([pi]), np.array([0.0, 1.0, np.nan])
-        (eq,), (margin,) = system.arcs(tau)
-        arc = (m[:, 3] > tau).astype(int)
-        if abs(m[0, 3] - pi) <= _SURFACE_TOL:
-            m, arc = system.land(m, tau)
+    if threshold:
+        tau = np.array([float(policy.pi)])
+        if not np.isfinite(tau[0]):
+            raise ValueError(f"a threshold must be finite, got pi={tau[0]}")
+        arcs = ((t[0], m, arc, e, system.lams[arc], p, q, te[0]) for _, t, m, arc, e, _, _,
+                (p, q, te, _, _) in _walk(system, m, tau, horizon, [[]]))
     else:
         s = float(policy)
         if not 0.0 <= s <= 1.0:
@@ -262,15 +286,14 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
         v1 = m @ a.T
         v2 = v1 + v1 @ a.T  # A (A + I) m
         p, q = v1 + v2 / lam, v2 / lam
-        e, end, arc, controls = m + p, np.inf, np.zeros(1, dtype=int), np.array([s])
-    blocks = [([t], m, arc)]
-    while t < horizon:
-        if threshold:
-            e, lam, span = eq[arc], system.lams[arc], np.full(1, horizon - t)
-            p, q, te, x, _ = _arc_events(system, m, arc, tau, e, margin[arc], span)
-            end = t + te[0]
-        event = end < horizon
-        before = end if event else horizon - _GRID_SLACK * dt  # the grid rows lie before it
+        arcs = [(0.0, m, np.zeros(1, dtype=int), m + p, lam, p, q, np.inf)]
+    blocks = []
+    for t, m, arc, e, lam, p, q, te in arcs:
+        blocks.append(([t], m, arc))
+        if t >= horizon:
+            break
+        event = te < horizon - t  # the walk's rule
+        before = t + te if event else horizon - _GRID_SLACK * dt  # the grid rows lie before it
         k = np.arange(1, int((before - t) / dt) + 2)
         keep = t + k * dt < before
         times, since = t + k[keep] * dt, k[keep] * dt  # since the arc began
@@ -278,13 +301,8 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
             times, since = np.append(times, horizon), np.append(since, horizon - t)
         ex, psi = _decay(since, lam)
         blocks.append((times, e - ex[:, None] * p - psi[:, None] * q, np.repeat(arc, len(since))))
-        if not event:
-            break
-        m, arc = system.land(e + x, tau)
-        t = end
-        blocks.append(([t], m, arc))
     t, m, arc = (np.concatenate(column) for column in zip(*blocks))
-    s4 = np.where(arc == 2, system.clipped_equivalent_control(m), controls[arc])
+    s4 = system.control(m, arc, tau) if threshold else np.full(len(t), s)
     return Trajectory(t=t, m=m, s4=s4, inst_cost=instantaneous_cost(m.T, s4, params))
 
 
@@ -347,10 +365,10 @@ def threshold_bias_batch(
     """Bias integrals of finite thresholds (else ValueError), one path per threshold:
     all from one start m0 of shape (4,), or path i from row i of an (n, 4) m0.
 
-    Paths go from event to event in lockstep rounds, an arc per path per round, on the
-    closed-form arcs of ``_FluidSystem``, exact also where U(1) is defective (beta1 = 1),
-    with their events from ``_arc_events``. Costs: ``instantaneous_cost`` (a slide's
-    control its duty cycle), in closed form where linear in m, else Gauss-Legendre. The
+    Paths go from event to event by ``_walk``, an arc per path per round, on the
+    closed-form arcs of ``_FluidSystem``, exact also where U(1) is defective (beta1 = 1).
+    Costs: ``instantaneous_cost`` at ``_FluidSystem.control`` (a slide's control its
+    duty cycle), in closed form where linear in m, else Gauss-Legendre. The
     last arc is priced to infinity, on U(1) linearised from a panel edge that close. A
     path settling off m_star adds (E_settled - e_star) * t_max. Events after t_hard are
     not taken, nor U(1) integrated past it; a path cut short so is not converged.
@@ -359,27 +377,15 @@ def threshold_bias_batch(
     if not np.isfinite(tau).all():
         raise ValueError(f"thresholds must be finite, got {tau[~np.isfinite(tau)].tolist()}")
     n, system = len(tau), _FluidSystem(params)
-    u0, lams = system.u0, system.lams
-    # per path: a slide's duty cycle per unit phi0; per arc: equilibrium, margin to the arc's event
-    duty = np.divide(1.0, system.c * tau, out=np.zeros(n), where=tau > 0)
-    eq, margin = system.arcs(tau)  # (n, arc, 4), (n, arc)
 
-    def cost(m, arc, duty):
-        s = np.where(arc == 2, duty * _row_dot(m, u0[3]), arc == 1)
-        return instantaneous_cost(np.moveaxis(m, -1, 0), s, params)
+    def cost(m, arc, tau):
+        return instantaneous_cost(np.moveaxis(m, -1, 0), system.control(m, arc, tau), params)
 
-    rates = cost(eq, np.arange(3), duty[:, None])  # (n, arc) cost rates at the equilibria
-    m = np.broadcast_to(validate_measure(m0), (n, 4)).copy()
-    arc = (m[:, 3] > tau).astype(int)
-    on = np.abs(m[:, 3] - tau) <= _SURFACE_TOL
-    m[on], arc[on] = system.land(m[on], tau[on])
     values, tails, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    live, j, t, switches = np.arange(n), np.zeros(n), np.zeros(n), [[] for _ in tau]
-    while live.size:
-        rows = np.arange(live.size)
-        e, lam, span = eq[rows, arc], lams[arc], t_hard - t
-        p, q, te, x, tail = _arc_events(system, m, arc, tau, e, margin[rows, arc], span)
-        hit = te < span
+    j, switches = np.zeros(n), [[] for _ in tau]  # j: each path's value so far
+    for live, t, _, arc, e, margin, span, (p, q, te, _, tail) in _walk(
+            system, np.broadcast_to(validate_measure(m0), (n, 4)), tau, t_hard, switches):
+        lam, hit = system.lams[arc], te < span
         hard = np.isfinite(te) & ~hit
         end, whole = np.where(hit, te, 0.0), -(p + q / lam[:, None])  # whole: x's integral
         tail = np.where(hit[:, None], tail, whole)  # the integral of x from the arc's end on
@@ -387,28 +393,21 @@ def threshold_bias_batch(
         # e^(-lam s) (|p| + s |q|) on its distance is within the linearisation margin
         if (up := np.flatnonzero(~hit & (arc == 1))).size:
             size, slope = np.abs(p[up]).sum(1), np.abs(q[up]).sum(1)
-            goal = np.maximum(2 * margin[up, 1], _SETTLE_TOL)
+            goal = np.maximum(2 * margin[up], _SETTLE_TOL)
             far = lambda s: np.log(np.maximum((size + s * slope) / goal, 1.0)) / lam[up]
             far = far(far(span[up]))  # its fixed point, approached from above
             end[up] = _EDGES[_EDGES.searchsorted(np.minimum(far, span[up]))]
             hard[up], tail[up] = far > span[up], _flow(end[up], lam[up], p[up], q[up])[1]
         if (act := np.flatnonzero(arc == 1)).size:
-            j[act] += _active_cost(end[act], e[act], p[act], q[act], lams[1], e_star, params)
+            j[live[act]] += _active_cost(end[act], e[act], p[act], q[act], system.lams[1],
+                                         e_star, params)
         # cost - e_eq, linear in x, over a linear arc's span and over each settled arc's rest
-        e_eq, lin = rates[rows, arc], hit & (arc != 1)
+        e_eq, lin = cost(e, arc, tau[live]), hit & (arc != 1)
         dev = cost(e + np.where(lin[:, None], whole - tail, np.where(hit[:, None], 0.0, tail)),
-                   arc, duty) - e_eq
-        j += np.where(lin, dev + (e_eq - e_star) * end, 0.0)
+                   arc, tau[live]) - e_eq
+        j[live] += np.where(lin, dev + (e_eq - e_star) * end, 0.0)
         target = (np.abs(e - m_star).sum(axis=1) < 1e-9) & (np.abs(e_eq - e_star) < 1e-10)
         off, d = np.where(target, 0.0, e_eq - e_star), ~hit
-        values[live[d]] = (j + dev + off * (t_max - t - end))[d]
+        values[live[d]] = (j[live] + dev + off * (t_max - t - end))[d]
         tails[live[d]], converged[live[d]] = off[d] * t_max, target[d] & ~hard[d]
-        m[hit], arc[hit] = system.land(e[hit] + x[hit], tau[hit])
-        t[hit] += te[hit]
-        for path, when, new in zip(live[hit], t[hit], arc[hit]):
-            switches[path].append((float(when), int(new)))
-            if len(switches[path]) >= _MAX_ARCS:
-                raise NonConvergent(f"a threshold path exceeded {_MAX_ARCS} arcs")
-        live, tau, duty, eq, rates, margin, m, arc, j, t = (
-            v[hit] for v in (live, tau, duty, eq, rates, margin, m, arc, j, t))
     return BiasBatch(values, converged, tails, switches)

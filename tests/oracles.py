@@ -9,7 +9,9 @@ imply, and ``finite_sinr`` one user's SINR in a finite population.
 
 ``crossed`` says whether a state has left its arc of a ``fluid._FluidSystem``: the
 per-step event test of the two stepped oracles below, where the package takes each
-event in closed form (``fluid._arc_events``).
+event in closed form (``fluid._arc_events``). ``clipped_equivalent_control`` is the
+slide's duty cycle phi0 / (phi0 - phi1), clipped to [0, 1]: ``rk4_integrate``'s s4 on
+the slide, where ``fluid._FluidSystem.control`` divides phi0 by beta1 (1 - rho) tau.
 ``stepped_bias_batch`` is the threshold-path engine that ``fluid.threshold_bias_batch``
 replaced: it steps every path by tabled exp(A h) and brackets each event by a dyadic
 search, where the package goes from event to event in closed form. ``rk4_integrate``
@@ -30,7 +32,7 @@ import numpy as np
 from powerctl import fluid
 from powerctl.equilibrium import instantaneous_cost, m4_active, m4_passive
 from powerctl.errors import NonConvergent
-from powerctl.fluid import BiasBatch, Trajectory, _FluidSystem
+from powerctl.fluid import BiasBatch, Trajectory, _FluidSystem, _row_dot
 from powerctl.kernel import IID, require_channel_model
 from powerctl.model import ModelParams, bisect, validate_measure
 
@@ -179,6 +181,16 @@ def crossed(system: _FluidSystem, m, arc, tau):
     exits = (m[..., None] * system.exits).sum(axis=-2)
     off = (exits > (np.abs(m)[..., None] * system.exit_slack).sum(axis=-2)).any(axis=-1)
     return np.where(arc == 2, off, bang)
+
+
+def clipped_equivalent_control(system: _FluidSystem, m):
+    """Duty cycle freezing m4 (per row of m), clipped to the escaping pure control:
+    phi0 / (phi0 - phi1), where ``_FluidSystem.control`` takes phi0 / (beta1 (1 - rho) tau)."""
+    phi0, phi1 = _row_dot(m, system.u0[3]), _row_dot(m, system.u1[3])
+    denom = phi0 - phi1
+    s = np.divide(phi0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    # where both fields push the same way, follow the active one upward
+    return np.where(denom > 0.0, np.clip(s, 0.0, 1.0), phi1 > 0.0)
 
 
 def _event_bracket(gens: bytes, arc, m, h, crossed):
@@ -396,5 +408,5 @@ def rk4_integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0
         t += done
         blocks.append(([t], m[None], [arc]))
     t, m, arc = (np.concatenate(column) for column in zip(*blocks))
-    s4 = np.where(arc == 2, system.clipped_equivalent_control(m), controls[arc])
+    s4 = np.where(arc == 2, clipped_equivalent_control(system, m), controls[arc])
     return Trajectory(t=t, m=m, s4=s4, inst_cost=instantaneous_cost(m.T, s4, params))

@@ -318,6 +318,13 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_out_of_order_regime_constants_exit_3(self, cfg_file, tmp_path, capsys):
+        # a certified convex model whose regime constants n0_1 >= n0_0 is refused
+        text = "theta = 0.8\nbeta1 = 0.8\nrho = 0.8\nlambda = 1.0\nn0 = 0.01\np_max = 1000000\n"
+        code = cli.main(["equilibrium", "--config", cfg_file(text), "--out", str(tmp_path)])
+        assert code == 3
+        assert "regime constants out of order" in capsys.readouterr().err
+
     def test_large_step_exits_0(self, cfg_file, tmp_path, capsys):
         # at dt = 3 the first RK4 step of the default fluid run left the simplex (exit 3);
         # the closed-form flow takes no step, so dt only spaces the rows

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_good_bad, sec4_at
 from powerctl import equilibrium, fluid, kernel
-from powerctl.errors import ConvexityUnverified, DomainError
+from powerctl.errors import ConvexityUnverified, DegenerateRegime, DomainError
 from powerctl.model import ModelParams
 
 
@@ -124,6 +124,18 @@ class TestRegimeConstants:
         _, n0_1 = equilibrium.n0_thresholds(p)
         assert n0_1 == pytest.approx(0.7699, abs=1e-4)
         assert n0_1 < 1.0 < equilibrium.n0_thresholds(p)[0]
+
+
+    def test_out_of_order_constants_refused(self):
+        # certified convex (bound 0.0506 >= n0), yet n0_1 >= n0_0: no regime to classify
+        p = ModelParams.good_bad(theta=0.8, beta1=0.8, rho=0.8, lam=1.0, n0=0.01, p_max=1e6)
+        f0, ok = equilibrium.convexity_bound(p)
+        assert ok and f0 == pytest.approx(0.050625, abs=1e-9)
+        message = r"out of order: n0_1=0\.1000816\d* >= n0_0=0\.0899999"
+        with pytest.raises(DegenerateRegime, match=message):
+            equilibrium.n0_thresholds(p)
+        with pytest.raises(DegenerateRegime, match=message):
+            equilibrium.optimal_equilibrium(p)
 
 
 class TestStationarityIdentity:

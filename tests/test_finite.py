@@ -114,6 +114,12 @@ class TestStageCost:
             finite.stage_cost((10, 0, 0, 0), k, 10, sec4)
         assert refused.value.k == k
 
+    @pytest.mark.parametrize("k", [2.5, float("nan")])
+    def test_action_not_a_whole_number_raises(self, sec4, k):
+        # 2.5 was once priced as is, to 5.0319...
+        with pytest.raises(Infeasible, match=rf"k={k} is not a whole number"):
+            finite.stage_cost((0, 0, 0, 3), k, 5, sec4)
+
 
 class TestTransitionDistribution:
     def test_single_user_success_row(self, sec4):
@@ -435,6 +441,19 @@ class TestBacklogSolvers:
         assert by_table.value.k == by_callable.value.k
 
 
+    def test_table_not_of_whole_numbers_raises_on_the_same_k(self, sec4):
+        # a table of 0.7 n4 was once truncated to int64 and evaluated; one of 1.0 n4
+        # is the table of n4
+        n4 = np.arange(6)
+        with pytest.raises(Infeasible, match="is not a whole number") as by_table:
+            finite.evaluate_table_exact(np.tile(0.7 * n4, (6, 1)), sec4, 5)
+        with pytest.raises(Infeasible) as by_callable:
+            finite.evaluate_policy_exact(lambda c: c[3] * 0.7, sec4, 5)
+        assert by_table.value.k == by_callable.value.k == 3.5  # (0, 0, 0, 5) comes first
+        whole = finite.evaluate_table_exact(np.tile(1.0 * n4, (6, 1)), sec4, 5)
+        assert whole == finite.evaluate_table_exact(np.tile(n4, (6, 1)), sec4, 5)
+
+
 class TestPolicyEvaluation:
     def test_recorded_markov_bench_threshold(self):
         # the Markov law and key chain, pinned to the last bit of a recorded g
@@ -515,6 +534,19 @@ class TestPolicyEvaluation:
         params = sec4_at(0.1) if channel_model == "iid" else MARKOV
         with pytest.raises(Infeasible):
             finite.evaluate_policy_exact(pick, params, 3, channel_model=channel_model)
+
+    @pytest.mark.parametrize("channel_model", ["iid", "markov"])
+    def test_action_not_a_whole_number_raises(self, channel_model):
+        # c[3] * 0.7 was once truncated by int(): 3.686028647286367 at N = 5 (iid);
+        # a float holding a whole number is that number
+        params = sec4_at(0.1) if channel_model == "iid" else MARKOV
+        with pytest.raises(Infeasible, match="k=3.5 is not a whole number"):
+            finite.evaluate_policy_exact(lambda c: c[3] * 0.7, params, 5, channel_model)
+        by_float = finite.evaluate_policy_exact(lambda c: float(c[3]), params, 5, channel_model)
+        assert by_float == finite.evaluate_policy_exact(lambda c: int(c[3]), params, 5,
+                                                        channel_model)
+        if channel_model == "iid":
+            assert by_float == 1.7186659510870583
 
     def test_multichain_detected(self):
         # a frozen Markov channel never mixes levels, so each level split
@@ -668,6 +700,18 @@ class TestSimulate:
             with pytest.raises(Infeasible) as refused:
                 finite.simulate(pick, params, 3, 500, seed=4, channel_model=channel_model)
             assert refused.value.k == k
+
+    def test_action_not_a_whole_number_raises(self):
+        # c[3] * 0.7 was once truncated by int(); a float holding a whole number is that
+        # number, drawing the same path
+        for params, channel_model in ((sec4_at(0.1), "iid"), (MARKOV, "markov")):
+            with pytest.raises(Infeasible, match="is not a whole number"):
+                finite.simulate(lambda c: c[3] * 0.7, params, 5, 500, seed=4,
+                                channel_model=channel_model)
+            runs = [finite.simulate(pick, params, 5, 500, seed=4, channel_model=channel_model)
+                    for pick in (lambda c: float(c[3]), lambda c: int(c[3]))]
+            assert runs[0].costs.tobytes() == runs[1].costs.tobytes()
+            assert np.array_equal(runs[0].actions, runs[1].actions)
 
     @pytest.mark.parametrize("horizon,burn_in",
                              [(0, 0.1), (-3, 0.1), (10, 1.0), (10, 1.5), (10, -0.1),

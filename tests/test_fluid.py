@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -504,6 +506,36 @@ class TestSampler:
             events += len(ours)
         assert events > 30
 
+    def test_arc_cap(self, sec4, monkeypatch):
+        # the walk's cap holds for the sampler as for the engine
+        pi = policy.make_policy(sec4).pi
+        controller = policy.ThresholdPolicy(pi=pi + 0.01, regime="test", pairing="test")
+        m0 = np.array([0.25, 0.25, 0.25, 0.25])  # active, then slides off the optimum
+        assert _event_rows(fluid.integrate(m0, controller, ORACLE_T, sec4, dt=0.1), 0.1)
+        monkeypatch.setattr(fluid, "_MAX_ARCS", 1)
+        with pytest.raises(NonConvergent, match="exceeded 1 arcs"):
+            fluid.integrate(m0, controller, ORACLE_T, sec4, dt=0.1)
+
+    @pytest.mark.parametrize("n0", [1.0, 5.0])  # Active, Interior
+    def test_slide_duty_is_the_clipped_equivalent_control(self, n0):
+        # on the slide m4 = tau, so phi0 / (phi0 - phi1) = phi0 / (beta1 (1 - rho) tau):
+        # the two forms of the duty cycle agree to rounding on every slide row
+        params = sec4_at(0.1, n0=n0)
+        system = fluid._FluidSystem(params)
+        starts = np.array([start for _, start, _, _ in ORACLE_CASES])
+        starts /= starts.sum(axis=1, keepdims=True)
+        taus = policy.make_policy(params).pi + np.array([-0.02, -0.008, -0.002, 0.0, 0.01])
+        rows = 0
+        for start, pi in itertools.product(starts, taus):
+            controller = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
+            traj = fluid.integrate(start, controller, ORACLE_T, params, dt=0.01)
+            slide = (traj.s4 != 0.0) & (traj.s4 != 1.0)  # a bang arc's control is 0 or 1
+            assert np.all(traj.m[slide, 3] == pi)
+            duty = oracles.clipped_equivalent_control(system, traj.m[slide])
+            assert np.abs(traj.s4[slide] - duty).max(initial=0.0) <= 1e-15
+            rows += slide.sum()
+        assert rows > 10_000
+
 
 class TestArcStacks:
     def test_a_row_alone_has_its_stack_bits(self, sec4):
@@ -520,12 +552,16 @@ class TestArcStacks:
         slide = np.full(50, 2)
         for m in np.concatenate([near, rng.dirichlet(np.ones(4), size=(20, 50))]):
             landed, arcs = system.land(m, tau)
-            duty = system.clipped_equivalent_control(m)
+            taus = np.full(50, tau)
+            began, first = system.start(m, taus)
+            duty = system.control(m, slide, taus)
             off = oracles.crossed(system, m, slide, tau)
             for i, row in enumerate(m):
                 alone, arc = system.land(row, tau)
                 assert np.array_equal(alone, landed[i]) and arc == arcs[i]
-                assert system.clipped_equivalent_control(row) == duty[i]
+                alone, arc = system.start(row[None], taus[:1])
+                assert np.array_equal(alone[0], began[i]) and arc[0] == first[i]
+                assert system.control(row, 2, tau) == duty[i]
                 assert oracles.crossed(system, row, 2, tau) == off[i]
 
     @pytest.mark.parametrize("kind", ["bang", "slide", "mixed"])
@@ -718,7 +754,7 @@ class TestStepMatrices:
         tp = policy.make_policy(params)
         m0 = np.array(rep.m_star) + np.array([0.01, -0.01, 0.0, 0.0])  # on the surface
         system = fluid._FluidSystem(params)
-        duty = system.clipped_equivalent_control
+        duty = lambda m: oracles.clipped_equivalent_control(system, m)
         traj = oracles.rk4_integrate(m0, tp, self.HORIZON, params, dt=0.01)
         t, m = _stagewise(m0, duty, self.HORIZON, params, 0.01)
         assert np.abs(m[:, 3] - tp.pi).max() < 1e-15  # the reference stays on the slide
