@@ -6,8 +6,7 @@ a pure arc toward the switching surface, the crossing (the first root of
 m4 - pi on that arc), and the sliding approach to the optimal operating
 point, where the control settles at the optimal duty cycle.
 
-Also checks the sampled flow against the exact uncontrolled solution and
-writes the trajectory to threshold_closed_loop.csv.
+Writes the trajectory to threshold_closed_loop.csv.
 
 Run:  python demos/threshold_closed_loop.py
 """
@@ -40,15 +39,6 @@ def main():
     gap = np.abs(traj.m[-1] - np.array(rep.m_star)).sum()
     print(f"\nfinal distance to the optimal point: {gap:.2e}")
     print(f"final control vs optimal duty cycle: {traj.s4[-1]:.9f} vs {rep.s4_star:.9f}")
-
-    # the sampled flow on an uncontrolled stretch
-    passive = fluid.integrate(m0, 0.0, 5.0, params, dt=0.01)
-    worst = 0.0
-    for t_ref in (0.5, 1.0, 2.0, 5.0):
-        i = int(np.argmin(np.abs(passive.t - t_ref)))
-        exact = fluid.passive_trajectory_closed_form(m0, passive.t[i], params)
-        worst = max(worst, float(np.abs(passive.m[i] - exact).max()))
-    print(f"uncontrolled stretch vs exact solution: max gap {worst:.2e}")
 
     # the transient premium of starting far from the operating point
     bias = fluid.bias_cost(m0, controller, rep.E_star, params)

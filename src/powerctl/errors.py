@@ -37,8 +37,9 @@ class DomainError(PowerCtlError, ValueError):
 
 
 class Infeasible(PowerCtlError, ValueError):
-    """Transmit count outside the action set: k outside [0, n4] (only class 4
-    transmits), or outside [0, N] for ``finite.transmit_power``."""
+    """Transmit count outside the action set: k not a whole number, outside
+    [0, n4] (only class 4 transmits), or outside [0, N] for
+    ``finite.transmit_power``."""
 
     def __init__(self, message, k=None):
         super().__init__(message)

@@ -1,9 +1,10 @@
 """The original stochastic system at finite population size.
 
 Users are exchangeable, so the controlled Markov chain collapses to the
-vector of per-class counts (n1, n2, n3, n4). The only useful transmissions
-come from class 4 (packet waiting, good channel): zero-gain classes can
-never clear the SINR threshold and empty queues gain nothing from service,
+vector of per-class counts (n1, n2, n3, n4); ``_count_vectors(N)`` lists all
+of them in lexicographic order. The only useful transmissions come from
+class 4 (packet waiting, good channel): zero-gain classes can never clear
+the SINR threshold and empty queues gain nothing from service,
 while any power level other than the exact-threshold one is either wasted
 or insufficient under the 0/1 rate. The action is therefore the number k
 of class-4 users driven to meet the threshold exactly, at the symmetric
@@ -53,23 +54,6 @@ def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
     return np.column_stack([vectors, rest])
 
 
-class AggregateSpace:
-    """All count vectors of a fixed population over the four classes."""
-
-    def __init__(self, n_users: int):
-        self.n_users = n_users
-        self.states = _count_vectors(n_users)
-        self._index = None  # count vector -> position, built by the first index_of
-
-    def __len__(self):
-        return len(self.states)
-
-    def index_of(self, counts) -> int:
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(map(tuple, self.states.tolist()))}
-        return self._index[tuple(int(c) for c in counts)]
-
-
 def transmit_power(k: int | np.ndarray, n_users: int, params: ModelParams) -> float | np.ndarray:
     """Symmetric power p(k) = theta n0 / (1 - theta (k - 1) / N) putting k
     simultaneous class-4 transmitters exactly at the SINR threshold, 0 at k = 0:
@@ -77,11 +61,15 @@ def transmit_power(k: int | np.ndarray, n_users: int, params: ModelParams) -> fl
 
     Every k in [0, N] is feasible: the load theta (k - 1) / N stays below
     theta < 1, so p(k) < theta n0 / (1 - theta) <= p_max by Assumption 2,
-    which ``ModelParams`` checks on construction. Raises Infeasible for k
-    outside [0, N].
+    which ``ModelParams`` checks on construction. Raises Infeasible for a k
+    that is not a whole number or lies outside [0, N].
     """
-    inside = (0 <= k) & (k <= n_users)  # a bool for an int k, an array for an int array
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+    whole, inside = k % 1 == 0, (0 <= k) & (k <= n_users)  # bools, or arrays for an array k
+    if isinstance(k, np.ndarray):
+        whole, inside = whole.all(), inside.all()
+    if not whole:
+        raise Infeasible(f"k={k} is not a whole number", k=k)
+    if not inside:
         raise Infeasible(f"k={k} outside [0, N={n_users}]", k=k)
     # (k > 0) zeroes p(0), which the formula would put at theta n0 / (1 + theta / N)
     return (k > 0) * (params.theta * params.n0 / (1.0 - params.theta * (k - 1) / n_users))
@@ -106,25 +94,8 @@ def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
     )
 
 
-def transition_distribution(counts, k: int, params: ModelParams):
-    """Sparse next-state distribution of the aggregate chain (memoryless channel).
-
-    k class-4 users are served with guaranteed success, leaving the backlog
-    a = n2 + n4 - k, so for N = sum(counts) users Q' = a + Bin(N - a, rho),
-    n4' ~ Bin(Q', beta1) and n3' ~ Bin(N - Q', beta1): a dict from each
-    reachable count vector to its probability.
-    """
-    counts = tuple(int(c) for c in counts)
-    k = _check_action(counts, k)
-    n = sum(counts)
-    states = AggregateSpace(n).states
-    arrivals = _arrival_law(n, params.rho)[counts[1] + counts[3] - k]
-    row = arrivals[states[:, 1] + states[:, 3]] * _channel_weight(states, n, params)
-    return {tuple(int(c) for c in states[i]): float(row[i]) for i in np.flatnonzero(row)}
-
-
 def _per_count_vector(grid) -> np.ndarray:
-    """grid[Q, n4] read off at every count vector, in ``AggregateSpace`` order."""
+    """grid[Q, n4] read off at every count vector, in ``_count_vectors`` order."""
     _, n2, _, n4 = _count_vectors(len(grid) - 1).T
     return grid[n2 + n4, n4]
 
@@ -134,8 +105,8 @@ class VIResult:
     """Output of average-cost relative value iteration.
 
     ``values`` (the relative value h) and ``table`` (the greedy k) live on
-    (Q, n4) = (n2 + n4, n4), indexed [Q, n4] for n4 <= Q; ``h`` and ``policy``
-    read them off per count vector, in ``AggregateSpace`` order, on first use.
+    (Q, n4) = (n2 + n4, n4), indexed [Q, n4] for n4 <= Q; ``policy`` reads the
+    table off per count vector, in ``_count_vectors`` order, on first use.
     """
 
     g: float
@@ -143,7 +114,6 @@ class VIResult:
     table: np.ndarray
     iterations: int
     span_residual: float
-    h = functools.cached_property(lambda self: _per_count_vector(self.values))
     policy = functools.cached_property(lambda self: _per_count_vector(self.table))
 
     def to_json(self, path=None) -> str:
@@ -185,8 +155,9 @@ def _channel_weight(states: np.ndarray, n: int, params: ModelParams) -> np.ndarr
     return good[full, n4] * good[n - full, n3]
 
 
-def _markov_next_law(keys: np.ndarray, space: AggregateSpace, params: ModelParams) -> np.ndarray:
-    """Next-state law of the Markov-channel chain for post-service counts ``keys``.
+def _markov_next_law(keys: np.ndarray, states: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Next-state law of the Markov-channel chain for post-service counts ``keys``
+    over the count vectors ``states`` of N users.
 
     From key (n1, n2, n3, n4), A1 ~ Bin(n1, rho) of the bad-channel and
     A3 ~ Bin(n3, rho) of the good-channel empty users receive a packet. With
@@ -195,13 +166,13 @@ def _markov_next_law(keys: np.ndarray, space: AggregateSpace, params: ModelParam
     n3' = Bin(n1 - A1, c0) + Bin(n3 - A3, c1). Row r of the returned
     len(keys) x S matrix is that law for keys[r], summed over A1.
     """
-    n = space.n_users
+    n = int(states[0].sum())
     arrivals = _binomial_table(n, params.rho)  # [m, arrivals among m empty users]
     from_bad, from_good = (_binomial_table(n, row[1]) for row in params.channel_matrix)
     # good[f0, f1, x]: x good levels next among f0 users now bad and f1 now good
     # (read only where f0 + f1 <= n, where the cut at n drops nothing)
     good = np.array([[np.convolve(b, g)[: n + 1] for g in from_good] for b in from_bad])
-    _, n2, n3, n4 = space.states.T
+    _, n2, n3, n4 = states.T
     arrived = (n2 + n4) - (keys[:, 1] + keys[:, 3])[:, None]  # A1 + A3, [key, state]
     law = np.zeros(arrived.shape)
     for a1 in range(n + 1):
@@ -370,7 +341,7 @@ def evaluate_policy_exact(
 ) -> float:
     """Exact long-run average cost of a stationary policy.
 
-    The policy runs once on every count vector, in ``AggregateSpace`` order,
+    The policy runs once on every count vector, in ``_count_vectors`` order,
     before its actions are checked: Infeasible names the first k that is not
     a whole number in [0, n4]. Under the memoryless channel a count vector
     moves to its backlog n2 + n4 - k, and the chain is solved on the N + 1
@@ -389,8 +360,7 @@ def evaluate_policy_exact(
     require_channel_model(params, channel_model)
     if channel_model == MARKOV:
         _require_markov_unichain(params, n_users)
-    space = AggregateSpace(n_users)
-    states = space.states
+    states = _count_vectors(n_users)
     actions = np.array([policy_fn(counts) for counts in states])
     full = states[:, 1] + states[:, 3]
     actions, priced = _priced(actions, states[:, 3], n_users, params)
@@ -400,7 +370,7 @@ def evaluate_policy_exact(
         return _backlog_chain_cost(n_users, full, weight, actions, costs, params)
     served = states + np.outer(actions, [0, 0, 1, -1])
     keys, post = np.unique(served, axis=0, return_inverse=True)
-    law = _markov_next_law(keys, space, params)
+    law = _markov_next_law(keys, states, params)
     order = np.argsort(post, kind="stable")
     m = np.add.reduceat(law[:, order], np.searchsorted(post[order], np.arange(len(law))), axis=1)
     return float(_key_chain_law(m) @ law @ costs)
@@ -439,6 +409,7 @@ def _initial_counts(initial_counts, n_users: int) -> tuple:
 
 _FIRST_DRAWS = 32  # draws of a post-decision key composed from scalar binomials, before blocks
 _STOCK_CAP = 4096  # most whole transitions one block of a key draws
+_BURN_IN = 0.1  # share of the horizon simulate leaves out of the mean
 
 
 def _channel_step(params: ModelParams, n_users: int, channel_model: str):
@@ -452,7 +423,7 @@ def _channel_step(params: ModelParams, n_users: int, channel_model: str):
     Bin(m, p) from ``draw(m, p)``; when ``draw`` returns arrays of draws, it
     returns an array of codes:
 
-    - memoryless (``transition_distribution``): the key is the backlog
+    - memoryless (``_backlog_chain_cost``): the key is the backlog
       a = full - k; Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1),
       n3' ~ Bin(N - Q', beta1);
     - Markov (``_markov_next_law``): the key is the code of (n1, n2, n3 + k,
@@ -527,7 +498,6 @@ def simulate(
     n_users: int,
     horizon: int,
     seed: int,
-    burn_in: float = 0.1,
     channel_model: str = IID,
     initial_counts=None,
 ) -> SimResult:
@@ -556,13 +526,13 @@ def simulate(
     ``policy_fn`` must be a deterministic function of the counts: it is called
     (with an int64 array) on a count vector's first visit only, and that k and
     its stage cost, charged on the pre-transition state, serve every revisit.
-    Deterministic given the seed. The mean is taken after the burn-in fraction;
-    ValueError when horizon < 1 or burn_in outside [0, 1) leaves no slot to
+    Deterministic given the seed. The mean leaves out the first ``_BURN_IN``
+    share of the horizon; ValueError when horizon < 1 leaves no slot to
     average.
     """
     require_channel_model(params, channel_model)
-    if horizon < 1 or not 0.0 <= burn_in < 1.0 or int(burn_in * horizon) >= horizon:
-        raise ValueError(f"horizon {horizon} and burn_in {burn_in} leave no slot to average")
+    if horizon < 1:
+        raise ValueError(f"horizon {horizon} leaves no slot to average")
     n, base, lam = n_users, n_users + 1, params.lam
     wide = base**3 > 2**63  # codes past int64 stay Python ints
     rng = np.random.default_rng(seed)
@@ -609,8 +579,7 @@ def simulate(
     measures = np.column_stack([n1, n2, n3, n - n1 - n2 - n3]).astype(np.int64)[visits]
     actions = np.array(actions, dtype=np.int64)[visits]
     costs = np.array(costs)[visits]
-    start = int(burn_in * horizon)
-    tail = costs[start:]
+    tail = costs[int(_BURN_IN * horizon):]
     n_batches = min(20, max(1, len(tail) // 50))
     batches = np.array_split(tail, n_batches)
     batch_means = np.array([b.mean() for b in batches])

