@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import Infeasible, MultichainDetected, NoConvergence
 from .kernel import IID, MARKOV, require_channel_model
-from .model import ModelParams, write_csv, write_json
+from .model import ModelParams, write_json
 
 
 def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
@@ -385,10 +385,6 @@ class SimResult:
     measures: np.ndarray
     actions: np.ndarray
     costs: np.ndarray
-
-    def to_csv(self, path):
-        columns = (np.arange(len(self.costs)), *self.measures.T, self.actions, self.costs)
-        write_csv(path, "t,n1,n2,n3,n4,action,cost", ("%d",) * 6 + ("%.12g",), columns)
 
 
 def _initial_counts(initial_counts, n_users: int) -> tuple:

@@ -175,25 +175,37 @@ _CSV_BLOCK = 4096  # rows formatted per write
 def write_csv(path, header: str, formats, columns) -> None:
     """Write equal-length columns (else ValueError) as CSV under a header line, value
     v of column j as ``formats[j] % v`` (one format per column, else ValueError),
-    commas between and a newline after each row, a block of rows at a time: within
-    a block each distinct value of a column, told apart by its bits (0.0 and -0.0
-    are two), is formatted once."""
+    commas between and a newline after each row. A row whose columns after the first
+    hold the bits of the row above (0.0 and -0.0 are two) starts no new run: each run
+    formats its tail, the columns after the first, once, and the rows of a block are
+    written by one ``%`` over the first column's values and their runs' tails. A column
+    with no unsigned view of its width (complex128, object) raises TypeError; nothing is
+    written before these checks."""
     if len(formats) != len(columns):
         raise ValueError(f"{len(formats)} formats for {len(columns)} columns")
     if len({len(col) for col in columns}) > 1:
         raise ValueError(f"columns of unequal lengths {[len(col) for col in columns]}")
-    pieces = [fmt + "," for fmt in formats[:-1]] + [formats[-1] + "\n"]
+    bits = [col.view(f"u{col.dtype.itemsize}") for col in columns]  # TypeError for other widths
+    n_rows = len(columns[0])
+    starts = np.zeros(n_rows, dtype=bool)
+    starts[::_CSV_BLOCK] = True  # each block opens a run
+    for col in bits[1:]:
+        starts[1:] |= col[1:] != col[:-1]
+    tail = "".join("," + fmt for fmt in formats[1:]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK):
-            texts = []
-            for piece, col in zip(pieces, columns):
-                block = col[i : i + _CSV_BLOCK]
-                bits = block.view(f"u{block.dtype.itemsize}")  # TypeError for other widths
-                _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-                distinct = np.array([piece % (v,) for v in block[first].tolist()], dtype=object)
-                texts.append(distinct[inverse])
-            fh.write("".join(np.stack(texts, axis=1).ravel().tolist()))
+        for i in range(0, n_rows, _CSV_BLOCK):
+            first = columns[0][i : i + _CSV_BLOCK].tolist()
+            runs = np.flatnonzero(starts[i : i + _CSV_BLOCK]) + i
+            if len(columns) > 1:
+                tails = [tail % row for row in zip(*(col[runs].tolist() for col in columns[1:]))]
+            else:
+                tails = [tail]
+            lengths = np.diff(runs, append=i + len(first))
+            cells = [None] * (2 * len(first))
+            cells[::2] = first
+            cells[1::2] = np.repeat(np.array(tails, dtype=object), lengths).tolist()
+            fh.write(((formats[0] + "%s") * len(first)) % tuple(cells))
 
 
 def write_json(payload, path=None) -> str:

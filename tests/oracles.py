@@ -10,7 +10,8 @@ imply, and ``finite_sinr`` one user's SINR in a finite population.
 Reference forms the tests read the package's bulk computations against:
 ``AggregateSpace`` indexes the count vectors of ``finite._count_vectors``
 (``index_of``), ``transition_distribution`` is one count vector's memoryless
-next-state law as a dict, checked against the user-by-user law, ``apply_fluid``
+next-state law as a dict, checked against the user-by-user law, ``sim_to_csv``
+writes a ``finite.simulate`` result as CSV rows, ``apply_fluid``
 is a threshold policy's fluid control (0 at or below ``pi``, 1 above), and
 ``passive_trajectory_closed_form`` the uncontrolled flow U(0) in closed form.
 
@@ -41,7 +42,7 @@ from powerctl.equilibrium import instantaneous_cost, m4_active, m4_passive
 from powerctl.errors import NonConvergent
 from powerctl.fluid import BiasBatch, Trajectory, _FluidSystem, _row_dot
 from powerctl.kernel import IID, require_channel_model
-from powerctl.model import ModelParams, bisect, validate_measure
+from powerctl.model import ModelParams, bisect, validate_measure, write_csv
 from powerctl.policy import ThresholdPolicy
 
 
@@ -154,6 +155,12 @@ def transition_distribution(counts, k: int, params: ModelParams):
     arrivals = finite._arrival_law(n, params.rho)[counts[1] + counts[3] - k]
     row = arrivals[states[:, 1] + states[:, 3]] * finite._channel_weight(states, n, params)
     return {tuple(int(c) for c in states[i]): float(row[i]) for i in np.flatnonzero(row)}
+
+
+def sim_to_csv(sim: finite.SimResult, path) -> None:
+    """A simulation's slots as CSV rows ``t,n1,n2,n3,n4,action,cost``."""
+    columns = (np.arange(len(sim.costs)), *sim.measures.T, sim.actions, sim.costs)
+    write_csv(path, "t,n1,n2,n3,n4,action,cost", ("%d",) * 6 + ("%.12g",), columns)
 
 
 def apply_fluid(policy: ThresholdPolicy, m) -> float:

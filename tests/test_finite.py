@@ -747,7 +747,7 @@ class TestSimulate:
         tp = make(sec4_at(0.1))
         sim = finite.simulate(lambda c: policy.apply_finite(tp, c, n_users), params, n_users,
                               horizon, seed=seed, channel_model=channel_model)
-        sim.to_csv(tmp_path / "sim.csv")
+        oracles.sim_to_csv(sim, tmp_path / "sim.csv")
         arrays = (sim.measures.astype("<i8"), sim.actions.astype("<i8"), sim.costs.astype("<f8"))
         digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
         csv_digest = hashlib.sha256((tmp_path / "sim.csv").read_bytes()).hexdigest()
@@ -944,7 +944,7 @@ class TestSimulate:
     def test_csv_export(self, sec4, tmp_path):
         sim = finite.simulate(lambda c: 0, sec4, 10, 50, seed=1)
         path = tmp_path / "sim.csv"
-        sim.to_csv(path)
+        oracles.sim_to_csv(sim, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,n1,n2,n3,n4,action,cost"
         assert len(lines) == 51

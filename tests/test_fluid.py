@@ -856,8 +856,29 @@ class TestCsvWriters:
         tp = policy.make_policy(sec4)
         sim = finite.simulate(lambda c: policy.apply_finite(tp, c, 5), sec4, 5, 5000, seed=3)
         path = tmp_path / "sim.csv"
-        sim.to_csv(path)
+        oracles.sim_to_csv(sim, path)
         rows = [
             [t, *n, a, c] for t, (n, a, c) in enumerate(zip(sim.measures, sim.actions, sim.costs))
         ]
         assert path.read_text() == "t,n1,n2,n3,n4,action,cost\n" + _joined_rows(rows)
+
+    def _check_trajectory(self, traj, tmp_path):
+        path = tmp_path / "fluid.csv"
+        traj.to_csv(path)
+        rows = [[t, *m, s, c] for t, m, s, c in zip(traj.t, traj.m, traj.s4, traj.inst_cost)]
+        assert path.read_text() == "t,m1,m2,m3,m4,s4,inst_cost\n" + _joined_rows(rows)
+
+    def test_interior_path_settled_on_a_slide(self, tmp_path):
+        # Interior (n0 = 5) to t = 500: once on the slide (0 < s4 < 1) the path
+        # settles to the bit, and most rows repeat the row above but for t
+        params = sec4_at(0.1, n0=5.0)
+        traj = fluid.integrate([0.25] * 4, policy.make_policy(params), 500.0, params)
+        tail = np.column_stack([traj.m, traj.s4, traj.inst_cost]).view(np.uint64)
+        assert np.mean(np.all(tail[1:] == tail[:-1], axis=1)) > 0.9 and 0 < traj.s4[-1] < 1
+        self._check_trajectory(traj, tmp_path)
+
+    def test_constant_activation_path(self, sec4, tmp_path):
+        # s4 = 0.3 throughout: a constant column between columns that move every row
+        traj = fluid.integrate([0.25] * 4, 0.3, 50.0, sec4)
+        assert np.all(traj.s4 == 0.3)
+        self._check_trajectory(traj, tmp_path)

@@ -232,3 +232,69 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match=f"{n_formats} formats for 3 columns"):
             model.write_csv(path, "a,b,c", ("%d",) * n_formats, (np.arange(3),) * 3)
         assert not path.exists()
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_a_column_with_no_unsigned_view_raises_before_writing(self, tmp_path, position):
+        columns = [np.arange(3.0)] * 3
+        columns[position] = np.ones(3, dtype=np.complex128)
+        path = tmp_path / "out.csv"
+        with pytest.raises(TypeError):
+            model.write_csv(path, "a,b,c", ("%s",) * 3, columns)
+        assert not path.exists()
+
+    # Rows that repeat the row above after the first column share one formatted tail:
+    # each case below breaks a run where a rule that compares less than every bit of
+    # every later column, or that loses track of runs at a block edge, would not.
+
+    def _written(self, tmp_path, formats, columns, header="t,a,b,c"):
+        """The writer's text, checked line by line against row-by-row formatting."""
+        path = tmp_path / "out.csv"
+        model.write_csv(path, header, formats, columns)
+        text = path.read_text()
+        assert text.split("\n") == _rows_oracle(header, formats, columns)
+        return text
+
+    def test_a_signed_zero_breaks_a_run_in_the_last_column(self, tmp_path):
+        last = np.array([0.0] * 3 + [-0.0] * 3)
+        columns = (np.arange(6.0), np.ones(6), np.ones(6), last)
+        text = self._written(tmp_path, ("%.12g",) * 4, columns)
+        assert text.endswith("2,1,1,0\n3,1,1,-0\n4,1,1,-0\n5,1,1,-0\n")
+
+    def test_a_run_broken_only_in_a_middle_column(self, tmp_path):
+        middle = np.array([0.5] * 3 + [0.25] * 3)
+        columns = (np.arange(6.0), np.ones(6), middle, np.ones(6))
+        text = self._written(tmp_path, ("%.12g",) * 4, columns)
+        assert text.endswith("2,1,0.5,1\n3,1,0.25,1\n4,1,0.25,1\n5,1,0.25,1\n")
+
+    def test_nan_and_infinite_rows(self, tmp_path):
+        # runs of nan, inf and -inf rows between finite ones; a nan with another
+        # payload starts a run of its own and prints the same
+        other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+        tails = [1.0, np.nan, np.nan, np.inf, -np.inf, 1.0, other_nan, np.nan, -np.inf, 0.0]
+        x = np.repeat(tails, 3)
+        columns = (np.arange(len(x)), x, x[::-1].copy(), np.full(len(x), np.nan))
+        text = self._written(tmp_path, ("%d", "%.12g", "%r", "%.12g"), columns)
+        assert {"nan", "inf", "-inf"} <= set(text.replace("\n", ",").split(","))
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_runs_at_block_edges(self, tmp_path, shift):
+        # a run that opens 5 rows before the first block edge and crosses it, and a
+        # change one row before, at or one row after the second edge
+        block = model._CSV_BLOCK
+        n_rows = 2 * block + 10
+        x = np.arange(n_rows) / 7.0
+        x[block - 5 :] = 2.5
+        x[2 * block + shift :] = -2.5
+        self._written(tmp_path, ("%.17g",) * 3, (np.arange(n_rows) * 0.01, x, -x), "t,a,b")
+
+    @pytest.mark.parametrize("n_columns", [1, 3])
+    def test_zero_rows_write_the_header_alone(self, tmp_path, n_columns):
+        path = tmp_path / "out.csv"
+        model.write_csv(path, "h", ("%d",) * n_columns, (np.zeros(0),) * n_columns)
+        assert path.read_text() == "h\n"
+
+    def test_one_column(self, tmp_path):
+        # each value then a newline, over two block edges, with repeats and both zeros
+        column = np.tile([0.0, 0.0, -0.0, 1.5, np.nan], 2000)
+        text = self._written(tmp_path, ("%.12g",), (column,), "x")
+        assert text.startswith("x\n0\n0\n-0\n1.5\nnan\n0\n")
