@@ -85,28 +85,13 @@ def _check_action(counts, k) -> int:
     return int(k)
 
 
-def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
-    """Per-slot cost charged on the pre-transition state: power plus holding.
-    Infeasible unless k is a whole number in [0, n4]."""
-    k = _check_action(counts, k)
-    return k * transmit_power(k, n_users, params) + params.lam * (
-        int(counts[1]) + int(counts[3])
-    )
-
-
-def _per_count_vector(grid) -> np.ndarray:
-    """grid[Q, n4] read off at every count vector, in ``_count_vectors`` order."""
-    _, n2, _, n4 = _count_vectors(len(grid) - 1).T
-    return grid[n2 + n4, n4]
-
-
 @dataclass
 class VIResult:
     """Output of average-cost relative value iteration.
 
     ``values`` (the relative value h) and ``table`` (the greedy k) live on
-    (Q, n4) = (n2 + n4, n4), indexed [Q, n4] for n4 <= Q; ``policy`` reads the
-    table off per count vector, in ``_count_vectors`` order, on first use.
+    (Q, n4) = (n2 + n4, n4), indexed [Q, n4] for n4 <= Q; ``to_json`` writes
+    the table as its N + 1 rows, row Q holding k for n4 = 0..Q.
     """
 
     g: float
@@ -114,14 +99,13 @@ class VIResult:
     table: np.ndarray
     iterations: int
     span_residual: float
-    policy = functools.cached_property(lambda self: _per_count_vector(self.table))
 
     def to_json(self, path=None) -> str:
         payload = {
             "g": self.g,
             "iterations": self.iterations,
             "span_residual": self.span_residual,
-            "policy": self.policy.tolist(),
+            "policy": [row[: q + 1] for q, row in enumerate(self.table.tolist())],
         }
         return write_json(payload, path)
 

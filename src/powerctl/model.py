@@ -20,6 +20,7 @@ from .errors import AssumptionViolation, NotADistribution
 
 _DIST_TOL = 1e-12
 _MEASURE_TOL = 1e-9  # how far a measure's entries and sum may stray from the simplex
+_RATE_FLOOR = 2.0**-511  # least rho * theta: its square is the least normal float, 2^-1022
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,13 @@ def validate_params(raw: ModelParams) -> ModelParams:
         )
     if not 0.0 < raw.rho < 1.0:
         raise AssumptionViolation(f"arrival probability must lie in (0,1), got {raw.rho}")
+    if raw.rho * raw.theta < _RATE_FLOOR:
+        raise AssumptionViolation(
+            "need rho * theta >= 2^-511 (about 1.49e-154): the convexity bound divides by "
+            "rho theta^2, the regime constants by rho theta and the fluid's passive arc "
+            "twice by rho, and (rho theta)^2, the least of these, must be a normal float; "
+            f"got rho={raw.rho}, theta={raw.theta}"
+        )
     if raw.lam < 0.0:
         raise AssumptionViolation(f"queue weight must be nonnegative, got {raw.lam}")
     return raw

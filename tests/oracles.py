@@ -9,7 +9,9 @@ imply, and ``finite_sinr`` one user's SINR in a finite population.
 
 Reference forms the tests read the package's bulk computations against:
 ``AggregateSpace`` indexes the count vectors of ``finite._count_vectors``
-(``index_of``), ``transition_distribution`` is one count vector's memoryless
+(``index_of``), ``per_count_vector`` reads a (Q, n4) grid, such as the VI's k
+table, off at each of them, ``stage_cost`` is one count vector's per-slot cost,
+``transition_distribution`` is one count vector's memoryless
 next-state law as a dict, checked against the user-by-user law, ``sim_to_csv``
 writes a ``finite.simulate`` result as CSV rows, ``apply_fluid``
 is a threshold policy's fluid control (0 at or below ``pi``, 1 above), and
@@ -138,6 +140,21 @@ class AggregateSpace:
         if self._index is None:
             self._index = {s: i for i, s in enumerate(map(tuple, self.states.tolist()))}
         return self._index[tuple(int(c) for c in counts)]
+
+
+def per_count_vector(grid) -> np.ndarray:
+    """grid[Q, n4] read off at every count vector, in ``finite._count_vectors`` order."""
+    _, n2, _, n4 = finite._count_vectors(len(grid) - 1).T
+    return grid[n2 + n4, n4]
+
+
+def stage_cost(counts, k: int, n_users: int, params: ModelParams) -> float:
+    """Per-slot cost charged on the pre-transition state: power plus holding.
+    Infeasible unless k is a whole number in [0, n4]."""
+    k = finite._check_action(counts, k)
+    return k * finite.transmit_power(k, n_users, params) + params.lam * (
+        int(counts[1]) + int(counts[3])
+    )
 
 
 def transition_distribution(counts, k: int, params: ModelParams):

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 import powerctl
 from powerctl import cli, finite, policy
 from powerctl.model import ModelParams
@@ -100,6 +103,28 @@ class TestCommands:
         data = json.loads((tmp_path / "vi.json").read_text())
         assert data["span_residual"] < 1e-9
         assert data["g"] > 0.0
+        # the (Q, n4) table: row Q holds k for n4 = 0..Q
+        assert [len(row) for row in data["policy"]] == [1, 2, 3, 4, 5]
+
+    # N -> sha256 of json.dumps of the greedy k per count vector, in count-vector order,
+    # recorded when vi.json listed them so
+    VI_PER_COUNT_VECTOR = {
+        10: (286, "6eda39b1309d9bbb895a784e4d3a029c83279750e65d6fc8ef53c2045c90f801"),
+        12: (455, "13f1739575f48fc1866158e419458a05aeb79667f8ecd9841195d53a545bc9d1"),
+    }
+
+    @pytest.mark.parametrize("n_users", VI_PER_COUNT_VECTOR)
+    def test_vi_table_read_off_per_count_vector_is_recorded(self, cfg_file, tmp_path, n_users):
+        config = cfg_file(f"n_users = {n_users}\n")
+        assert cli.main(["vi", "--config", config, "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "vi.json").read_text())["policy"]
+        table = np.zeros((n_users + 1, n_users + 1), dtype=np.int64)
+        for q, row in enumerate(rows):
+            table[q, : q + 1] = row
+        read_off = oracles.per_count_vector(table).tolist()
+        size, digest = self.VI_PER_COUNT_VECTOR[n_users]
+        assert len(read_off) == size
+        assert hashlib.sha256(json.dumps(read_off).encode()).hexdigest() == digest
 
     def test_compare_table(self, cfg_file, tmp_path):
         text = BASE + "rho_list = 0.1, 0.2\n"
@@ -231,7 +256,10 @@ BAD_VALUES = {
 # ran vi to exit 0; beta1, n0 and lambda = nan ran vi 10^6 sweeps before exit 3; a NaN
 # entry of m0 passed the simplex check, and fluid wrote rows of nan; vi, equilibrium,
 # threshold and compare, which do not read m0, ran to exit 0 with an m0 off the simplex;
-# fluid at beta1 = 0 divided by zero (exit 1 under -W error, inf and nan without)
+# fluid at beta1 = 0 divided by zero (exit 1 under -W error, inf and nan without);
+# rho * theta below 2^-511 crashed equilibrium, threshold, fluid and compare with a
+# ZeroDivisionError at theta = 1e-170 (rho = 0.1) and at theta = 1e-100, rho = 1e-200, and
+# threshold with an overflow at rho = 1e-200 and 1e-300 (ValueError without -W error)
 MODEL_REFUSED = {
     "theta-zero-fluid": ("fluid", "theta = 0"),
     "theta-zero-compare": ("compare", "theta = 0"),
@@ -247,6 +275,11 @@ MODEL_REFUSED = {
     "m0-nan-compare": ("compare", "m0 = nan, 0.5, 0.25, 0.25"),
     "m0-sum-two-vi": ("vi", "m0 = 0.5, 0.5, 0.5, 0.5"),
     "beta1-zero-fluid": ("fluid", "beta1 = 0\nfluid_policy = passive"),
+    **{f"theta-tiny-{command}": (command, "theta = 1e-170")
+       for command in ("equilibrium", "threshold", "fluid", "compare")},
+    "theta-and-rho-tiny": ("equilibrium", "theta = 1e-100\nrho = 1e-200"),
+    "rho-tiny-threshold": ("threshold", "rho = 1e-200"),
+    "rho-tinier-threshold": ("threshold", "rho = 1e-300"),
 }
 
 
@@ -270,6 +303,17 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and f" {key} " in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("small,other", [("rho", "theta"), ("theta", "rho")])
+    def test_every_command_runs_at_the_rate_floor(self, cfg_file, tmp_path, small, other):
+        # rho * theta = 2^-511, the least the model accepts: no division by zero, and no
+        # overflow warning
+        rho = 2.0**-510 if small == "rho" else 0.5
+        text = BASE + f"{small} = {2.0**-510!r}\n{other} = 0.5\nrho_list = {rho!r}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in sorted(cli._COMMANDS):
+                assert cli.main([command, "--config", cfg_file(text), "--out", str(tmp_path)]) == 0
 
     def test_beta1_zero_is_refused_by_fluid_only(self, cfg_file, tmp_path, capsys):
         # vi needs no slide; equilibrium's regime constants collapse at beta1 = 0

@@ -104,26 +104,26 @@ class TestTransmitPower:
 
 class TestStageCost:
     def test_idle_empty(self, sec4):
-        assert finite.stage_cost((10, 0, 0, 0), 0, 10, sec4) == 0.0
+        assert oracles.stage_cost((10, 0, 0, 0), 0, 10, sec4) == 0.0
 
     def test_composite(self, sec4):
-        assert finite.stage_cost((2, 2, 3, 3), 3, 10, sec4) == pytest.approx(8.125)
+        assert oracles.stage_cost((2, 2, 3, 3), 3, 10, sec4) == pytest.approx(8.125)
 
     def test_idle_full(self, sec4):
-        assert finite.stage_cost((0, 5, 0, 5), 0, 10, sec4) == pytest.approx(15.0)
+        assert oracles.stage_cost((0, 5, 0, 5), 0, 10, sec4) == pytest.approx(15.0)
 
     @pytest.mark.parametrize("k", [3, -2])
     def test_action_outside_zero_to_n4_raises(self, sec4, k):
         # no class-4 user to serve: these once priced to 0.625 and -0.377
         with pytest.raises(Infeasible, match=rf"k={k} outside \[0, n4=0\]") as refused:
-            finite.stage_cost((10, 0, 0, 0), k, 10, sec4)
+            oracles.stage_cost((10, 0, 0, 0), k, 10, sec4)
         assert refused.value.k == k
 
     @pytest.mark.parametrize("k", [2.5, float("nan")])
     def test_action_not_a_whole_number_raises(self, sec4, k):
         # 2.5 was once priced as is, to 5.0319...
         with pytest.raises(Infeasible, match=rf"k={k} is not a whole number"):
-            finite.stage_cost((0, 0, 0, 3), k, 5, sec4)
+            oracles.stage_cost((0, 0, 0, 3), k, 5, sec4)
 
 
 class TestTransitionDistribution:
@@ -250,7 +250,7 @@ def full_chain_rvi(params, n_users, tol=1e-9):
     """Relative VI on the full S x S chain, every (state, k) row built separately."""
     space = oracles.AggregateSpace(n_users)
     pairs = [
-        [(k, finite.stage_cost(c, k, n_users, params), full_row(space, c, k, params))
+        [(k, oracles.stage_cost(c, k, n_users, params), full_row(space, c, k, params))
          for k in range(int(c[3]) + 1)]
         for c in space.states
     ]
@@ -283,7 +283,7 @@ class TestValueIteration:
         p = ModelParams.good_bad(theta=0.2, beta1=0.4, rho=0.1, lam=0.0, n0=1.0)
         res = finite.relative_value_iteration(p, 1)
         assert res.g == pytest.approx(0.0, abs=1e-12)
-        assert np.all(res.policy == 0)
+        assert np.all(oracles.per_count_vector(res.table) == 0)
 
     def test_single_user_matches_stationary_solve(self, sec4):
         res = finite.relative_value_iteration(sec4, 1)
@@ -291,11 +291,10 @@ class TestValueIteration:
         tabs = oracles.build_tables(sec4)
         rows = []
         costs = []
-        for i, counts in enumerate(space.states):
-            k = res.policy[i]
+        for counts, k in zip(space.states, oracles.per_count_vector(res.table)):
             cls = int(np.argmax(counts))
             rows.append(tabs.gamma1[cls] if k == 1 else tabs.gamma0[cls])
-            costs.append(finite.stage_cost(counts, k, 1, sec4))
+            costs.append(oracles.stage_cost(counts, k, 1, sec4))
         # destination class c maps to the aggregate state with that count
         perm = [space.index_of(tuple(np.eye(4, dtype=int)[c])) for c in range(4)]
         chain = np.zeros((4, 4))
@@ -320,13 +319,13 @@ class TestValueIteration:
         g, h, pol, iterations = full_chain_rvi(params, n_users)
         res = finite.relative_value_iteration(params, n_users)
         assert res.g == pytest.approx(g, abs=1e-12)
-        assert np.allclose(finite._per_count_vector(res.values), h, atol=1e-10)
-        assert np.array_equal(res.policy, pol)
+        assert np.allclose(oracles.per_count_vector(res.values), h, atol=1e-10)
+        assert np.array_equal(oracles.per_count_vector(res.table), pol)
         assert res.iterations == iterations
 
     def test_recorded_optimum_at_twelve_users(self, sec4):
         res = finite.relative_value_iteration(sec4, 12)
-        assert len(res.policy) == 455
+        assert len(oracles.per_count_vector(res.table)) == 455
         assert abs(res.g - 4.125173984377067) <= 1e-9
 
     def test_dominates_random_policies(self, sec4):
@@ -367,10 +366,11 @@ class TestBacklogSolvers:
         g, _, pol, iterations = full_chain_rvi(params, n_users)
         res = finite.relative_value_iteration(params, n_users)
         assert res.g == pytest.approx(g, abs=1e-12)
-        assert np.array_equal(res.policy, pol)
+        read_off = oracles.per_count_vector(res.table)
+        assert np.array_equal(read_off, pol)
         assert res.iterations == iterations
         space = oracles.AggregateSpace(n_users)
-        assert np.array_equal(res.policy, list(per_state(res.table, space).values()))
+        assert np.array_equal(read_off, list(per_state(res.table, space).values()))
 
     @pytest.mark.parametrize("n_users,rho", [(3, 0.2), (6, 0.1), (8, 0.3)])
     def test_evaluator_matches_full_chain_stationary_solve(self, n_users, rho):
@@ -381,7 +381,7 @@ class TestBacklogSolvers:
             table = random_table(rng, n_users)
             pick = per_state(table, space)
             chain = np.array([full_row(space, s, pick[tuple(s)], params) for s in space.states])
-            costs = np.array([finite.stage_cost(s, pick[tuple(s)], n_users, params)
+            costs = np.array([oracles.stage_cost(s, pick[tuple(s)], n_users, params)
                               for s in space.states])
             g = finite.evaluate_table_exact(table, params, n_users)
             assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
@@ -496,16 +496,15 @@ class TestPolicyEvaluation:
             row = tabs.gamma1[cls] if k else tabs.gamma0[cls]
             for c in range(4):
                 chain[i, perm[c]] = row[c]
-            costs[i] = finite.stage_cost(counts, k, 1, sec4)
+            costs[i] = oracles.stage_cost(counts, k, 1, sec4)
         mu = stationary_of(chain)
         assert g == pytest.approx(float(mu @ costs), abs=1e-10)
 
     def test_greedy_policy_reproduces_g(self, sec4):
         res = finite.relative_value_iteration(sec4, 10, tol=1e-10)
         space = oracles.AggregateSpace(10)
-        g = finite.evaluate_policy_exact(
-            lambda c: res.policy[space.index_of(c)], sec4, 10
-        )
+        read_off = oracles.per_count_vector(res.table)
+        g = finite.evaluate_policy_exact(lambda c: read_off[space.index_of(c)], sec4, 10)
         assert g == pytest.approx(res.g, abs=2e-10)
 
     @pytest.mark.parametrize("channel_model", ["iid", "markov"])
@@ -519,7 +518,7 @@ class TestPolicyEvaluation:
             table = {tuple(s): int(rng.integers(s[3] + 1)) for s in space.states}
             chain = np.array([full_row(space, s, table[tuple(s)], params, channel_model)
                               for s in space.states])
-            costs = np.array([finite.stage_cost(s, table[tuple(s)], n_users, params)
+            costs = np.array([oracles.stage_cost(s, table[tuple(s)], n_users, params)
                               for s in space.states])
             g = finite.evaluate_policy_exact(lambda c: table[tuple(c)], params, n_users,
                                              channel_model=channel_model)
@@ -595,7 +594,7 @@ class TestUnichainCertificate:
                 chain = np.array([full_row(space, s, pick[tuple(s)], params)
                                   for s in space.states])
                 assert recurrent_classes(chain) == 1
-                costs = np.array([finite.stage_cost(s, pick[tuple(s)], n_users, params)
+                costs = np.array([oracles.stage_cost(s, pick[tuple(s)], n_users, params)
                                   for s in space.states])
                 g = finite.evaluate_table_exact(table, params, n_users)
                 assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
@@ -618,7 +617,7 @@ class TestUnichainCertificate:
                     with pytest.raises(MultichainDetected):
                         finite.evaluate_policy_exact(pick, params, n_users, channel_model="markov")
                     continue
-                costs = np.array([finite.stage_cost(s, table[tuple(s)], n_users, params)
+                costs = np.array([oracles.stage_cost(s, table[tuple(s)], n_users, params)
                                   for s in space.states])
                 g = finite.evaluate_policy_exact(pick, params, n_users, channel_model="markov")
                 assert g == pytest.approx(float(stationary_of(chain) @ costs), abs=1e-12)
@@ -653,7 +652,7 @@ class TestChannelModelChecks:
 
 # name -> (threshold policy maker, run on sec4_at(0.1); params, N, slots, seed,
 # channel) and the recorded (mean_cost, ci95, sha256 of measures, actions and
-# costs, sha256 of to_csv)
+# costs, sha256 of the file oracles.sim_to_csv writes)
 SIM_CASES = {
     "iid-n10": (policy.make_policy, sec4_at(0.1), 10, 20_000, 11, "iid"),
     "iid-n1000": (policy.make_policy, sec4_at(0.1), 1000, 3_000, 12, "iid"),

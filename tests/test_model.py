@@ -52,6 +52,16 @@ class TestValidation:
                         theta=0.2, n0=1.0, lam=1.5, p_max=10.0, q_max=1,
                         channel_matrix=((0.7, 0.3), (np.nan, 0.8)))
 
+    @pytest.mark.parametrize("field", ["rho", "theta"])
+    def test_rate_floor_boundary(self, field):
+        # rho * theta = 2^-511 exactly is accepted, one float below it is refused
+        kwargs = dict(theta=0.5, beta1=0.4, rho=0.5, lam=1.5, n0=1.0)
+        kwargs[field] = 2.0**-510
+        ModelParams.good_bad(**kwargs)
+        kwargs[field] = np.nextafter(2.0**-510, 0.0)
+        with pytest.raises(AssumptionViolation, match=r"need rho \* theta >= 2\^-511"):
+            ModelParams.good_bad(**kwargs)
+
     def test_rho_bounds(self):
         for rho in (0.0, 1.0, -0.1):
             with pytest.raises(AssumptionViolation):
@@ -94,6 +104,12 @@ REFUSED_PARAMS = {
     "p-max-below-bound": ({"p_max": 0.21}, AssumptionViolation, "Assumption 2 violated"),
     **{f"{name}-{value}": ({name: value}, AssumptionViolation, f"{name} must be finite")
        for name in ("rho", "theta", "n0", "lam", "p_max") for value in (np.nan, np.inf)},
+    # rho * theta below 2^-511: a ZeroDivisionError in the convexity bound, and an
+    # overflow in the fluid, once
+    "theta-below-rate-floor": ({"theta": 1e-170}, AssumptionViolation,
+                               r"need rho \* theta >= 2\^-511 .* got rho=0.1, theta=1e-170"),
+    "rho-below-rate-floor": ({"rho": 1e-300}, AssumptionViolation,
+                             r"need rho \* theta >= 2\^-511 .* got rho=1e-300, theta=0.2"),
     "beta-nan": ({"beta": (0.6, np.nan)}, NotADistribution, "non-finite"),
     "channel-matrix-nan": ({"channel_matrix": ((0.7, 0.3), (np.nan, 0.8))}, NotADistribution,
                            "channel matrix row 1 has non-finite"),
