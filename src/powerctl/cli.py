@@ -229,18 +229,21 @@ _COMMANDS = {
 }
 
 
+# built once, at import: parse_args reads the parser and changes nothing in it
+_PARSER = argparse.ArgumentParser(
+    prog="powerctl",
+    description="Queue-aware power control: equilibria, threshold policies, benchmarks.",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="flat key = value parameter file")
+_PARSER.add_argument("--out", default=".", help="output directory (default: .)")
+_PARSER.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="powerctl",
-        description="Queue-aware power control: equilibria, threshold policies, benchmarks.",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="flat key = value parameter file")
-    parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.seed < 0:  # numpy's default_rng takes no negative seed
-        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
+        _PARSER.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
         cfg = load_config(args.config)
         if not os.path.isdir(args.out):

@@ -10,6 +10,7 @@ separated by two explicit noise constants.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -152,7 +153,9 @@ def optimal_equilibrium(params: ModelParams) -> EquilibriumReport:
     """Classify the regime and return the cost-minimizing equilibrium.
 
     Requires the convexity certificate (the trichotomy relies on it);
-    interior optima are located by bisection on the monotone derivative.
+    interior optima are located by bisection on the monotone derivative, to an
+    absolute width of ``_BISECT_TOL``, or to that width relative to s4* when
+    s4* lies below it.
     """
     f0, ok = convexity_bound(params)
     if not ok:
@@ -169,6 +172,13 @@ def optimal_equilibrium(params: ModelParams) -> EquilibriumReport:
         # dE/ds4 < 0 at 0 and > 0 at 1 strictly between the constants; NaN counts as rising
         rising = lambda s4: not equilibrium_cost_derivative(s4, params) < 0.0
         lo, hi = bisect(rising, 0.0, 1.0, _BISECT_TOL)
+        if lo == 0.0:
+            # s4* lies below the absolute width (near sqrt(rho) for a tiny rho): halve hi
+            # until it is under twice s4*, then bisect to a width relative to hi; the
+            # halving stops at the least normal float, where hi * _BISECT_TOL still moves
+            while hi > sys.float_info.min and rising(0.5 * hi):
+                hi *= 0.5
+            lo, hi = bisect(rising, 0.5 * hi, hi, _BISECT_TOL * hi)
         s4_star = 0.5 * (lo + hi)
     m_star = equilibrium_measure(s4_star, params)
     return EquilibriumReport(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import numbers
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,43 @@ class VIResult:
         return write_json(payload, path)
 
 
+_LAW_BUDGET = 16 * 2**20  # most bytes of laws ``_memoised`` keeps: two N = 1000 laws fit
+_laws = OrderedDict()  # (builder, n, p) -> read-only law, least recently used first
+
+
+def _memoised(builder):
+    """``builder(n, p)`` memoised for the life of the process, for laws that depend
+    only on (n, p).
+
+    Every caller gets the same read-only array (writing into it raises ValueError).
+    The laws kept hold at most ``_LAW_BUDGET`` bytes in all: the least recently used
+    go first, and a law larger than the budget is built, returned and not kept.
+    ``__wrapped__`` is the builder.
+    """
+
+    @functools.wraps(builder)
+    def law(n: int, p: float) -> np.ndarray:
+        key = (builder, n, p)
+        if key in _laws:
+            _laws.move_to_end(key)
+            return _laws[key]
+        table = builder(n, p)
+        table.flags.writeable = False
+        if table.nbytes <= _LAW_BUDGET:
+            _laws[key] = table
+            kept = sum(t.nbytes for t in _laws.values())
+            while kept > _LAW_BUDGET:
+                kept -= _laws.popitem(last=False)[1].nbytes
+        return table
+
+    return law
+
+
+@_memoised
 def _binomial_table(n: int, p: float) -> np.ndarray:
     """(n + 1) x (n + 1) table whose row m is the pmf of Bin(m, p), zero past m:
     row m + 1 is row m convolved with (1 - p, p), divided by its sum so that
-    rounding does not build up along the rows."""
+    rounding does not build up along the rows. Memoised, read-only."""
     table = np.zeros((n + 1, n + 1))
     row, step = np.ones(1), np.array([1.0 - p, p])
     for m in range(n + 1):
@@ -123,8 +157,10 @@ def _binomial_table(n: int, p: float) -> np.ndarray:
     return table
 
 
+@_memoised
 def _arrival_law(n: int, rho: float) -> np.ndarray:
-    """[a, Q']: the law of Q' = a + Bin(n - a, rho) full queues from backlog a."""
+    """[a, Q']: the law of Q' = a + Bin(n - a, rho) full queues from backlog a.
+    Memoised, read-only."""
     arrive = _binomial_table(n, rho)
     a, q = np.ogrid[: n + 1, : n + 1]
     return np.where(q >= a, arrive[n - a, q - a], 0.0)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,48 @@ class TestDeterminism:
             ) == 0
             blobs.append((out / "fluid.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestSharedParser:
+    """One process, many ``cli.main`` calls: the parser is built once, at import, and the
+    laws are memoised, so no call may leave state that changes a later one's output."""
+
+    @pytest.fixture
+    def run(self, cfg_file, tmp_path):
+        cfg = cfg_file(BASE + "rho_list = 0.05, 0.1\n")
+
+        def run(name, command, *extra):
+            out = tmp_path / name
+            out.mkdir()
+            assert cli.main([command, "--config", cfg, "--out", str(out), *extra]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        return run
+
+    def first(self, monkeypatch, run, name, command):
+        """The output of ``command`` as if first in its process: no law memoised."""
+        monkeypatch.setattr(finite, "_laws", OrderedDict())
+        return run(name, command)
+
+    def test_refusals_leave_the_next_call_as_a_first_one(self, monkeypatch, run, capsys):
+        first_vi = self.first(monkeypatch, run, "first-vi", "vi")
+        for argv in (["vi", "--config", "x.cfg", "--seed", "-1"], ["nonsense", "--config", "x.cfg"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+        assert run("vi", "vi") == first_vi
+
+    def test_vi_compare_vi_match_first_calls(self, monkeypatch, run):
+        first_vi = self.first(monkeypatch, run, "first-vi", "vi")
+        first_compare = self.first(monkeypatch, run, "first-compare", "compare")
+        monkeypatch.setattr(finite, "_laws", OrderedDict())
+        assert [run("a", "vi"), run("b", "compare"), run("c", "vi")] == [
+            first_vi, first_compare, first_vi]
+
+    def test_a_seed_given_once_is_not_the_next_default(self, monkeypatch, run):
+        assert run("seeded", "threshold", "--seed", "3") != run("default", "threshold")
+        assert run("zero", "threshold", "--seed", "0") == run("default-again", "threshold")
 
 
 class TestModuleRun:

@@ -174,6 +174,18 @@ class TestOptimalEquilibrium:
         assert equilibrium.n0_from_m4(rep.m_star[3], p) == pytest.approx(1.0, abs=1e-8)
         assert abs(equilibrium.equilibrium_cost_derivative(rep.s4_star, p)) < 1e-9
 
+    @pytest.mark.parametrize("rho,theta", [(1e-30, 0.2), (2.0**-510, 0.5)])
+    def test_interior_optimum_below_the_absolute_width(self, rho, theta):
+        # s4* sits near sqrt(rho), below the 1e-12 width: bisection from 0 once stopped at
+        # s4* = 4.5e-13 here, with E* = 2.3e-13 against 4.7e-77 on the grid at 2^-510
+        p = ModelParams.good_bad(theta=theta, beta1=0.4, rho=rho, lam=1.5, n0=1.0)
+        rep = equilibrium.optimal_equilibrium(p)
+        assert rep.regime == equilibrium.INTERIOR
+        slope = lambda s4: equilibrium.equilibrium_cost_derivative(s4, p)
+        assert slope(rep.s4_star * (1 - 1e-9)) < 0.0 < slope(rep.s4_star * (1 + 1e-9))
+        grid = [equilibrium.equilibrium_cost(s, p) for s in np.logspace(-200, 0, 2001)]
+        assert rep.E_star <= min(grid)
+
     def test_passive_at_high_noise(self):
         p = sec4_at(0.1, n0=100.0, p_max=10_000.0)
         rep = equilibrium.optimal_equilibrium(p)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,62 @@ class TestBinomialTable:
         assert np.array_equal(table == 0.0, exact == 0.0)
         ratio = table[exact > 0.0] / exact[exact > 0.0]
         assert np.abs(ratio - 1.0).max() <= 1e-14
+
+
+LAWS = {"binomial": finite._binomial_table, "arrival": finite._arrival_law}
+
+
+class TestLawMemo:
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty memo for the test, so that what it keeps is the test's own."""
+        laws = OrderedDict()
+        monkeypatch.setattr(finite, "_laws", laws)
+        return laws
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_repeated_call_returns_the_same_read_only_law(self, memo, name):
+        law = LAWS[name](7, 0.3)
+        assert LAWS[name](7, 0.3) is law
+        with pytest.raises(ValueError):
+            law[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", LAWS)
+    @pytest.mark.parametrize("n,p", [(0, 0.3), (1, 0.3), (1, 0.0), (2, 1.0), (10, 0.1),
+                                     (12, 0.4), (60, 0.75), (3, -0.0)])
+    def test_bits_match_a_fresh_build(self, memo, monkeypatch, name, n, p):
+        kept = LAWS[name](n, p)
+        monkeypatch.setattr(finite, "_laws", OrderedDict())
+        monkeypatch.setattr(finite, "_LAW_BUDGET", 0)  # keeps nothing: every build is fresh
+        fresh = LAWS[name](n, p)
+        assert fresh is not kept and not finite._laws
+        assert (kept.dtype, kept.shape, kept.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+
+    def test_a_law_above_the_budget_is_not_kept(self, memo, monkeypatch):
+        monkeypatch.setattr(finite, "_LAW_BUDGET", 21 * 21 * 8 - 1)
+        small = finite._binomial_table(19, 0.3)
+        big = finite._binomial_table(20, 0.3)  # one byte over the budget
+        assert finite._binomial_table(20, 0.3) is not big
+        assert [id(t) for t in memo.values()] == [id(small)]
+        assert big.tobytes() == finite._binomial_table.__wrapped__(20, 0.3).tobytes()
+
+    def test_kept_bytes_stay_within_the_budget(self, memo, monkeypatch):
+        budget = 3 * 11 * 11 * 8
+        monkeypatch.setattr(finite, "_LAW_BUDGET", budget)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            name = ("binomial", "arrival")[rng.integers(2)]
+            law = LAWS[name](int(rng.integers(13)), float(rng.choice([0.1, 0.4, 0.9])))
+            assert sum(t.nbytes for t in memo.values()) <= budget
+            assert next(reversed(memo.values())) is law  # the last law used is kept
+
+    def test_the_least_recently_used_law_goes_first(self, memo, monkeypatch):
+        monkeypatch.setattr(finite, "_LAW_BUDGET", 2 * 6 * 6 * 8)
+        first = finite._binomial_table(5, 0.1)
+        finite._binomial_table(5, 0.2)
+        assert finite._binomial_table(5, 0.1) is first  # now the more recently used
+        third = finite._binomial_table(5, 0.3)
+        assert [id(t) for t in memo.values()] == [id(first), id(third)]
 
 
 def stationary_of(matrix):
