@@ -119,17 +119,16 @@ def n0_thresholds(params: ModelParams):
 def n0_from_m4(m4_bar: float, params: ModelParams) -> float:
     """Noise power whose interior optimum sits at queue-good mass m4_bar.
 
-    Valid on (0, beta1]; evaluates the stationarity identity of the interior
-    optimum. At m4_bar = beta1 it returns n0_0, at the always-transmit
-    equilibrium mass it returns n0_1.
+    Valid on (0, beta1], else DomainError; evaluates the stationarity identity of
+    the interior optimum. At m4_bar = beta1 it returns n0_0, at the always-transmit
+    equilibrium mass it returns n0_1. Its denominator theta rho (theta (m4 - beta1)^2
+    + beta1 (1 - theta beta1)) is positive: ``ModelParams`` keeps theta in (0, 1).
     """
     b1 = params.beta1
     rho, theta, lam = params.rho, params.theta, params.lam
     if not 0.0 < m4_bar <= b1:
         raise DomainError(f"m4_bar={m4_bar} outside (0, {b1}]")
     den = theta * rho * (theta * m4_bar * (m4_bar - 2.0 * b1) + b1)
-    if den <= 0.0:
-        raise DomainError(f"nonpositive denominator at m4_bar={m4_bar}")
     return lam * (1.0 - rho) * m4_bar**2 * (1.0 - theta * m4_bar) ** 2 / den
 
 
@@ -145,8 +144,8 @@ class EquilibriumReport:
     n0_1: float
     convexity_ok: bool
 
-    def to_json(self, path=None) -> str:
-        return write_json({f.name: getattr(self, f.name) for f in fields(self)}, path)
+    def to_json(self, path) -> None:
+        write_json({f.name: getattr(self, f.name) for f in fields(self)}, path)
 
 
 def optimal_equilibrium(params: ModelParams) -> EquilibriumReport:

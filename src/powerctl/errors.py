@@ -47,7 +47,7 @@ class Infeasible(PowerCtlError, ValueError):
 
 
 class NoConvergence(PowerCtlError, RuntimeError):
-    """Value iteration failed to meet the span tolerance."""
+    """Value iteration's span stalled above its tolerance."""
 
     def __init__(self, message, span=None, iterations=None):
         super().__init__(message)

@@ -55,6 +55,12 @@ def _count_vectors(n_users: int, parts: int = 4) -> np.ndarray:
     return np.column_stack([vectors, rest])
 
 
+def _checked_users(n_users: int) -> int:
+    if n_users < 1:  # as cli.load_config refuses it
+        raise ValueError(f"n_users must be at least 1, got {n_users!r}")
+    return n_users
+
+
 def transmit_power(k: int | np.ndarray, n_users: int, params: ModelParams) -> float | np.ndarray:
     """Symmetric power p(k) = theta n0 / (1 - theta (k - 1) / N) putting k
     simultaneous class-4 transmitters exactly at the SINR threshold, 0 at k = 0:
@@ -63,8 +69,9 @@ def transmit_power(k: int | np.ndarray, n_users: int, params: ModelParams) -> fl
     Every k in [0, N] is feasible: the load theta (k - 1) / N stays below
     theta < 1, so p(k) < theta n0 / (1 - theta) <= p_max by Assumption 2,
     which ``ModelParams`` checks on construction. Raises Infeasible for a k
-    that is not a whole number or lies outside [0, N].
+    that is not a whole number or lies outside [0, N], ValueError for N < 1.
     """
+    _checked_users(n_users)
     whole, inside = k % 1 == 0, (0 <= k) & (k <= n_users)  # bools, or arrays for an array k
     if isinstance(k, np.ndarray):
         whole, inside = whole.all(), inside.all()
@@ -101,18 +108,18 @@ class VIResult:
     iterations: int
     span_residual: float
 
-    def to_json(self, path=None) -> str:
-        payload = {
+    def to_json(self, path) -> None:
+        write_json({
             "g": self.g,
             "iterations": self.iterations,
             "span_residual": self.span_residual,
             "policy": [row[: q + 1] for q, row in enumerate(self.table.tolist())],
-        }
-        return write_json(payload, path)
+        }, path)
 
 
 _LAW_BUDGET = 16 * 2**20  # most bytes of laws ``_memoised`` keeps: two N = 1000 laws fit
 _laws = OrderedDict()  # (builder, n, p) -> read-only law, least recently used first
+_STALL_SWEEPS = 100  # sweeps in a row without a new least span that end relative VI
 
 
 def _memoised(builder):
@@ -258,20 +265,19 @@ def _power_table(n_users: int, params: ModelParams) -> np.ndarray:
     return k * transmit_power(k, n_users, params)
 
 
-def relative_value_iteration(
-    params: ModelParams, n_users: int, tol: float = 1e-9, max_iter: int = 10**6
-) -> VIResult:
+def relative_value_iteration(params: ModelParams, n_users: int, tol: float = 1e-9) -> VIResult:
     """Optimal average cost of the aggregated problem by relative VI.
 
-    h lives on (Q, n4) = (n2 + n4, n4). A sweep takes W(a) = E[h(Q', n4') | a]
-    for Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), then Th(Q, n4) as the
-    minimum over k <= n4 of lam * Q + k * p(k) + W(Q - k), one running
-    minimum along k for all n4: O(N^2). Span-seminorm stopping: stop once
-    span(Th - h) < tol, report g as the midpoint of the span bounds and the
-    greedy policy (smallest k within 1e-12 of the minimum); h is 0 at
-    (Q, n4) = (N, N), the first count vector.
+    h lives on (Q, n4) = (n2 + n4, n4). A sweep takes W(a) = E[h(Q', n4') | a] for
+    Q' = a + Bin(N - a, rho), n4' ~ Bin(Q', beta1), then Th(Q, n4) as the minimum over
+    k <= n4 of lam * Q + k * p(k) + W(Q - k), one running minimum along k for all n4: O(N^2).
+    Span-seminorm stopping: stop once span(Th - h) < tol, report g as the midpoint of the
+    span bounds and the greedy policy (smallest k within 1e-12 of the minimum); h is 0 at
+    (Q, n4) = (N, N), the first count vector. The step contracts the span
+    (``_backlog_chain_cost``), so only rounding stops its fall: NoConvergence, with the
+    least span, once ``_STALL_SWEEPS`` sweeps in a row set none lower. ValueError for N < 1.
     """
-    n = n_users
+    n = _checked_users(n_users)
     arrivals, good = _arrival_law(n, params.rho), _binomial_table(n, params.beta1)
     cost = _power_table(n, params) + params.lam * np.arange(n + 1)[:, None]  # [Q, k]
     padded = np.full(2 * n + 1, np.inf)  # (W(N), ..., W(0), inf, ...)
@@ -284,8 +290,9 @@ def relative_value_iteration(
         # Th(Q, Q), so it adds no extreme to the span, and good is 0 there
         return np.minimum.accumulate(np.add(cost, shifted, out=work), axis=1, out=work)
 
-    h = np.zeros((n + 1, n + 1))
-    for it in range(1, max_iter + 1):
+    h, it, least = np.zeros((n + 1, n + 1)), 0, (np.inf, 0)  # least: the least span, its sweep
+    while it - least[1] < _STALL_SWEEPS:
+        it += 1
         th = sweep(h)
         delta = th - h
         span = float(delta.max() - delta.min())
@@ -297,12 +304,10 @@ def relative_value_iteration(
             # minimum is the first k within 1e-12
             table = np.array([np.searchsorted(-row, -(row + 1e-12)) for row in best])
             return VIResult(g=g, values=h, table=table, iterations=it, span_residual=span)
+        least = min(least, (span, it))  # a tie, or a NaN span, keeps the earlier sweep
         h = th - th[n, n]
-    raise NoConvergence(
-        f"span {span:.3e} above tolerance {tol} after {max_iter} iterations",
-        span=span,
-        iterations=max_iter,
-    )
+    raise NoConvergence(f"span stalled at {least[0]:.3e} above tolerance {tol} after {it} "
+                        "iterations", span=least[0], iterations=it)
 
 
 def _priced(k: np.ndarray, n4: np.ndarray, n_users: int, params: ModelParams) -> tuple:
@@ -343,10 +348,10 @@ def evaluate_table_exact(table, params: ModelParams, n_users: int) -> float:
     The key chain is that of the N + 1 backlogs (``_backlog_chain_cost``),
     with n4' ~ Bin(Q', beta1). Raises Infeasible on the k
     ``evaluate_policy_exact`` raises on: the first, in count-vector order,
-    that is not a whole number in [0, n4]. The chain's single class needs rho
-    in (0, 1), which ``ModelParams`` checks on construction.
+    that is not a whole number in [0, n4], and ValueError for N < 1. The chain's
+    single class needs rho in (0, 1), which ``ModelParams`` checks on construction.
     """
-    n = n_users
+    n = _checked_users(n_users)
     # the count vectors with n1 = 0 hold every (Q, n4) once, each at its first place
     n2, _, n4 = _count_vectors(n, parts=3).T
     full = n2 + n4
@@ -375,12 +380,12 @@ def evaluate_policy_exact(
     (``_backlog_chain_cost``, ``_require_markov_unichain``), except on the two
     degenerate Markov channels, which raise MultichainDetected before the
     policy runs. Both certificates need rho in (0, 1), which ``ModelParams``
-    checks on construction.
+    checks on construction. ValueError for N < 1.
     """
     require_channel_model(params, channel_model)
     if channel_model == MARKOV:
         _require_markov_unichain(params, n_users)
-    states = _count_vectors(n_users)
+    states = _count_vectors(_checked_users(n_users))
     actions = np.array([policy_fn(counts) for counts in states])
     full = states[:, 1] + states[:, 3]
     actions, priced = _priced(actions, states[:, 3], n_users, params)
@@ -543,13 +548,13 @@ def simulate(
     (with an int64 array) on a count vector's first visit only, and that k and
     its stage cost, charged on the pre-transition state, serve every revisit.
     Deterministic given the seed. The mean leaves out the first ``_BURN_IN``
-    share of the horizon; ValueError when horizon < 1 leaves no slot to
-    average.
+    share of the horizon; ValueError for N < 1 and when horizon < 1 leaves no slot
+    to average.
     """
     require_channel_model(params, channel_model)
     if horizon < 1:
         raise ValueError(f"horizon {horizon} leaves no slot to average")
-    n, base, lam = n_users, n_users + 1, params.lam
+    n, base, lam = _checked_users(n_users), n_users + 1, params.lam
     wide = base**3 > 2**63  # codes past int64 stay Python ints
     rng = np.random.default_rng(seed)
     if initial_counts is not None:

@@ -316,7 +316,7 @@ _GAUSS_W = 0.5 * np.concatenate([_GL_W[::-1], _GL_W])
 
 @dataclass
 class BiasBatch:
-    """Per path: value, converged flag, its (E_settled - e_star) * t_max part (0
+    """Per path: value, converged flag, its (E_settled - e_star) * ``_T_MAX`` part (0
     if converged), events (time, arc entered: 0 passive, 1 active, 2 sliding)."""
 
     values: np.ndarray
@@ -343,9 +343,8 @@ def _active_cost(ends, eq, p, q, lam, e_star, params):
     return out
 
 
-def threshold_bias_batch(
-    m0, thresholds, e_star: float, m_star, params: ModelParams, t_max=_T_MAX, t_hard=5000.0
-) -> BiasBatch:
+def threshold_bias_batch(m0, thresholds, e_star: float, m_star, params: ModelParams,
+                         t_hard=5000.0) -> BiasBatch:
     """Bias integrals of finite thresholds (else ValueError), one path per threshold:
     all from one start m0 of shape (4,), or path i from row i of an (n, 4) m0.
 
@@ -353,9 +352,9 @@ def threshold_bias_batch(
     closed-form arcs of ``_FluidSystem``, exact also where U(1) is defective (beta1 = 1).
     Costs: ``instantaneous_cost`` at ``_FluidSystem.control`` (a slide's control its
     duty cycle), in closed form where linear in m, else Gauss-Legendre. The
-    last arc is priced to infinity, on U(1) linearised from a panel edge that close. A
-    path settling off m_star adds (E_settled - e_star) * t_max. Events after t_hard are
-    not taken, nor U(1) integrated past it; a path cut short so is not converged.
+    last arc is priced to infinity, on U(1) linearised from a panel edge that close. A path
+    settling off m_star is priced to ``_T_MAX``, its tail (E_settled - e_star) * _T_MAX. Events
+    after t_hard are not taken, nor U(1) integrated past it; a path cut short so is not converged.
     """
     tau = np.asarray(thresholds, dtype=float)
     if not np.isfinite(tau).all():
@@ -392,6 +391,6 @@ def threshold_bias_batch(
         j[live] += np.where(lin, dev + (e_eq - e_star) * end, 0.0)
         target = (np.abs(e - m_star).sum(axis=1) < 1e-9) & (np.abs(e_eq - e_star) < 1e-10)
         off, d = np.where(target, 0.0, e_eq - e_star), ~hit
-        values[live[d]] = (j[live] + dev + off * (t_max - t - end))[d]
-        tails[live[d]], converged[live[d]] = off[d] * t_max, target[d] & ~hard[d]
+        values[live[d]] = (j[live] + dev + off * (_T_MAX - t - end))[d]
+        tails[live[d]], converged[live[d]] = off[d] * _T_MAX, target[d] & ~hard[d]
     return BiasBatch(values, converged, tails, switches)

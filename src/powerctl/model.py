@@ -216,11 +216,7 @@ def write_csv(path, header: str, formats, columns) -> None:
             fh.write(((formats[0] + "%s") * len(first)) % tuple(cells))
 
 
-def write_json(payload, path=None) -> str:
-    """``payload`` as indented JSON with sorted keys; also written to ``path``,
-    with a trailing newline, when one is given."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def write_json(payload, path) -> None:
+    """Write ``payload`` to ``path``: indented JSON, sorted keys, a trailing newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -122,8 +122,8 @@ class BiasCheckReport:
     pairing_verdict: str | None = None
     pairing_costs: dict = field(default_factory=dict)
 
-    def to_json(self, path=None) -> str:
-        return write_json({f.name: getattr(self, f.name) for f in fields(self)}, path)
+    def to_json(self, path) -> None:
+        write_json({f.name: getattr(self, f.name) for f in fields(self)}, path)
 
 
 def _argmin_toward(costs, thresholds, target):

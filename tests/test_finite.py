@@ -38,6 +38,26 @@ class TestEnumeration:
         assert all(s.sum() == 10 for s in space.states)
 
 
+@pytest.mark.parametrize("n_users", [0, -1])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda p, n: finite.transmit_power(0, n, p),
+        lambda p, n: finite.simulate(lambda c: 0, p, n, 10, seed=0),
+        lambda p, n: finite.relative_value_iteration(p, n),
+        lambda p, n: finite.evaluate_table_exact(np.zeros((1, 1)), p, n),
+        lambda p, n: finite.evaluate_policy_exact(lambda c: 0, p, n),
+    ],
+    ids=["transmit_power", "simulate", "relative_value_iteration", "evaluate_table_exact",
+         "evaluate_policy_exact"],
+)
+def test_fewer_than_one_user_refused(sec4, solve, n_users):
+    # N = 0 once divided by zero (an error in transmit_power and simulate, a warning and
+    # g = 0 from the exact solvers), and N < 0 failed inside numpy
+    with pytest.raises(ValueError, match=rf"n_users must be at least 1, got {n_users}$"):
+        solve(sec4, n_users)
+
+
 class TestTransmitPower:
     def test_single(self, sec4):
         assert finite.transmit_power(1, 10, sec4) == pytest.approx(0.2)
@@ -328,13 +348,15 @@ def full_chain_rvi(params, n_users, tol=1e-9):
 
 
 class TestValueIteration:
-    @pytest.mark.parametrize("max_iter", [1, 3])
-    def test_sweep_budget_exhausted(self, sec4, max_iter):
-        with pytest.raises(NoConvergence, match=f"after {max_iter} iterations") as exc:
-            finite.relative_value_iteration(sec4, 5, max_iter=max_iter)
-        assert exc.value.iterations == max_iter
-        assert exc.value.span > 1e-9
-        assert f"span {exc.value.span:.3e} above tolerance 1e-09" in str(exc.value)
+    @pytest.mark.parametrize("n_users", [5, 10])
+    def test_span_stalled_at_the_rounding_floor(self, sec4, n_users):
+        # a tolerance below the rounding floor once ran all of a 10^6-sweep budget
+        with pytest.raises(NoConvergence) as exc:
+            finite.relative_value_iteration(sec4, n_users, tol=1e-300)
+        assert exc.value.iterations < 1000
+        assert exc.value.iterations > finite._STALL_SWEEPS
+        assert exc.value.span > 0
+        assert f"span stalled at {exc.value.span:.3e} above tolerance 1e-300" in str(exc.value)
 
     def test_zero_queue_weight_never_transmits(self):
         p = ModelParams.good_bad(theta=0.2, beta1=0.4, rho=0.1, lam=0.0, n0=1.0)

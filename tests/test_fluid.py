@@ -304,16 +304,17 @@ class TestExactEngine:
         rep = equilibrium.optimal_equilibrium(params)
         pi = policy.make_policy(params).pi + shift
         m0 = np.array(start) / np.sum(start)
-        batch = fluid.threshold_bias_batch(
-            m0, [pi], rep.E_star, rep.m_star, params, t_max=ORACLE_T
-        )
+        batch = fluid.threshold_bias_batch(m0, [pi], rep.E_star, rep.m_star, params)
         controller = policy.ThresholdPolicy(pi=pi, regime=rep.regime, pairing="test")
         traj = oracles.rk4_integrate(m0, controller, ORACLE_T, params, dt=ORACLE_DT)
         times, trapezoid = _rk4_oracle(traj, params, ORACLE_DT)
         switches = [when for when, _ in batch.switches[0]]
         assert 1 <= len(switches) == len(times)
         assert np.max(np.abs(np.array(switches) - times)) < 1e-6
-        assert abs(batch.values[0] - (trapezoid - rep.E_star * ORACLE_T)) < ORACLE_VALUE_TOL
+        # the value to horizon ORACLE_T: an off-target tail is (E_settled - E*) _T_MAX
+        value, tail = batch.values[0], batch.tails[0]
+        value = value - tail + tail * (ORACLE_T / fluid._T_MAX)
+        assert abs(value - (trapezoid - rep.E_star * ORACLE_T)) < ORACLE_VALUE_TOL
         assert batch.converged[0] == optimal
 
     @pytest.mark.parametrize("pi", [np.nan, np.inf, -np.inf])
@@ -326,21 +327,21 @@ class TestExactEngine:
         batch = fluid.threshold_bias_batch([0.25] * 4, [-0.5, 1.5], rep.E_star, rep.m_star, sec4)
         assert np.isfinite(batch.values).all()
 
-    def test_tails_price_the_settled_cost(self, sec4):
+    def test_tails_price_the_settled_cost(self, sec4, monkeypatch):
         rep = equilibrium.optimal_equilibrium(sec4)
         tp = policy.make_policy(sec4)
         m0 = np.array([0.55, 0.15, 0.2, 0.1])
         s_settled = (sec4.beta1 * sec4.rho / 0.3 - sec4.rho) / (sec4.beta1 * (1 - sec4.rho))
         gap = equilibrium.equilibrium_cost(s_settled, sec4) - rep.E_star
-        runs = [
-            fluid.threshold_bias_batch(m0, [tp.pi, 0.3], rep.E_star, rep.m_star, sec4, t_max)
-            for t_max in (1e3, 1e5)
-        ]
-        for t_max, run in zip((1e3, 1e5), runs):
+        runs = []
+        for horizon in (1e3, fluid._T_MAX):
+            monkeypatch.setattr(fluid, "_T_MAX", horizon)
+            run = fluid.threshold_bias_batch(m0, [tp.pi, 0.3], rep.E_star, rep.m_star, sec4)
             assert list(run.converged) == [True, False]
             assert run.tails[0] == 0.0
-            assert run.tails[1] == pytest.approx(gap * t_max, rel=1e-9)
-        # the rest of a value, the bias relative to the settled cost, is free of t_max
+            assert run.tails[1] == pytest.approx(gap * horizon, rel=1e-9)
+            runs.append(run)
+        # the rest of a value, the bias relative to the settled cost, is free of the horizon
         rest = [run.values - run.tails for run in runs]
         assert np.abs(rest[0] - rest[1]).max() < 1e-9
 
@@ -495,7 +496,7 @@ class TestSampler:
         taus = policy.make_policy(params).pi + np.array([-0.02, -0.008, -0.002, 0.0, 0.01, 0.05])
         m0, tau = np.repeat(starts, len(taus), axis=0), np.tile(taus, len(starts))
         batch = fluid.threshold_bias_batch(m0, tau, rep.E_star, rep.m_star, params,
-                                           t_max=ORACLE_T, t_hard=ORACLE_T)
+                                           t_hard=ORACLE_T)
         events = 0
         for start, pi, switches in zip(m0, tau, batch.switches):
             controller = policy.ThresholdPolicy(pi=pi, regime="test", pairing="test")
